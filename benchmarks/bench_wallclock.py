@@ -30,14 +30,16 @@ What is measured, per pattern the engine replaced:
 * ``pagerank_rmat16`` — end-to-end sanity: the lonestar pagerank kernel on
   an rmat scale-16 graph (~65k vertices, ~1M directed edges), engine path
   vs the same rounds with the seed's per-call idioms inlined.  The section
-  also carries the GraphBLAS engine path fused vs unfused
-  (``engine_fused_ms`` / ``engine_unfused_ms`` / ``speedup``, floor-asserted
-  1.5x full, 1.1x ``--quick``) from the fused-pipeline sweep below.
-* ``fused_pipeline`` — the :mod:`repro.graphblas.pipeline` fusion layer on
-  the rewired LAGraph drivers (pagerank/bfs/sssp, rmat scale-16), fused vs
-  plain per-call execution with bit-identical results, plus the
-  steady-state plan-cache hit rate (asserted > 0.9) and the fusion
-  counters over the timed runs.
+  also carries the GraphBLAS residual pagerank at the *same* iteration
+  count (``graphblas_ms`` / ``graphblas_over_lonestar``) from the driver
+  sweep below — the cross-stack comparison the paper is about, asserted
+  <= 2.0x (3.0x ``--quick``): a GraphBLAS layer that copies its operands
+  per call reads ~2.4x.
+* ``graphblas_drivers`` — the LAGraph hot loops (pagerank/bfs/sssp, rmat
+  scale-16) on :mod:`repro.graphblas.operations`: one ``engine_ms`` per
+  driver, the steady-state plan-cache hit rate (asserted > 0.9) and the
+  no-merge write-back counters (:mod:`repro.graphblas.pipeline`) over the
+  timed runs.
 
 And, per pattern the merge-join engine (:mod:`repro.sparse.join`)
 replaced — each against a retained copy of the seed's per-row loop, on a
@@ -171,7 +173,11 @@ def bench_row_reduce(rng):
     }
 
 
-def bench_pagerank(iters=5):
+#: Both stacks run pagerank for the same number of rounds.
+PAGERANK_ITERS = 10
+
+
+def bench_pagerank(iters=PAGERANK_ITERS):
     from repro.galois.graph import Graph
     from repro.graphs.generators import rmat
     from repro.lonestar import pagerank
@@ -219,14 +225,12 @@ def bench_pagerank(iters=5):
     }
 
 
-def bench_fused_pipeline(quick):
-    """Fused driver chains vs the plain per-call GraphBLAS path.
+def bench_graphblas_drivers(quick, iters=PAGERANK_ITERS):
+    """The LAGraph hot loops on the GraphBLAS operation layer.
 
-    Runs the three rewired LAGraph drivers on one backend/graph twice —
-    fusion on and off — asserting the answers are bit-identical, and
-    reports the wall-clock per mode.  The plan-cache and fusion counters
-    are reset after the fused warmup so the reported hit rate reflects
-    steady-state iterations only.
+    Times the three round-based drivers on one backend/graph.  The
+    plan-cache and write-back counters are reset after the warmup so the
+    reported hit rate reflects steady-state iterations only.
     """
     import repro.graphblas as gb
     from repro.galoisblas import GaloisBLASBackend
@@ -237,7 +241,7 @@ def bench_fused_pipeline(quick):
     from repro.sparse import plancache
     from repro.sparse.csr import CSRMatrix, build_csr
 
-    scale, iters = 16, 10
+    scale = 16
     n, src, dst = rmat(scale)
     csr = build_csr(n, n, src, dst, None)
     rng = np.random.default_rng(7)
@@ -248,7 +252,7 @@ def bench_fused_pipeline(quick):
     A = gb.Matrix.from_csr(backend, gb.BOOL, csr, label="bench:A")
     Aw = gb.Matrix.from_csr(backend, gb.INT64, wcsr, label="bench:Aw")
     # The CSC view is built lazily on first use and cached on the Matrix;
-    # build it off the clock so both modes time steady-state iterations.
+    # build it off the clock so the runs time steady-state iterations.
     A.transposed_csr()
     Aw.transposed_csr()
 
@@ -257,27 +261,12 @@ def bench_fused_pipeline(quick):
         "bfs": lambda: bfs(backend, A, 0),
         "sssp": lambda: delta_stepping(backend, Aw, 0, delta=32),
     }
+    for fn in apps.values():
+        fn()  # warmup
+    plancache.reset_stats()
+    pipeline.reset_fusion_stats()
     repeats = 2 if quick else 3
-
-    def run_all(fused):
-        prev = pipeline.set_enabled(fused)
-        try:
-            # Warmup pass (also the answer used for the equality check).
-            answers = {name: fn().dense_values() for name, fn in apps.items()}
-            if fused:
-                plancache.reset_stats()
-                pipeline.reset_fusion_stats()
-            times = {name: best_of(fn, repeats=repeats)
-                     for name, fn in apps.items()}
-            return times, answers
-        finally:
-            pipeline.set_enabled(prev)
-
-    unfused_ms, unfused_ans = run_all(False)
-    fused_ms, fused_ans = run_all(True)
-    for name in apps:
-        assert np.array_equal(unfused_ans[name], fused_ans[name]), \
-            f"fused {name} diverged from the per-call path"
+    times = {name: best_of(fn, repeats=repeats) for name, fn in apps.items()}
 
     hit_rate = plancache.hit_rate()
     section = {
@@ -291,11 +280,7 @@ def bench_fused_pipeline(quick):
         "fusion": pipeline.fusion_stats(),
     }
     for name in apps:
-        section[name] = {
-            "unfused_ms": round(unfused_ms[name], 3),
-            "fused_ms": round(fused_ms[name], 3),
-            "speedup": round(unfused_ms[name] / fused_ms[name], 2),
-        }
+        section[name] = {"engine_ms": round(times[name], 3)}
     return section
 
 
@@ -549,19 +534,17 @@ def main(argv=None):
         "push_accumulate_1m": bench_push_accumulate(rng),
         "row_reduce_1m": bench_row_reduce(rng),
         "pagerank_rmat16": bench_pagerank(),
-        "fused_pipeline": bench_fused_pipeline(args.quick),
+        "graphblas_drivers": bench_graphblas_drivers(args.quick),
         "masked_dot_tc": bench_masked_dot(L),
         "tricount_lower": bench_tricount(L),
         "ktruss_supports": bench_ktruss_supports(sym),
     }
-    # The GraphBLAS engine path on the same rmat16 graph, fused vs
-    # unfused, lives with the pagerank section (and its floor below).
-    report["pagerank_rmat16"]["engine_unfused_ms"] = \
-        report["fused_pipeline"]["pagerank"]["unfused_ms"]
-    report["pagerank_rmat16"]["engine_fused_ms"] = \
-        report["fused_pipeline"]["pagerank"]["fused_ms"]
-    report["pagerank_rmat16"]["speedup"] = \
-        report["fused_pipeline"]["pagerank"]["speedup"]
+    # The GraphBLAS pagerank on the same rmat16 graph and iteration count
+    # lives with the Lonestar one (and its floor below).
+    pr = report["pagerank_rmat16"]
+    pr["graphblas_ms"] = report["graphblas_drivers"]["pagerank"]["engine_ms"]
+    pr["graphblas_over_lonestar"] = round(
+        pr["graphblas_ms"] / pr["engine_ms"], 2)
     report["total_bench_seconds"] = round(time.perf_counter() - t0, 1)
     OUT_PATH.write_text(json.dumps(report, indent=2) + "\n")
     print(json.dumps(report, indent=2))
@@ -573,11 +556,11 @@ def main(argv=None):
         ratio = report[section]["speedup_vs_per_row"]
         assert ratio >= floor, \
             f"{section} speedup {ratio}x below the {floor}x floor"
-    pr_floor = 1.1 if args.quick else 1.5
-    pr_speedup = report["pagerank_rmat16"]["speedup"]
-    assert pr_speedup >= pr_floor, \
-        f"fused pagerank speedup {pr_speedup}x below the {pr_floor}x floor"
-    hit_rate = report["fused_pipeline"]["plan_cache_hit_rate"]
+    pr_ceiling = 3.0 if args.quick else 2.0
+    pr_ratio = pr["graphblas_over_lonestar"]
+    assert pr_ratio <= pr_ceiling, \
+        f"GraphBLAS pagerank {pr_ratio}x Lonestar's, above {pr_ceiling}x"
+    hit_rate = report["graphblas_drivers"]["plan_cache_hit_rate"]
     if hit_rate is not None:
         assert hit_rate > 0.9, \
             f"steady-state plan-cache hit rate {hit_rate} not above 0.9"

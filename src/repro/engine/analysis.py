@@ -45,10 +45,11 @@ class TraceSummary:
     items: int = 0
     flops: int = 0
     bytes_materialized: int = 0
-    #: Events executed on a fused path (modeled continuations of the
-    #: galoisblas-fused ablation, or wall-clock fused pipeline stages).
+    #: Events stamped ``fused`` (modeled continuations of the
+    #: galoisblas-fused ablation, or GraphBLAS operations written without
+    #: the general merge).
     fused_ops: int = 0
-    #: Intermediate bytes those fused events skipped materializing.
+    #: Intermediate bytes those events skipped materializing (an estimate).
     bytes_not_materialized: int = 0
     by_kind: Dict[str, int] = field(default_factory=dict)
 

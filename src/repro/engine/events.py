@@ -91,13 +91,14 @@ class OpEvent:
     out_nvals: int = 0
     #: Dense footprint of the mask consulted per candidate (0 unmasked).
     mask_bytes: int = 0
-    #: Executed on a fused path: either a modeled continuation of the
-    #: previous loop (the galoisblas-fused ablation backend) or a stage of
-    #: the wall-clock fused pipeline (numpy data movement skipped; modeled
-    #: charges unchanged).
+    #: Either a modeled continuation of the previous loop (the
+    #: galoisblas-fused ablation backend), or a GraphBLAS operation
+    #: written without the general merge (no mask, no accumulator: numpy
+    #: data movement skipped; modeled charges unchanged).
     fused: bool = False
-    #: Bytes of intermediate storage the fused execution did not write and
-    #: re-read (wall-clock attribution only; 0 for unfused operations).
+    #: Estimate of the intermediate bytes a ``fused`` event did not write
+    #: and re-read — for a no-merge write-back, the merge's values and
+    #: presence temporaries (wall-clock attribution only; 0 otherwise).
     bytes_not_materialized: int = 0
     #: Shard count of a blocked kernel fan-out (0 for monolithic kernels).
     #: Like ``seconds`` elsewhere, wall-clock observability only: no charge

@@ -55,11 +55,6 @@ class BaseBackend:
     #: Whether mxm detects diagonal operands and takes the scaling fast
     #: path (GaloisBLAS's optimization, §III-B).
     supports_diag_opt = False
-    #: Whether the wall-clock fused pipeline
-    #: (:mod:`repro.graphblas.pipeline`) may execute driver chains on this
-    #: backend.  Purely a numpy-speed property: fused stages emit the same
-    #: charge-relevant events, so the modeled accounting is unaffected.
-    supports_wallclock_fusion = True
 
     def __init__(self, runtime: Runtime):
         self.runtime = runtime

@@ -26,22 +26,24 @@ are parameterized by.
 
 from __future__ import annotations
 
-from typing import Optional, Union
+from typing import Dict, Optional, Union
 
 import numpy as np
 
 from repro.engine.events import OpEvent
 from repro.errors import DimensionMismatch, InvalidValue
+from repro.graphblas import pipeline
 from repro.graphblas.descriptor import DEFAULT_DESC, Descriptor, GrB_ALL
 from repro.graphblas.matrix import Matrix
-from repro.graphblas.ops import BinaryOp, Monoid, Semiring, UnaryOp
+from repro.graphblas.ops import BinaryOp, Monoid, Semiring, UnaryOp, binary
 from repro.graphblas.vector import Vector
 from repro.sparse import parallel as _parallel
+from repro.sparse import plancache
 from repro.sparse import spgemm as _spgemm
 from repro.sparse import spmv as _spmv
 from repro.sparse.csr import CSRMatrix
-from repro.sparse.segreduce import scatter_reduce
-from repro.sparse.semiring_ops import BinaryFn
+from repro.sparse.segreduce import scatter_reduce, segment_reduce
+from repro.sparse.semiring_ops import BINARY_FNS, BinaryFn
 
 __all__ = [
     "mxv",
@@ -65,9 +67,18 @@ __all__ = [
 # ----------------------------------------------------------------------
 # Mask / write-back machinery
 # ----------------------------------------------------------------------
+#
+# Operands are read through the vectors' backing arrays (``_values`` /
+# ``_present``), never through copies.  Two rules keep that safe under
+# any aliasing of ``w`` with ``u``, ``v`` or ``mask``: every read happens
+# before the single write-back, and nothing stored into ``w`` may share
+# memory with another vector's storage.
 
 def _mask_allowed(mask, size: int, desc: Descriptor) -> Optional[np.ndarray]:
-    """Dense boolean 'may write here' array, or None for no mask."""
+    """Dense boolean 'may write here' array, or None for no mask.
+
+    Read-only: a plain structural mask returns the mask's own bitmap.
+    """
     if mask is None:
         if desc.mask_comp:
             # Complement of an absent mask forbids every write.
@@ -75,12 +86,20 @@ def _mask_allowed(mask, size: int, desc: Descriptor) -> Optional[np.ndarray]:
         return None
     if mask.size != size:
         raise DimensionMismatch("mask size does not match output size")
-    allowed = mask.present_mask()
+    allowed = mask._present
     if not desc.mask_structure:
-        allowed &= mask.dense_values(fill=0).astype(bool)
+        allowed = allowed & mask._values.astype(bool, copy=False)
     if desc.mask_comp:
         allowed = ~allowed
     return allowed
+
+
+def _no_merge_stamp(out: Vector) -> dict:
+    """OpEvent kwargs for an op written without the general merge: the
+    values+presence temporaries the merge would have built (an estimate;
+    wall-clock attribution only, no charge handler reads it)."""
+    return {"fused": True,
+            "bytes_not_materialized": out.size * (out.type.itemsize + 1)}
 
 
 def _write_back(
@@ -90,10 +109,17 @@ def _write_back(
     allowed: Optional[np.ndarray],
     accum: Optional[BinaryOp],
     replace: bool,
-) -> None:
-    """Steps 2 and 3 of the GraphBLAS execution semantics."""
-    c_vals = out.dense_values()
-    c_present = out.present_mask()
+) -> dict:
+    """Steps 2 and 3 of the GraphBLAS execution semantics.
+
+    ``t_vals``/``t_present`` must be arrays the caller owns.  Returns the
+    OpEvent stamp: :func:`_no_merge_stamp` when ``T`` was stored as is.
+    """
+    if allowed is None and accum is None:
+        out._store(np.ascontiguousarray(t_vals), t_present)
+        return _no_merge_stamp(out)
+
+    c_vals, c_present = out._values, out._present
     if accum is not None:
         both = c_present & t_present
         only_t = t_present & ~c_present
@@ -107,20 +133,29 @@ def _write_back(
         z_present = t_present
 
     if allowed is None:
-        new_vals = z_vals.astype(out.type.dtype, copy=False)
+        new_vals = z_vals
         new_present = z_present
     else:
-        new_present = np.where(allowed, z_present,
-                               c_present if not replace else False)
-        new_vals = np.where(allowed, z_vals, c_vals).astype(out.type.dtype,
-                                                            copy=False)
+        new_present = allowed & z_present
+        if not replace:
+            new_present |= c_present & ~allowed
+        new_vals = np.where(allowed, z_vals, c_vals)
     out._store(np.ascontiguousarray(new_vals), new_present)
+    return {}
 
 
-def _as_semiring_parts(op: Union[Semiring, Monoid, BinaryOp]):
-    if isinstance(op, Semiring):
-        return op.add, op.mult
-    raise InvalidValue("expected a Semiring")
+def _emit(out, event: OpEvent, **operands) -> None:
+    """Charge one operation to ``out``'s backend and feed the ledger."""
+    pipeline.note(out.backend.emit(event, out=out, **operands))
+
+
+def _owned(result, dtype, *sources) -> np.ndarray:
+    """``result`` as a ``dtype`` array that shares no memory with
+    ``sources`` (operators such as first/second/identity may hand back
+    their argument)."""
+    result = np.asarray(result)
+    aliased = any(np.may_share_memory(result, s) for s in sources)
+    return result.astype(dtype, copy=aliased)
 
 
 def _mask_dense_bytes(mask) -> int:
@@ -137,16 +172,23 @@ def _is_full_diagonal(csr: CSRMatrix) -> bool:
     return bool(np.array_equal(csr.indices, csr.row_ids()))
 
 
+#: Operand-swapped form of each multiply.  Registry operators that ignore
+#: operand order stand for themselves ("pair" does not: its result dtype
+#: follows its first operand); anything else gets a wrapper on first use.
+_SECOND = BINARY_FNS["second"]
+_SWAPPED: Dict[BinaryFn, BinaryOp] = {
+    BINARY_FNS["first"]: binary("second"), _SECOND: binary("first"),
+    **{BINARY_FNS[name]: binary(name) for name in (
+        "plus", "times", "min", "max", "land", "lor", "eq", "ne")}}
+
+
 def _swapped(mult: BinaryOp) -> BinaryOp:
-    """mult with reversed operand order (for pull-mode vxm)."""
-    if mult.name == "first":
-        from repro.graphblas.ops import binary
-        return binary("second")
-    if mult.name == "second":
-        from repro.graphblas.ops import binary
-        return binary("first")
-    return BinaryOp(BinaryFn(f"{mult.name}_swapped",
-                             lambda a, b: mult.apply(b, a)))
+    """mult with reversed operand order (memoized per operator)."""
+    swapped = _SWAPPED.get(mult.fn)
+    if swapped is None:
+        swapped = _SWAPPED[mult.fn] = BinaryOp(BinaryFn(
+            f"{mult.name}_swapped", lambda a, b: mult.apply(b, a)))
+    return swapped
 
 
 # ----------------------------------------------------------------------
@@ -162,51 +204,13 @@ def mxv(
     accum: Optional[BinaryOp] = None,
     desc: Descriptor = DEFAULT_DESC,
 ) -> Vector:
-    """``w<mask> = accum(w, A (+.x) u)`` (GrB_mxv)."""
-    csr = A.transposed_csr() if desc.transpose_a else A.csr
-    nrows = csr.nrows if not desc.transpose_a else A.ncols
-    if u.size != (A.ncols if not desc.transpose_a else A.nrows):
-        raise DimensionMismatch("u length must match A's column count")
-    if w.size != (A.nrows if not desc.transpose_a else A.ncols):
-        raise DimensionMismatch("w length must match A's row count")
-    add, mult = semiring.add, semiring.mult
-    dtype = w.type.dtype
+    """``w<mask> = accum(w, A (+.x) u)`` (GrB_mxv).
 
-    u_idx, u_vals = u.to_pairs()
-    dense_input = len(u_idx) == u.size
-    _parallel.clear_fanout()
-    if dense_input:
-        # Pull (SDOT): iterate output rows, dot with the dense input.
-        y_vals, touched, flops = _spmv.spmv_pull(
-            csr, u.dense_values(), add.fn, mult, out_dtype=dtype)
-        t_vals, t_present = y_vals, touched
-        mode = "pull"
-    else:
-        # Push (SAXPY): scatter the explicit input entries along A's
-        # columns, i.e. the rows of A-transpose.
-        at = A.csr if desc.transpose_a else A.transposed_csr()
-        y_idx, y_vals, flops = _spmv.mxv_push_transposed(
-            at, u_idx, u_vals, add.fn, mult, out_dtype=dtype)
-        t_vals = np.zeros(w.size, dtype=dtype)
-        t_present = np.zeros(w.size, dtype=bool)
-        t_vals[y_idx] = y_vals
-        t_present[y_idx] = True
-        mode = "push"
-
-    allowed = _mask_allowed(mask, w.size, desc)
-    _write_back(w, t_vals, t_present, allowed, accum, desc.replace)
-    if mode == "pull":
-        weights = np.diff(csr.indptr) + 1
-    else:
-        at_deg = np.diff(at.indptr)
-        weights = at_deg[u_idx] + 1
-    w.backend.emit(OpEvent(
-        kind="mxv", items=len(u_idx), flops=flops, mode=mode,
-        masked=mask is not None, in_nvals=len(u_idx), out_nvals=w.nvals,
-        mask_bytes=_mask_dense_bytes(mask),
-        **_parallel.fanout_fields(),
-    ), out=w, mat=A, weights=weights)
-    return w
+    ``A u`` is ``u' A'``: the same product as :func:`vxm` over the other
+    CSR orientation, with the multiply operands swapped back to (A, u).
+    """
+    return _matvec("mxv", w, u, A, not desc.transpose_a, semiring.add,
+                   semiring.mult, _swapped(semiring.mult), mask, accum, desc)
 
 
 def vxm(
@@ -219,46 +223,89 @@ def vxm(
     desc: Descriptor = DEFAULT_DESC,
 ) -> Vector:
     """``w'<mask> = accum(w, u' (+.x) A)`` (GrB_vxm)."""
-    csr = A.transposed_csr() if desc.transpose_a else A.csr
-    if u.size != csr.nrows:
-        raise DimensionMismatch("u length must match A's row count")
-    if w.size != csr.ncols:
-        raise DimensionMismatch("w length must match A's column count")
-    add, mult = semiring.add, semiring.mult
-    dtype = w.type.dtype
+    return _matvec("vxm", w, u, A, desc.transpose_a, semiring.add,
+                   _swapped(semiring.mult), semiring.mult, mask, accum, desc)
 
-    u_idx, u_vals = u.to_pairs()
-    dense_input = len(u_idx) == u.size
+
+def _oriented(A: Matrix, transposed: bool) -> CSRMatrix:
+    return A.transposed_csr() if transposed else A.csr
+
+
+def _degree_weights(csr: CSRMatrix) -> np.ndarray:
+    weights = csr.row_degrees() + 1
+    weights.setflags(write=False)
+    return weights
+
+
+def _matvec(kind, w, u, A, flip, add, pull_mult, push_mult, mask, accum,
+            desc) -> Vector:
+    """``w'<mask> = accum(w, u' (+.x) B)`` with ``B = A'`` when ``flip``.
+
+    A dense ``u`` pulls (SDOT: dot the rows of ``B'`` with ``u``, the
+    kernel multiplying as ``pull_mult(B', u)``); a sparse one pushes
+    (SAXPY: scatter ``u``'s explicit entries along the rows of ``B``,
+    multiplying as ``push_mult(u, B)``).
+    """
+    # The orientation desc.transpose_a names is resolved up front, so a
+    # transpose it needs is built (and charged) before the product.
+    _oriented(A, desc.transpose_a)
+    n_in, n_out = (A.ncols, A.nrows) if flip else (A.nrows, A.ncols)
+    if u.size != n_in:
+        raise DimensionMismatch(
+            f"u length must match the {n_in} entries {kind} multiplies")
+    if w.size != n_out:
+        raise DimensionMismatch(
+            f"w length must match the {n_out} entries {kind} produces")
+    dtype = w.type.dtype
+    u_idx = np.flatnonzero(u._present)
     _parallel.clear_fanout()
-    if dense_input:
-        # Pull over columns: dot rows of A-transpose with dense u, with the
-        # multiply order swapped back to (u, A).
-        at = A.csr if desc.transpose_a else A.transposed_csr()
-        y_vals, touched, flops = _spmv.spmv_pull(
-            at, u.dense_values(), add.fn, _swapped(mult), out_dtype=dtype)
-        t_vals, t_present = y_vals, touched
+    if len(u_idx) == u.size:
+        bt = _oriented(A, not flip)
+        x = u._values
+        if pull_mult.fn is _SECOND:
+            # The multiply is the gathered input itself (PageRank's
+            # PLUS_FIRST vxm, FastSV's MIN_SECOND mxv): skip the matrix
+            # values and gather into one per-matrix scratch buffer — the
+            # products are consumed before this call returns.
+            key = ("pull", x.dtype.str)
+            products = plancache.get(bt, "scratch", key)
+            if products is None:
+                products = x[bt.indices]
+                plancache.put(bt, "scratch", key, products)
+            else:
+                np.take(x, bt.indices, out=products)
+            t_vals = segment_reduce(products, bt.row_ids(), bt.nrows, add.fn,
+                                    dtype=dtype, row_splits=bt.indptr,
+                                    cache_on=bt)
+            t_present = bt.row_degrees() > 0
+            flops = bt.nvals
+        else:
+            t_vals, t_present, flops = _spmv.spmv_pull(
+                bt, x, add.fn, pull_mult, out_dtype=dtype)
+        # degree + 1 per row is structural: memoized on the matrix.
+        weights = plancache.cached(bt, "weights", ("pull",),
+                                   lambda: _degree_weights(bt))
         mode = "pull"
     else:
+        b = _oriented(A, flip)
         y_idx, y_vals, flops = _spmv.vxm_push(
-            csr, u_idx, u_vals, add.fn, mult, out_dtype=dtype)
+            b, u_idx, u._values[u_idx], add.fn, push_mult, out_dtype=dtype)
         t_vals = np.zeros(w.size, dtype=dtype)
         t_present = np.zeros(w.size, dtype=bool)
         t_vals[y_idx] = y_vals
         t_present[y_idx] = True
+        weights = b.row_degrees()[u_idx] + 1
         mode = "push"
 
-    allowed = _mask_allowed(mask, w.size, desc)
-    _write_back(w, t_vals, t_present, allowed, accum, desc.replace)
-    if mode == "pull":
-        weights = np.diff(at.indptr) + 1
-    else:
-        weights = np.diff(csr.indptr)[u_idx] + 1
-    w.backend.emit(OpEvent(
-        kind="vxm", items=len(u_idx), flops=flops, mode=mode,
+    stamp = _write_back(w, t_vals, t_present,
+                        _mask_allowed(mask, w.size, desc), accum,
+                        desc.replace)
+    _emit(w, OpEvent(
+        kind=kind, items=len(u_idx), flops=flops, mode=mode,
         masked=mask is not None, in_nvals=len(u_idx), out_nvals=w.nvals,
         mask_bytes=_mask_dense_bytes(mask),
-        **_parallel.fanout_fields(),
-    ), out=w, mat=A, weights=weights)
+        **_parallel.fanout_fields(), **stamp,
+    ), mat=A, weights=weights)
     return w
 
 
@@ -302,10 +349,10 @@ def mxm(
         result, flops = _spgemm.spgemm_diag_left(diag, b_csr, mult.fn,
                                                  out_dtype=dtype)
         C.replace_csr(result)
-        C.backend.emit(OpEvent(
+        _emit(C, OpEvent(
             kind="diag_mxm", items=result.nvals, flops=flops,
             out_nvals=result.nvals,
-        ), out=C, mat2=B)
+        ), mat2=B)
         return C
 
     chosen = method or C.backend.choose_mxm_method(a_csr, b_csr, mask)
@@ -326,17 +373,31 @@ def mxm(
     if desc.mask_comp:
         raise InvalidValue("complemented matrix masks are not supported")
     C.replace_csr(result)
-    C.backend.emit(OpEvent(
+    _emit(C, OpEvent(
         kind="mxm", items=result.nvals, flops=flops, method=chosen,
         masked=mask is not None, out_nvals=result.nvals,
         **_parallel.fanout_fields(),
-    ), out=C, mat=A, mat2=B)
+    ), mat=A, mat2=B)
     return C
 
 
 # ----------------------------------------------------------------------
 # Element-wise operations
 # ----------------------------------------------------------------------
+
+def _finish(kind, w, t_vals, t_present, mask, accum, desc, items=None,
+            **detail) -> Vector:
+    """Write ``T`` back through the mask and emit the pass over ``items``
+    entries (default: T's explicit entries)."""
+    if items is None:
+        items = int(np.count_nonzero(t_present))
+    stamp = _write_back(w, t_vals, t_present,
+                        _mask_allowed(mask, w.size, desc), accum,
+                        desc.replace)
+    _emit(w, OpEvent(kind=kind, items=items, out_nvals=w.nvals,
+                     masked=mask is not None, **detail, **stamp))
+    return w
+
 
 def eWiseAdd(
     w: Vector,
@@ -351,25 +412,23 @@ def eWiseAdd(
     if u.size != v.size or u.size != w.size:
         raise DimensionMismatch("eWiseAdd operands must have equal size")
     binop = op.as_binary() if isinstance(op, Monoid) else op
-    u_p, v_p = u.present_mask(), v.present_mask()
-    u_d, v_d = u.dense_values(), v.dense_values()
-    t_present = u_p | v_p
-    t_vals = np.zeros(w.size, dtype=w.type.dtype)
-    both = u_p & v_p
-    if both.any():
+    u_p, v_p, u_d, v_d = u._present, v._present, u._values, v._values
+    if u_p.all():
+        # All-present u (the drivers' dist/rank accumulators): start from
+        # u and combine only where v has entries.
+        t_vals = u_d.astype(w.type.dtype)
+        t_vals[v_p] = binop.apply(u_d[v_p], v_d[v_p])
+        t_present = np.ones(w.size, dtype=bool)
+    else:
+        t_present = u_p | v_p
+        t_vals = np.zeros(w.size, dtype=w.type.dtype)
+        both = u_p & v_p
         t_vals[both] = binop.apply(u_d[both], v_d[both])
-    only_u = u_p & ~v_p
-    t_vals[only_u] = u_d[only_u]
-    only_v = v_p & ~u_p
-    t_vals[only_v] = v_d[only_v]
-
-    allowed = _mask_allowed(mask, w.size, desc)
-    _write_back(w, t_vals, t_present, allowed, accum, desc.replace)
-    w.backend.emit(OpEvent(
-        kind="ewise_add", items=int(t_present.sum()), out_nvals=w.nvals,
-        masked=mask is not None,
-    ), out=w)
-    return w
+        only_u = u_p & ~v_p
+        t_vals[only_u] = u_d[only_u]
+        only_v = v_p & ~u_p
+        t_vals[only_v] = v_d[only_v]
+    return _finish("ewise_add", w, t_vals, t_present, mask, accum, desc)
 
 
 def eWiseMult(
@@ -385,19 +444,14 @@ def eWiseMult(
     if u.size != v.size or u.size != w.size:
         raise DimensionMismatch("eWiseMult operands must have equal size")
     binop = op.as_binary() if isinstance(op, Monoid) else op
-    t_present = u.present_mask() & v.present_mask()
-    t_vals = np.zeros(w.size, dtype=w.type.dtype)
-    if t_present.any():
-        t_vals[t_present] = binop.apply(
-            u.dense_values()[t_present], v.dense_values()[t_present])
-
-    allowed = _mask_allowed(mask, w.size, desc)
-    _write_back(w, t_vals, t_present, allowed, accum, desc.replace)
-    w.backend.emit(OpEvent(
-        kind="ewise_mult", items=int(t_present.sum()), out_nvals=w.nvals,
-        masked=mask is not None,
-    ), out=w)
-    return w
+    u_d, v_d = u._values, v._values
+    t_present = u._present & v._present
+    if t_present.all():
+        t_vals = _owned(binop.apply(u_d, v_d), w.type.dtype, u_d, v_d)
+    else:
+        t_vals = np.zeros(w.size, dtype=w.type.dtype)
+        t_vals[t_present] = binop.apply(u_d[t_present], v_d[t_present])
+    return _finish("ewise_mult", w, t_vals, t_present, mask, accum, desc)
 
 
 # ----------------------------------------------------------------------
@@ -415,18 +469,14 @@ def apply(
     """``w<mask> = accum(w, op(u))`` (GrB_apply)."""
     if u.size != w.size:
         raise DimensionMismatch("apply operands must have equal size")
-    t_present = u.present_mask()
-    t_vals = np.zeros(w.size, dtype=w.type.dtype)
-    if t_present.any():
-        t_vals[t_present] = np.asarray(
-            op.apply(u.dense_values()[t_present])).astype(w.type.dtype)
-    allowed = _mask_allowed(mask, w.size, desc)
-    _write_back(w, t_vals, t_present, allowed, accum, desc.replace)
-    w.backend.emit(OpEvent(
-        kind="apply", items=int(t_present.sum()), out_nvals=w.nvals,
-        masked=mask is not None,
-    ), out=w)
-    return w
+    u_d = u._values
+    t_present = u._present.copy()
+    if t_present.all():
+        t_vals = _owned(op.apply(u_d), w.type.dtype, u_d)
+    else:
+        t_vals = np.zeros(w.size, dtype=w.type.dtype)
+        t_vals[t_present] = op.apply(u_d[t_present])
+    return _finish("apply", w, t_vals, t_present, mask, accum, desc)
 
 
 _VALUE_SELECTORS = {
@@ -458,18 +508,12 @@ def select(
         if op_name not in _VALUE_SELECTORS:
             raise InvalidValue(f"unknown vector selector {op_name!r}")
         pred = _VALUE_SELECTORS[op_name]
-        t_present = source.present_mask()
-        vals = source.dense_values()
+        src_present, vals = source._present, source._values
         keep = np.zeros(source.size, dtype=bool)
-        keep[t_present] = pred(vals[t_present], thunk)
-        t_vals = np.where(keep, vals, 0).astype(out.type.dtype)
-        allowed = _mask_allowed(mask, out.size, desc)
-        _write_back(out, t_vals, keep, allowed, accum, desc.replace)
-        out.backend.emit(OpEvent(
-            kind="select", items=int(t_present.sum()), out_nvals=out.nvals,
-            masked=mask is not None,
-        ), out=out)
-        return out
+        keep[src_present] = pred(vals[src_present], thunk)
+        t_vals = np.where(keep, vals, 0).astype(out.type.dtype, copy=False)
+        return _finish("select", out, t_vals, keep, mask, accum, desc,
+                       items=int(np.count_nonzero(src_present)))
 
     csr: CSRMatrix = source.csr
     rows = csr.row_ids()
@@ -487,9 +531,9 @@ def select(
         raise InvalidValue(f"unknown matrix selector {op_name!r}")
     result = csr.filter_entries(np.asarray(keep, dtype=bool))
     out.replace_csr(result)
-    out.backend.emit(OpEvent(
+    _emit(out, OpEvent(
         kind="select_matrix", items=csr.nvals, out_nvals=result.nvals,
-    ), out=out)
+    ))
     return out
 
 
@@ -512,24 +556,34 @@ def assign(
     Duplicate indices with a min/max accumulator combine with the
     accumulator, which is the behaviour LAGraph's FastSV relies on.
     """
+    scalar = not isinstance(value, Vector)
+    if (scalar and indices is GrB_ALL and accum is None
+            and not desc.replace and not desc.mask_comp):
+        # The drivers' init / level write: with nothing to merge or
+        # delete, the scalar lands in place where the mask allows.
+        allowed = _mask_allowed(mask, w.size, desc)
+        where = slice(None) if allowed is None else allowed
+        w._values[where] = value
+        w._present[where] = True
+        return _emit_assign(w, w.size, mask, _no_merge_stamp(w))
+
     t_vals = np.zeros(w.size, dtype=w.type.dtype)
     t_present = np.zeros(w.size, dtype=bool)
-
-    if isinstance(value, Vector):
-        src_idx, src_vals = value.to_pairs()
+    if not scalar:
+        src_present = value._present
         if indices is GrB_ALL:
             if value.size != w.size:
                 raise DimensionMismatch("assign source must match w's size")
-            t_vals[src_idx] = src_vals.astype(w.type.dtype)
-            t_present[src_idx] = True
-            n_processed = len(src_idx)
+            t_vals[src_present] = value._values[src_present]
+            t_present = src_present.copy()
+            n_processed = int(np.count_nonzero(src_present))
         else:
             idx = np.asarray(indices, dtype=np.int64)
             if value.size != len(idx):
                 raise DimensionMismatch("assign source must match index count")
             # Only explicit entries of the source are assigned.
-            targets = idx[src_idx]
-            vals = src_vals.astype(w.type.dtype)
+            targets = idx[src_present]
+            vals = value._values[src_present].astype(w.type.dtype)
             if accum is not None and accum.name in ("min", "max"):
                 fill = (np.iinfo(w.type.dtype).max
                         if w.type.dtype.kind in "iu" else np.inf)
@@ -557,16 +611,19 @@ def assign(
             t_present[idx] = True
             n_processed = len(idx)
 
-    allowed = _mask_allowed(mask, w.size, desc)
-    _write_back(w, t_vals, t_present, allowed, accum, desc.replace)
+    stamp = _write_back(w, t_vals, t_present,
+                        _mask_allowed(mask, w.size, desc), accum,
+                        desc.replace)
+    return _emit_assign(w, n_processed, mask, stamp)
+
+
+def _emit_assign(w, n_processed, mask, stamp) -> Vector:
     if mask is not None:
         # Both implementations exploit mask sparsity (§III): a masked
         # assign touches the mask's explicit entries, not all of w.
         n_processed = min(n_processed, max(mask.nvals, 1))
-    w.backend.emit(OpEvent(
-        kind="assign", items=n_processed, out_nvals=w.nvals,
-        masked=mask is not None,
-    ), out=w)
+    _emit(w, OpEvent(kind="assign", items=n_processed, out_nvals=w.nvals,
+                     masked=mask is not None, **stamp))
     return w
 
 
@@ -589,17 +646,11 @@ def extract(
         idx = np.asarray(indices, dtype=np.int64)
     if w.size != len(idx):
         raise DimensionMismatch("w length must equal the index count")
-    src_present = u.present_mask()
-    src_vals = u.dense_values()
-    t_present = src_present[idx]
-    t_vals = np.where(t_present, src_vals[idx], 0).astype(w.type.dtype)
-    allowed = _mask_allowed(mask, w.size, desc)
-    _write_back(w, t_vals, t_present, allowed, accum, desc.replace)
-    w.backend.emit(OpEvent(
-        kind="extract", items=len(idx), out_nvals=w.nvals,
-        masked=mask is not None, gather=True,
-    ), out=w)
-    return w
+    t_present = u._present[idx]
+    t_vals = np.where(t_present, u._values[idx], 0).astype(w.type.dtype,
+                                                           copy=False)
+    return _finish("extract", w, t_vals, t_present, mask, accum, desc,
+                   items=len(idx), gather=True)
 
 
 # ----------------------------------------------------------------------
@@ -609,15 +660,13 @@ def extract(
 def reduce_to_scalar(source: Union[Vector, Matrix], mon: Monoid):
     """``s = reduce(source)`` over explicit entries (GrB_reduce)."""
     if isinstance(source, Vector):
-        idx, vals = source.to_pairs()
+        vals = source._values[source._present]
         result = mon.reduce_all(vals, dtype=source.type.dtype)
-        source.backend.emit(OpEvent(kind="reduce_vector", items=len(idx)),
-                            out=source)
+        _emit(source, OpEvent(kind="reduce_vector", items=len(vals)))
         return result
     vals = source.csr.value_array(source.type.dtype)
     result = mon.reduce_all(vals, dtype=source.type.dtype)
-    source.backend.emit(OpEvent(kind="reduce_matrix", items=source.nvals),
-                        out=source)
+    _emit(source, OpEvent(kind="reduce_matrix", items=source.nvals))
     return result
 
 
@@ -642,11 +691,11 @@ def reduce_to_vector(
                             dtype=w.type.dtype, row_splits=csr.indptr,
                             cache_on=csr)
     t_present = csr.row_degrees() > 0
-    allowed = _mask_allowed(mask, w.size, desc)
-    _write_back(w, t_vals, t_present, allowed, accum, desc.replace)
-    w.backend.emit(OpEvent(
-        kind="reduce_matrix_to_vector", items=csr.nvals, out_nvals=w.nvals,
-    ), out=w, mat=A)
+    stamp = _write_back(w, t_vals, t_present,
+                        _mask_allowed(mask, w.size, desc), accum,
+                        desc.replace)
+    _emit(w, OpEvent(kind="reduce_matrix_to_vector", items=csr.nvals,
+                     out_nvals=w.nvals, **stamp), mat=A)
     return w
 
 
@@ -671,10 +720,10 @@ def eWiseAddMatrix(
     result = _combine_matrices(A.csr, B.csr, binop, union=True,
                                dtype=C.type.dtype)
     C.replace_csr(result)
-    C.backend.emit(OpEvent(
+    _emit(C, OpEvent(
         kind="ewise_matrix", items=A.nvals + B.nvals,
         out_nvals=result.nvals,
-    ), out=C)
+    ))
     return C
 
 
@@ -691,10 +740,10 @@ def eWiseMultMatrix(
     result = _combine_matrices(A.csr, B.csr, binop, union=False,
                                dtype=C.type.dtype)
     C.replace_csr(result)
-    C.backend.emit(OpEvent(
+    _emit(C, OpEvent(
         kind="ewise_matrix", items=A.nvals + B.nvals,
         out_nvals=result.nvals,
-    ), out=C)
+    ))
     return C
 
 
@@ -707,9 +756,9 @@ def applyMatrix(C: Matrix, op: UnaryOp, A: Matrix) -> Matrix:
                        A.csr.indices.copy(),
                        vals.astype(C.type.dtype, copy=False))
     C.replace_csr(result)
-    C.backend.emit(OpEvent(
+    _emit(C, OpEvent(
         kind="ewise_matrix", items=A.nvals, out_nvals=result.nvals,
-    ), out=C)
+    ))
     return C
 
 
@@ -795,7 +844,7 @@ def extractMatrix(C: Matrix, A: Matrix, row_indices, col_indices) -> Matrix:
                        vals.astype(C.type.dtype, copy=False),
                        dedup="last")
     C.replace_csr(result)
-    C.backend.emit(OpEvent(
+    _emit(C, OpEvent(
         kind="select_matrix", items=n_processed, out_nvals=result.nvals,
-    ), out=C)
+    ))
     return C

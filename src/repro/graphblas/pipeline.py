@@ -1,441 +1,57 @@
-"""Fused operator pipelines for the numpy execution path.
+"""Process-wide ledger of GraphBLAS operations written without a merge.
 
-:mod:`repro.graphblas.operations` implements every GraphBLAS call as an
-independent pass: defensive copies of the operands (``dense_values`` /
-``present_mask``), a fresh dense temporary for the result, and a
-``np.where`` write-back through the mask machinery.  That is the right
-shape for the *modeled* accounting — one call, one loop nest — but it
-makes the wall-clock numpy path materialize several full-length arrays
-per call that the real GaloisBLAS runtime never writes (its operator
-fusion keeps the chain's intermediate in registers; see the
-``galoisblas-fused`` ablation backend).
+:mod:`repro.graphblas.operations` is the only operator implementation.
+An operation whose write-back had nothing to merge (no mask, no
+accumulator — or a scalar ``assign`` through a plain mask, written in
+place) stamps its :class:`~repro.engine.events.OpEvent` ``fused=True``
+with an estimate of the merge temporaries it skipped in
+``bytes_not_materialized``.  Both fields are wall-clock attribution only:
+no charge handler reads them, so the modeled accounting is the same
+whichever exit an operation took.
 
-:class:`FusedPipeline` closes that gap for the hot driver loops.  Each
-stage is a streamlined transcription of its
-:mod:`~repro.graphblas.operations` counterpart that executes immediately
-against the vectors' dense storage — same kernels, same operation order,
-same dtypes — but skips the defensive copies and intermediate
-temporaries.  Results are **bit-identical** to the unfused path and the
-emitted :class:`~repro.engine.events.OpEvent` stream carries the same
-charge-relevant fields, so the modeled counters (and every modeled
-artifact derived from them) do not change.  Fusion is a wall-clock
-artifact only; events executed by a fused stage are stamped
-``fused=True`` with the bytes of dense intermediates they skipped in
-``bytes_not_materialized`` so the trace can quantify the recovered gap.
-
-Shapes a stage does not recognize (accumulators, exotic descriptors,
-value-typed corner cases) fall back to the plain ``operations`` call —
-correctness never depends on a stage being fused.  With ``REPRO_FUSION=0``
-every stage delegates, making the pipeline a transparent pass-through;
-the equivalence suite in ``tests/test_fusion.py`` pins both properties.
+This module keeps the running totals of those stamps for the benchmarks
+(``benchmarks/bench_wallclock.py``, ``perfbench/layers.py``).
+``operations._emit`` feeds it every event it records; nothing else does.
 """
 
 from __future__ import annotations
 
-import os
-from typing import Optional
-
-import numpy as np
-
-from repro.engine.events import OpEvent
-from repro.graphblas import operations as ops
-from repro.graphblas.descriptor import DEFAULT_DESC, Descriptor, GrB_ALL
-from repro.graphblas.matrix import Matrix
-from repro.graphblas.ops import Monoid, Semiring, UnaryOp
-from repro.graphblas.vector import Vector
-from repro.sparse import parallel as _parallel
-from repro.sparse import plancache
-from repro.sparse import spmv as _spmv
-from repro.sparse.segreduce import segment_reduce
-
-__all__ = [
-    "FusedPipeline",
-    "fusion_enabled",
-    "set_enabled",
-    "fusion_stats",
-    "reset_fusion_stats",
-]
-
-#: Kill switch: ``REPRO_FUSION=0`` disables the fused wall-clock path and
-#: every pipeline stage delegates to the plain operation (the modeled
-#: accounting is identical either way).
-_ENABLED = os.environ.get("REPRO_FUSION", "1") != "0"
+__all__ = ["fusion_stats", "reset_fusion_stats", "note"]
 
 _STATS = {
-    # Runs of >= 2 consecutive fused stages (one chain per run).
+    # Runs of >= 2 consecutive stamped events within one algorithm round.
     "chains": 0,
-    # Stages executed on the fused path.
+    # Events stamped ``fused``.
     "fused_ops": 0,
-    # Stages that bailed to the plain operation while fusion was enabled.
-    "fallbacks": 0,
-    # Estimated bytes of dense intermediates never written (wall-clock
-    # attribution only; mirrors the per-event field).
+    # Sum of the stamped events' ``bytes_not_materialized`` estimates.
     "bytes_not_materialized": 0,
 }
 
-
-def fusion_enabled() -> bool:
-    """Whether the wall-clock fused path is active."""
-    return _ENABLED
-
-
-def set_enabled(flag: bool) -> bool:
-    """Toggle fusion; returns the previous setting (for test scoping)."""
-    global _ENABLED
-    previous = _ENABLED
-    _ENABLED = bool(flag)
-    return previous
+#: Length and ``round_id`` of the current run of stamped events.
+_run = [0, -1]
 
 
 def fusion_stats() -> dict:
-    """Snapshot of the process-wide fusion counters."""
+    """Snapshot of the process-wide counters."""
     return dict(_STATS)
 
 
 def reset_fusion_stats() -> None:
-    """Zero the fusion counters (benchmarks reset after warmup)."""
+    """Zero the counters (benchmarks reset after warmup)."""
     for key in _STATS:
         _STATS[key] = 0
+    _run[:] = [0, -1]
 
 
-def _dense_cost(size: int, itemsize: int) -> int:
-    """Bytes of one dense temporary pair (values + presence bools)."""
-    return size * (itemsize + 1)
-
-
-class FusedPipeline:
-    """Fused execution of ``mxv/vxm -> ewise -> apply/assign`` chains.
-
-    One pipeline wraps one backend.  Stage methods mirror the
-    :mod:`~repro.graphblas.operations` signatures the drivers use; each
-    either executes fused (bit-identical, fewer dense passes) or falls
-    back to the plain operation.
-    """
-
-    def __init__(self, backend):
-        self.backend = backend
-        self._run = 0  # length of the current consecutive fused-stage run
-
-    @property
-    def enabled(self) -> bool:
-        return _ENABLED and getattr(self.backend, "supports_wallclock_fusion",
-                                    False)
-
-    # ------------------------------------------------------------------
-    # Chain bookkeeping
-    # ------------------------------------------------------------------
-    def round(self) -> None:
-        """Advance the algorithm round; a round boundary ends the chain."""
-        self.backend.runtime.round()
-        self._run = 0
-
-    def _mark(self, saved: int) -> None:
-        self._run += 1
-        if self._run == 2:
-            _STATS["chains"] += 1
-        _STATS["fused_ops"] += 1
-        _STATS["bytes_not_materialized"] += saved
-
-    def _fallback(self) -> None:
-        if self.enabled:
-            _STATS["fallbacks"] += 1
-        self._run = 0
-
-    # ------------------------------------------------------------------
-    # Storage helpers (no events)
-    # ------------------------------------------------------------------
-    def dense(self, v: Vector, fill=None) -> np.ndarray:
-        """Dense view of ``v``: ``fill=None`` returns the backing array
-        itself (callers must treat it as read-only), otherwise a fresh
-        array with absent positions set to ``fill``."""
-        if not self.enabled:
-            return v.dense_values(fill)
-        if fill is None:
-            return v._values
-        return np.where(v._present, v._values, v.type.dtype.type(fill))
-
-    def densify(self, w: Vector) -> None:
-        """Make every position of ``w`` explicit (absent -> 0) in place."""
-        if not self.enabled:
-            w.build(np.arange(w.size), w.dense_values(fill=0.0))
-            return
-        w._values[~w._present] = 0
-        w._present[:] = True
-
-    # ------------------------------------------------------------------
-    # Element-wise stages
-    # ------------------------------------------------------------------
-    def ewise_add(self, w: Vector, u: Vector, v: Vector, op) -> Vector:
-        """Unmasked, unaccumulated ``w = u (+) v`` (pattern union)."""
-        if not self.enabled or u.size != v.size or u.size != w.size:
-            self._fallback()
-            return ops.eWiseAdd(w, u, v, op)
-        binop = op.as_binary() if isinstance(op, Monoid) else op
-        dtype = w.type.dtype
-        u_p, v_p = u._present, v._present
-        if u_p.all():
-            # Dense-u fast path (dist/accumulator vectors): start from a
-            # copy of u and combine only where v has entries — same values
-            # the zeros+three-subset writes of the plain path produce.
-            t_vals = u._values.astype(dtype, copy=True)
-            sub = np.asarray(binop.apply(u._values[v_p], v._values[v_p]))
-            t_vals[v_p] = sub
-            t_present = np.ones(w.size, dtype=bool)
-            items = w.size
-        else:
-            t_present = u_p | v_p
-            t_vals = np.zeros(w.size, dtype=dtype)
-            both = u_p & v_p
-            t_vals[both] = np.asarray(binop.apply(u._values[both],
-                                                  v._values[both]))
-            only_u = u_p & ~v_p
-            t_vals[only_u] = u._values[only_u]
-            only_v = v_p & ~u_p
-            t_vals[only_v] = v._values[only_v]
-            items = int(t_present.sum())
-        w._values = np.ascontiguousarray(t_vals)
-        w._present = t_present
-        self._emit_elementwise("ewise_add", items, w,
-                               saved=3 * _dense_cost(w.size, dtype.itemsize))
-        return w
-
-    def ewise_mult(self, w: Vector, u: Vector, v: Vector, op) -> Vector:
-        """Unmasked, unaccumulated ``w = u (x) v`` (pattern intersection)."""
-        if not self.enabled or u.size != v.size or u.size != w.size:
-            self._fallback()
-            return ops.eWiseMult(w, u, v, op)
-        binop = op.as_binary() if isinstance(op, Monoid) else op
-        dtype = w.type.dtype
-        u_p, v_p = u._present, v._present
-        if u_p.all() and v_p.all():
-            res = np.asarray(binop.apply(u._values, v._values))
-            if res is u._values or res is v._values or res.dtype != dtype:
-                res = res.astype(dtype)
-            t_vals = res
-            t_present = np.ones(w.size, dtype=bool)
-            items = w.size
-        else:
-            t_present = u_p & v_p
-            t_vals = np.zeros(w.size, dtype=dtype)
-            t_vals[t_present] = np.asarray(binop.apply(u._values[t_present],
-                                                       v._values[t_present]))
-            items = int(t_present.sum())
-        w._values = np.ascontiguousarray(t_vals)
-        w._present = t_present
-        self._emit_elementwise("ewise_mult", items, w,
-                               saved=3 * _dense_cost(w.size, dtype.itemsize))
-        return w
-
-    def apply(self, w: Vector, op: UnaryOp, u: Vector) -> Vector:
-        """Unmasked, unaccumulated ``w = op(u)``."""
-        if not self.enabled or u.size != w.size:
-            self._fallback()
-            return ops.apply(w, op, u)
-        dtype = w.type.dtype
-        u_p = u._present
-        if u_p.all():
-            res = np.asarray(op.apply(u._values))
-            if res is u._values or res.dtype != dtype:
-                res = res.astype(dtype)
-            t_vals = res
-            t_present = np.ones(w.size, dtype=bool)
-            items = w.size
-        else:
-            t_present = u_p if w is u else u_p.copy()
-            t_vals = np.zeros(w.size, dtype=dtype)
-            t_vals[u_p] = np.asarray(op.apply(u._values[u_p])).astype(dtype)
-            items = int(t_present.sum())
-        w._values = np.ascontiguousarray(t_vals)
-        w._present = t_present
-        self._emit_elementwise("apply", items, w,
-                               saved=2 * _dense_cost(w.size, dtype.itemsize))
-        return w
-
-    def assign(self, w: Vector, value, indices=GrB_ALL,
-               mask: Optional[Vector] = None,
-               desc: Descriptor = DEFAULT_DESC) -> Vector:
-        """Scalar ``w<mask>(:) = value`` (the drivers' init / level write)."""
-        fusable = (self.enabled and not isinstance(value, Vector)
-                   and indices is GrB_ALL
-                   and not desc.replace and not desc.mask_comp)
-        if not fusable:
-            self._fallback()
-            return ops.assign(w, value, indices=indices, mask=mask, desc=desc)
-        dtype = w.type.dtype
-        if mask is None:
-            w._values[:] = value
-            w._present[:] = True
-            items = w.size
-            saved = 2 * _dense_cost(w.size, dtype.itemsize)
-        else:
-            if mask.size != w.size:
-                self._fallback()
-                return ops.assign(w, value, indices=indices, mask=mask,
-                                  desc=desc)
-            if desc.mask_structure:
-                write_idx = np.flatnonzero(mask._present)
-                mask_nvals = len(write_idx)
-            else:
-                write_idx = np.flatnonzero(mask._present
-                                           & mask._values.astype(bool))
-                mask_nvals = int(mask._present.sum())
-            w._values[write_idx] = value
-            w._present[write_idx] = True
-            items = min(w.size, max(mask_nvals, 1))
-            saved = (2 * _dense_cost(w.size, dtype.itemsize)
-                     + _dense_cost(mask.size, mask.type.itemsize))
-        self._emit_elementwise("assign", items, w, masked=mask is not None,
-                               saved=saved)
-        return w
-
-    def _emit_elementwise(self, kind: str, items: int, w: Vector,
-                          masked: bool = False, saved: int = 0) -> None:
-        self._mark(saved)
-        self.backend.emit(OpEvent(
-            kind=kind, items=items, out_nvals=w.nvals, masked=masked,
-            fused=True, bytes_not_materialized=saved,
-        ), out=w)
-
-    # ------------------------------------------------------------------
-    # Matrix-vector stage
-    # ------------------------------------------------------------------
-    def vxm(self, w: Vector, u: Vector, A: Matrix, semiring: Semiring,
-            mask: Optional[Vector] = None,
-            desc: Descriptor = DEFAULT_DESC) -> Vector:
-        """``w'<mask> = u' (+.x) A`` for the drivers' loop shapes."""
-        if (not self.enabled or desc.transpose_a
-                or u.size != A.csr.nrows or w.size != A.csr.ncols):
-            self._fallback()
-            return ops.vxm(w, u, A, semiring, mask=mask, desc=desc)
-        u_idx = np.flatnonzero(u._present)
-        dense_input = len(u_idx) == u.size
-        if dense_input and mask is None and not desc.mask_comp:
-            return self._vxm_pull(w, u, A, semiring)
-        if not dense_input:
-            if mask is None and not desc.mask_comp:
-                return self._vxm_push(w, u, A, semiring, u_idx)
-            if (mask is not None and mask.size == w.size
-                    and desc.replace and desc.mask_comp):
-                return self._vxm_push_masked(w, u, A, semiring, u_idx,
-                                             mask, desc)
-        self._fallback()
-        return ops.vxm(w, u, A, semiring, mask=mask, desc=desc)
-
-    def _vxm_pull(self, w, u, A, semiring):
-        add, mult = semiring.add, semiring.mult
-        dtype = w.type.dtype
-        at = A.transposed_csr()
-        x = u._values  # dense input: every position is explicit
-        _parallel.clear_fanout()
-        if mult.name == "first":
-            # PLUS_FIRST-style pull (PageRank): the swapped multiply is
-            # "second", whose result is exactly the gathered input —
-            # skip the matrix-value array (a fresh ones() for pattern
-            # matrices) and the broadcast copy entirely.
-            # The gathered products are consumed before this call returns,
-            # so steady-state iterations reuse one per-matrix scratch
-            # buffer instead of allocating nvals * itemsize fresh pages
-            # every round (an allocation the unfused path cannot avoid:
-            # its broadcast product is a new temporary by construction).
-            buf = plancache.get(at, "scratch", ("pull", x.dtype.str))
-            if buf is None:
-                products = x[at.indices]
-                plancache.put(at, "scratch", ("pull", x.dtype.str),
-                              products)
-            else:
-                products = np.take(x, at.indices, out=buf)
-            y_vals = segment_reduce(products, at.row_ids(), at.nrows,
-                                    add.fn, dtype=dtype,
-                                    row_splits=at.indptr, cache_on=at)
-            flops = at.nvals
-            saved = (u.size * u.type.itemsize
-                     + at.nvals * (dtype.itemsize + x.dtype.itemsize)
-                     + _dense_cost(w.size, dtype.itemsize))
-        else:
-            y_vals, touched, flops = _spmv.spmv_pull(
-                at, x, add.fn, ops._swapped(mult), out_dtype=dtype)
-            saved = (u.size * u.type.itemsize
-                     + _dense_cost(w.size, dtype.itemsize))
-        w._values = np.ascontiguousarray(y_vals.astype(dtype, copy=False))
-        w._present = at.row_degrees() > 0
-        # Per-row loop weights (degree + 1) are structural: memoize the
-        # read-only array on the transpose instead of rebuilding it every
-        # iteration.
-        weights = plancache.cached(at, "weights", ("pull",),
-                                   lambda: _pull_weights(at))
-        self._mark(saved)
-        self.backend.emit(OpEvent(
-            kind="vxm", items=u.size, flops=flops, mode="pull",
-            masked=False, in_nvals=u.size, out_nvals=w.nvals,
-            fused=True, bytes_not_materialized=saved,
-            **_parallel.fanout_fields(),
-        ), out=w, mat=A, weights=weights)
-        return w
-
-    def _vxm_push(self, w, u, A, semiring, u_idx):
-        add, mult = semiring.add, semiring.mult
-        dtype = w.type.dtype
-        csr = A.csr
-        u_vals = u._values[u_idx]
-        _parallel.clear_fanout()
-        y_idx, y_vals, flops = _spmv.vxm_push(csr, u_idx, u_vals,
-                                              add.fn, mult, out_dtype=dtype)
-        t_vals = np.zeros(w.size, dtype=dtype)
-        t_present = np.zeros(w.size, dtype=bool)
-        t_vals[y_idx] = y_vals
-        t_present[y_idx] = True
-        w._values = t_vals
-        w._present = t_present
-        saved = _dense_cost(w.size, dtype.itemsize)
-        weights = csr.row_degrees()[u_idx] + 1
-        self._mark(saved)
-        self.backend.emit(OpEvent(
-            kind="vxm", items=len(u_idx), flops=flops, mode="push",
-            masked=False, in_nvals=len(u_idx), out_nvals=w.nvals,
-            fused=True, bytes_not_materialized=saved,
-            **_parallel.fanout_fields(),
-        ), out=w, mat=A, weights=weights)
-        return w
-
-    def _vxm_push_masked(self, w, u, A, semiring, u_idx, mask, desc):
-        """Push with a complemented mask under REPLACE (the BFS shape)."""
-        add, mult = semiring.add, semiring.mult
-        dtype = w.type.dtype
-        csr = A.csr
-        # Extract the frontier before mutating w: the drivers pass w is u.
-        u_vals = u._values[u_idx]
-        _parallel.clear_fanout()
-        y_idx, y_vals, flops = _spmv.vxm_push(csr, u_idx, u_vals,
-                                              add.fn, mult, out_dtype=dtype)
-        if desc.mask_structure:
-            allowed = ~mask._present
-        else:
-            allowed = ~(mask._present & mask._values.astype(bool))
-        # REPLACE through the complemented mask, in place: positions the
-        # mask blocks keep w's old value but lose their entry; allowed
-        # positions take the push result (implicit zero where untouched).
-        w._values[allowed] = 0
-        kept = allowed[y_idx]
-        kept_idx = y_idx[kept]
-        w._values[kept_idx] = y_vals[kept]
-        new_present = np.zeros(w.size, dtype=bool)
-        new_present[kept_idx] = True
-        w._present = new_present
-        saved = (3 * _dense_cost(w.size, dtype.itemsize)
-                 + _dense_cost(mask.size, mask.type.itemsize))
-        weights = csr.row_degrees()[u_idx] + 1
-        self._mark(saved)
-        self.backend.emit(OpEvent(
-            kind="vxm", items=len(u_idx), flops=flops, mode="push",
-            masked=True, in_nvals=len(u_idx), out_nvals=w.nvals,
-            mask_bytes=mask.size * mask.type.itemsize,
-            fused=True, bytes_not_materialized=saved,
-            **_parallel.fanout_fields(),
-        ), out=w, mat=A, weights=weights)
-        return w
-
-
-def _pull_weights(at) -> np.ndarray:
-    weights = at.row_degrees() + 1
-    weights.setflags(write=False)
-    return weights
+def note(event) -> None:
+    """Count one recorded (round-stamped) operation event."""
+    if not event.fused:
+        _run[0] = 0
+        return
+    if event.round_id != _run[1]:
+        _run[:] = [0, event.round_id]
+    _run[0] += 1
+    if _run[0] == 2:
+        _STATS["chains"] += 1
+    _STATS["fused_ops"] += 1
+    _STATS["bytes_not_materialized"] += event.bytes_not_materialized

@@ -70,7 +70,7 @@ class Vector:
     @property
     def nvals(self) -> int:
         """Number of explicit entries (GrB_Vector_nvals)."""
-        return int(self._present.sum())
+        return int(np.count_nonzero(self._present))
 
     def indices(self) -> np.ndarray:
         """Sorted indices of explicit entries."""
@@ -116,6 +116,11 @@ class Vector:
     def clear(self) -> None:
         """Remove all entries (GrB_Vector_clear)."""
         self._present[:] = False
+
+    def densify(self) -> None:
+        """Make every position explicit, in place (absent -> 0)."""
+        self._values[~self._present] = 0
+        self._present[:] = True
 
     def dup(self, label: Optional[str] = None) -> "Vector":
         """Deep copy (GrB_Vector_dup)."""

@@ -14,7 +14,6 @@ import numpy as np
 import repro.graphblas as gb
 from repro.graphblas.descriptor import REPLACE_COMP
 from repro.graphblas.ops import LOR_LAND
-from repro.graphblas.pipeline import FusedPipeline
 
 
 def bfs(backend, A: gb.Matrix, source: int) -> gb.Vector:
@@ -28,29 +27,24 @@ def bfs(backend, A: gb.Matrix, source: int) -> gb.Vector:
     frontier = gb.Vector(backend, gb.BOOL, n,
                          rep=_frontier_rep(backend, n), label="bfs:frontier")
 
-    # The assign -> vxm round body runs fused: the masked writes happen in
-    # place instead of through fresh dense temporaries, with identical
-    # results and identical op events.
-    pipe = FusedPipeline(backend)
-
     # dist = 0 everywhere (make the vector dense) — Algorithm 2 line 6.
-    pipe.assign(dist, 0)
+    gb.assign(dist, 0)
     # frontier = {source} — line 8.
     frontier.set_element(source, True)
     level = 1
 
     while True:
-        pipe.round()
+        backend.runtime.round()
         # Pass 1: assign the current level to frontier vertices (lines 11-12).
-        pipe.assign(dist, level, mask=frontier)
+        gb.assign(dist, level, mask=frontier)
         # Pass 2: emptiness check (lines 13-16).
         if frontier.nvals == 0:
             break
         level += 1
         # Pass 3: next frontier = frontier x A under the complement of the
         # visited set (lines 17-19); visited vertices have dist != 0.
-        pipe.vxm(frontier, frontier, A, LOR_LAND, mask=dist,
-                 desc=REPLACE_COMP)
+        gb.vxm(frontier, frontier, A, LOR_LAND, mask=dist,
+               desc=REPLACE_COMP)
         if level > n + 1:
             break  # safety net; cannot trigger on a correct graph
     return dist

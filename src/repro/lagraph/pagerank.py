@@ -30,7 +30,6 @@ import numpy as np
 import repro.graphblas as gb
 from repro.engine.events import OpEvent
 from repro.graphblas.ops import PLUS_FIRST, PLUS_TIMES, binary, monoid
-from repro.graphblas.pipeline import FusedPipeline
 
 _PLUS = binary("plus")
 _TIMES = binary("times")
@@ -80,7 +79,7 @@ def pagerank_gb(backend, A: gb.Matrix, iters: int = 10,
         # New y: column sums of C (reduce the transpose's rows).
         gb.reduce_to_vector(y, C, monoid("plus"),
                             desc=gb.Descriptor(transpose_a=True))
-        _densify(y)
+        y.densify()
         # Accumulate into pr.
         gb.eWiseAdd(pr, pr, y, monoid("plus"))
     return pr
@@ -98,30 +97,21 @@ def pagerank_gb_res(backend, A: gb.Matrix, iters: int = 10,
     res = pr.dup(label="pr:residual")
 
     contrib = gb.Vector(backend, gb.FP64, n, label="pr:contrib")
-    # The whole round body is one fusable chain (ewise -> apply -> vxm):
-    # the pipeline runs it without materializing the per-call dense
-    # temporaries while emitting the exact same op events.
-    pipe = FusedPipeline(backend)
     for it in range(iters):
-        pipe.round()
+        backend.runtime.round()
         if it > 0:
             # Call 1: pr += res  (first pass over the residual vector).
-            pipe.ewise_add(pr, pr, res, monoid("plus"))
+            gb.eWiseAdd(pr, pr, res, monoid("plus"))
         # Call 2: contrib = alpha * res / outdeg  (second pass; the
         # multiply-by-outdegree the paper counts as a separate call).
-        pipe.ewise_mult(contrib, res, outdeg, binary("div"))
-        pipe.apply(contrib, binary("times").bind_first(damping), contrib)
+        gb.eWiseMult(contrib, res, outdeg, binary("div"))
+        gb.apply(contrib, binary("times").bind_first(damping), contrib)
         # Call 3: res' = contrib' x A (push contributions along edges).
-        pipe.vxm(res, contrib, A, PLUS_FIRST)
-        pipe.densify(res)
-    pipe.ewise_add(pr, pr, res, monoid("plus"))
+        gb.vxm(res, contrib, A, PLUS_FIRST)
+        # Give implicit zeros explicit entries (keeps iteration shapes fixed).
+        res.densify()
+    gb.eWiseAdd(pr, pr, res, monoid("plus"))
     return pr
-
-
-def _densify(v: gb.Vector) -> None:
-    """Give implicit zeros explicit entries (keeps iteration shapes fixed)."""
-    vals = v.dense_values(fill=0.0)
-    v.build(np.arange(v.size), vals)
 
 
 def _diag_csr(n: int, values: np.ndarray):

@@ -19,7 +19,6 @@ import numpy as np
 import repro.graphblas as gb
 from repro.engine.events import OpEvent
 from repro.graphblas.ops import MIN_PLUS, binary, monoid
-from repro.graphblas.pipeline import FusedPipeline
 
 _MIN = binary("min")
 
@@ -44,34 +43,29 @@ def delta_stepping(backend, A: gb.Matrix, source: int, delta: int,
     changed = gb.Vector(backend, dtype, n, label="sssp:changed")
     req = gb.Vector(backend, dtype, n, label="sssp:req")
 
-    # The vxm -> compare -> min-merge inner body fuses: distance reads use
-    # the backing arrays directly (no defensive copies) and the merge runs
-    # without intermediate temporaries; events are unchanged.
-    pipe = FusedPipeline(backend)
-
     step = 0
     max_steps = 64 * n  # safety net; never reached on valid inputs
     while step < max_steps:
         bucket_hi = (step + 1) * delta
-        d = pipe.dense(dist)
+        d = dist.dense_values()
         # Inner Jacobi loop: relax inside the current bucket to fixpoint.
         # Seed the changed set with the bucket's unsettled vertices.
         active_idx = np.flatnonzero((d >= step * delta) & (d < bucket_hi))
         changed.build(active_idx, d[active_idx])
         while changed.nvals:
-            pipe.round()
+            backend.runtime.round()
             # Call 1: candidate distances from the changed set (min-plus).
             req.clear()
-            pipe.vxm(req, changed, A, MIN_PLUS)
+            gb.vxm(req, changed, A, MIN_PLUS)
             # Call 2: which candidates actually improve?  (compare pass)
-            req_d = pipe.dense(req, fill=inf)
-            improved = req_d < pipe.dense(dist)
+            req_d = req.dense_values(fill=inf)
+            improved = req_d < dist.dense_values()
             backend.emit(OpEvent(
                 kind="ewise_mult", label="sssp_improved", items=req.nvals,
                 out_nvals=req.nvals,
             ), out=req)
             # Call 3: merge into dist (eWiseAdd min).
-            pipe.ewise_add(dist, dist, req, monoid("min"))
+            gb.eWiseAdd(dist, dist, req, monoid("min"))
             # Call 4: next changed set = improved vertices still in bucket.
             idx = np.flatnonzero(improved & (req_d < bucket_hi))
             changed.build(idx, req_d[idx])
@@ -80,7 +74,7 @@ def delta_stepping(backend, A: gb.Matrix, source: int, delta: int,
                 out_nvals=len(idx),
             ), out=changed)
         # Advance to the next non-empty bucket.
-        d = pipe.dense(dist)
+        d = dist.dense_values()
         unsettled = d[(d >= bucket_hi) & (d < inf)]
         if len(unsettled) == 0:
             break

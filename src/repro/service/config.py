@@ -114,7 +114,6 @@ KNOWN_KNOBS = frozenset({
     "REPRO_CHAOS_HANG_CELLS",
     "REPRO_CHAOS_KILL_RATE",
     "REPRO_CHAOS_KILL_SEED",
-    "REPRO_FUSION",
     "REPRO_PLAN_CACHE",
     "REPRO_PLAN_CACHE_STATS",
     "REPRO_JOB_MAX_ATTEMPTS",

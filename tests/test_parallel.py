@@ -255,6 +255,14 @@ class TestPlanCacheLockDiscipline:
 
     def test_concurrent_puts_count_each_entry_once(self):
         host = random_csr(50, 50, 0.1, seed=3)
+        # The drill needs live lookups, also on the REPRO_PLAN_CACHE=0 leg.
+        previous = plancache.set_enabled(True)
+        try:
+            self._hammer(host)
+        finally:
+            plancache.set_enabled(previous)
+
+    def _hammer(self, host):
         plancache.reset_stats()
         n_threads, n_keys = 8, 25
         barrier = threading.Barrier(n_threads)
