@@ -39,7 +39,11 @@ What is measured, per pattern the engine replaced:
   scale-16) on :mod:`repro.graphblas.operations`: one ``engine_ms`` per
   driver, the steady-state plan-cache hit rate (asserted > 0.9) and the
   no-merge write-back counters (:mod:`repro.graphblas.pipeline`) over the
-  timed runs.
+  timed runs.  ``pagerank_topology`` is ``pagerank_gb`` — the driver the
+  registry dispatches for GB, which rebuilds the contribution matrix's
+  CSC view every round — asserted <= 3.0x Lonestar pr (4.5x ``--quick``;
+  re-sorting the unchanged structure each round reads ~8x) with the
+  ``transpose`` plan's own hit rate asserted > 0.9.
 
 And, per pattern the merge-join engine (:mod:`repro.sparse.join`)
 replaced — each against a retained copy of the seed's per-row loop, on a
@@ -236,17 +240,17 @@ def bench_graphblas_drivers(quick, iters=PAGERANK_ITERS):
     from repro.galoisblas import GaloisBLASBackend
     from repro.graphblas import pipeline
     from repro.graphs.generators import rmat
-    from repro.lagraph import bfs, delta_stepping, pagerank_gb_res
+    from repro.lagraph import bfs, delta_stepping, pagerank_gb, pagerank_gb_res
     from repro.perf.machine import Machine
     from repro.sparse import plancache
-    from repro.sparse.csr import CSRMatrix, build_csr
+    from repro.sparse.csr import build_csr
 
     scale = 16
     n, src, dst = rmat(scale)
     csr = build_csr(n, n, src, dst, None)
     rng = np.random.default_rng(7)
     wvals = rng.integers(1, 64, csr.nvals).astype(np.int64)
-    wcsr = CSRMatrix(n, n, csr.indptr, csr.indices, wvals)
+    wcsr = csr.with_values(wvals)
 
     backend = GaloisBLASBackend(Machine())
     A = gb.Matrix.from_csr(backend, gb.BOOL, csr, label="bench:A")
@@ -258,6 +262,7 @@ def bench_graphblas_drivers(quick, iters=PAGERANK_ITERS):
 
     apps = {
         "pagerank": lambda: pagerank_gb_res(backend, A, iters=iters),
+        "pagerank_topology": lambda: pagerank_gb(backend, A, iters=iters),
         "bfs": lambda: bfs(backend, A, 0),
         "sssp": lambda: delta_stepping(backend, Aw, 0, delta=32),
     }
@@ -545,6 +550,10 @@ def main(argv=None):
     pr["graphblas_ms"] = report["graphblas_drivers"]["pagerank"]["engine_ms"]
     pr["graphblas_over_lonestar"] = round(
         pr["graphblas_ms"] / pr["engine_ms"], 2)
+    pr["graphblas_topology_ms"] = (
+        report["graphblas_drivers"]["pagerank_topology"]["engine_ms"])
+    pr["graphblas_topology_over_lonestar"] = round(
+        pr["graphblas_topology_ms"] / pr["engine_ms"], 2)
     report["total_bench_seconds"] = round(time.perf_counter() - t0, 1)
     OUT_PATH.write_text(json.dumps(report, indent=2) + "\n")
     print(json.dumps(report, indent=2))
@@ -560,10 +569,18 @@ def main(argv=None):
     pr_ratio = pr["graphblas_over_lonestar"]
     assert pr_ratio <= pr_ceiling, \
         f"GraphBLAS pagerank {pr_ratio}x Lonestar's, above {pr_ceiling}x"
+    topo_ceiling = 4.5 if args.quick else 3.0
+    topo_ratio = pr["graphblas_topology_over_lonestar"]
+    assert topo_ratio <= topo_ceiling, \
+        f"GaloisBLAS pagerank_gb {topo_ratio}x Lonestar's, above {topo_ceiling}x"
     hit_rate = report["graphblas_drivers"]["plan_cache_hit_rate"]
     if hit_rate is not None:
         assert hit_rate > 0.9, \
             f"steady-state plan-cache hit rate {hit_rate} not above 0.9"
+        transposes = report["graphblas_drivers"]["plan_cache"]["transpose"]
+        lookups = transposes["hits"] + transposes["misses"]
+        assert transposes["hits"] > 0.9 * lookups, \
+            f"transpose plan re-derived in steady state: {transposes}"
 
 
 if __name__ == "__main__":

@@ -179,7 +179,7 @@ class SystemInstance:
         """The unweighted directed graph (bfs/pr load no edge data)."""
         if "directed" not in self._loaded:
             csr, _weights = self.dataset.build()
-            pattern = _pattern_of(csr)
+            pattern = csr.with_values(None)
             if self.api == "lonestar":
                 self._loaded["directed"] = Graph(self.runtime, pattern, None,
                                                  name=self.dataset.name)
@@ -197,19 +197,16 @@ class SystemInstance:
                     self.runtime, csr, weights.astype(dtype),
                     name=f"{self.dataset.name}_w")
             else:
-                from repro.sparse.csr import CSRMatrix
-
-                wcsr = CSRMatrix(csr.nrows, csr.ncols, csr.indptr,
-                                 csr.indices, weights.astype(dtype))
                 self._loaded["weighted"] = gb.Matrix.from_csr(
-                    self.backend, gb.INT64, wcsr, label="Aw")
+                    self.backend, gb.INT64,
+                    csr.with_values(weights.astype(dtype)), label="Aw")
         return self._loaded["weighted"]
 
     def load_symmetric(self):
         """The undirected pattern view (cc/tc/ktruss input)."""
         if "symmetric" not in self._loaded:
             sym, _ = self.dataset.build_symmetric()
-            pattern = sym if sym.values is None else _pattern_of(sym)
+            pattern = sym.with_values(None)
             if self.api == "lonestar":
                 self._loaded["symmetric"] = Graph(self.runtime, pattern, None,
                                                   name=f"{self.dataset.name}_sym")
@@ -288,12 +285,6 @@ class SystemInstance:
         if self.api == "lonestar":
             return int(lonestar.triangle_count(obj))
         return int(lagraph.triangle_count(self.backend, obj, "gb"))
-
-
-def _pattern_of(csr):
-    from repro.sparse.csr import CSRMatrix
-
-    return CSRMatrix(csr.nrows, csr.ncols, csr.indptr, csr.indices, None)
 
 
 def _finite(dist: np.ndarray) -> np.ndarray:

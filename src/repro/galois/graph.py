@@ -117,7 +117,7 @@ class Graph:
         else:
             if self._csc_weights is None:
                 # Align weights with the CSC ordering once.
-                order = np.argsort(self.csr.indices, kind="stable")
+                order, _pattern = self.csr.transpose_plan()
                 self._csc_weights = self.weights[order]
                 self.runtime.charge_alloc(
                     self._csc_weights.nbytes, f"Graph:{self.name}:in_weights")

@@ -30,6 +30,7 @@ import numpy as np
 import repro.graphblas as gb
 from repro.engine.events import OpEvent
 from repro.graphblas.ops import PLUS_FIRST, PLUS_TIMES, binary, monoid
+from repro.sparse.csr import CSRMatrix
 
 _PLUS = binary("plus")
 _TIMES = binary("times")
@@ -63,13 +64,15 @@ def pagerank_gb(backend, A: gb.Matrix, iters: int = 10,
 
     D = gb.Matrix(backend, gb.FP64, n, n, label="pr:diag")
     C = gb.Matrix(backend, gb.FP64, n, n, label="pr:contrib")
-    ids = np.arange(n, dtype=np.int64)
+    # The diagonal's structure never changes: only its values do per round.
+    diag_pattern = CSRMatrix(n, n, np.arange(n + 1, dtype=np.int64),
+                             np.arange(n, dtype=np.int32))
 
     for _ in range(iters):
         backend.runtime.round()
         # Scaled ranks on the diagonal: D = diag(alpha * y / outdeg).
         scaled = damping * y.dense_values(fill=0.0) / deg_dense
-        D.replace_csr(_diag_csr(n, scaled))
+        D.replace_csr(diag_pattern.with_values(scaled))
         backend.emit(OpEvent(
             kind="assign", label="pr_diag_build", items=n, out_nvals=n,
         ), out=D)
@@ -113,13 +116,3 @@ def pagerank_gb_res(backend, A: gb.Matrix, iters: int = 10,
     gb.eWiseAdd(pr, pr, res, monoid("plus"))
     return pr
 
-
-def _diag_csr(n: int, values: np.ndarray):
-    from repro.sparse.csr import CSRMatrix
-
-    return CSRMatrix(
-        n, n,
-        np.arange(n + 1, dtype=np.int64),
-        np.arange(n, dtype=np.int32),
-        values.astype(np.float64),
-    )

@@ -7,26 +7,50 @@ column ids sorted within each row) and optional ``values``.
 
 A matrix with ``values is None`` is *pattern-only* (an unweighted graph /
 boolean matrix); kernels treat its entries as 1.
+
+"Same structure, different values" is first-class: :meth:`CSRMatrix.with_values`
+returns a matrix that shares ``indptr``/``indices`` and the structural memo
+(``row_ids``, ``row_degrees``, the kernel plan cache) with its source, and
+:meth:`CSRMatrix.transpose` is built on it — the *transpose plan* (the
+stable column permutation plus the transposed pattern) is a pure function
+of structure, memoized once, and each transpose is one gather of the values.
 """
 
 from __future__ import annotations
 
-from typing import Optional
+from typing import Optional, Tuple
 
 import numpy as np
 
 from repro.errors import DimensionMismatch, IndexOutOfBounds, InvalidValue
+from repro.sparse import plancache
 from repro.sparse.segreduce import segment_reduce
 
 INDEX_DTYPE = np.int32
 PTR_DTYPE = np.int64
 
 
+class _StructureMemo:
+    """Everything memoized about one ``(indptr, indices)`` structure.
+
+    One object per structure, shared by reference between a matrix and its
+    :meth:`CSRMatrix.with_values` siblings, so a slot filled (or cleared)
+    through one sharer is filled (or cleared) for all of them.  ``plans``
+    is the dict of :mod:`repro.sparse.plancache`.
+    """
+
+    __slots__ = ("row_ids", "degrees", "plans")
+
+    def __init__(self):
+        self.row_ids: Optional[np.ndarray] = None
+        self.degrees: Optional[np.ndarray] = None
+        self.plans: Optional[dict] = None
+
+
 class CSRMatrix:
     """A sparse matrix in CSR form with sorted, deduplicated rows."""
 
-    __slots__ = ("nrows", "ncols", "indptr", "indices", "values",
-                 "_row_ids", "_degrees", "_plan_cache")
+    __slots__ = ("nrows", "ncols", "indptr", "indices", "values", "_memo")
 
     def __init__(self, nrows, ncols, indptr, indices, values=None):
         self.nrows = int(nrows)
@@ -35,11 +59,8 @@ class CSRMatrix:
         self.indices = np.ascontiguousarray(indices, dtype=INDEX_DTYPE)
         self.values = None if values is None else np.ascontiguousarray(values)
         # Structural-metadata memo (numpy-level artifacts only: these never
-        # appear in the machine model's memory accounting).  ``_plan_cache``
-        # holds the kernel plan memos of repro.sparse.plancache.
-        self._row_ids: Optional[np.ndarray] = None
-        self._degrees: Optional[np.ndarray] = None
-        self._plan_cache: Optional[dict] = None
+        # appear in the machine model's memory accounting).
+        self._memo = _StructureMemo()
         if len(self.indptr) != self.nrows + 1:
             raise DimensionMismatch(
                 f"indptr length {len(self.indptr)} != nrows+1 ({self.nrows + 1})"
@@ -65,12 +86,24 @@ class CSRMatrix:
             total += self.values.nbytes
         return total
 
+    @property
+    def _plan_cache(self) -> Optional[dict]:
+        """The plan-cache dict :mod:`repro.sparse.plancache` keys hosts on
+        (it lives in the structure memo, so every sharer sees one dict)."""
+        return self._memo.plans
+
+    @_plan_cache.setter
+    def _plan_cache(self, plans: Optional[dict]) -> None:
+        self._memo.plans = plans
+
     def row_degrees(self) -> np.ndarray:
         """Number of explicit entries per row (cached; do not mutate)."""
-        if self._degrees is None:
-            self._degrees = np.diff(self.indptr)
-            self._degrees.setflags(write=False)
-        return self._degrees
+        memo = self._memo
+        if memo.degrees is None:
+            degrees = np.diff(self.indptr)
+            degrees.setflags(write=False)
+            memo.degrees = degrees
+        return memo.degrees
 
     def row_ids(self) -> np.ndarray:
         """Row id of each explicit entry, ascending (cached; do not mutate).
@@ -81,12 +114,14 @@ class CSRMatrix:
         Being sorted, it is also a valid ``sorted_ids`` argument to
         :func:`repro.sparse.segreduce.segment_reduce`.
         """
-        if self._row_ids is None:
-            self._row_ids = np.repeat(
+        memo = self._memo
+        if memo.row_ids is None:
+            row_ids = np.repeat(
                 np.arange(self.nrows, dtype=np.int64), self.row_degrees()
             )
-            self._row_ids.setflags(write=False)
-        return self._row_ids
+            row_ids.setflags(write=False)
+            memo.row_ids = row_ids
+        return memo.row_ids
 
     def invalidate_memos(self) -> None:
         """Drop the structural memos and every cached kernel plan.
@@ -94,13 +129,13 @@ class CSRMatrix:
         The library never mutates ``indptr``/``indices`` of a live matrix
         (transformations build new objects), but tooling and tests that do
         must call this so structure-derived plans cannot be replayed
-        against the new structure.
+        against the new structure.  The memo is cleared in place: every
+        :meth:`with_values` sibling shares the mutated arrays, so every one
+        of them re-derives.
         """
-        from repro.sparse import plancache
-
         plancache.drop(self)
-        self._row_ids = None
-        self._degrees = None
+        self._memo.row_ids = None
+        self._memo.degrees = None
 
     def row(self, i: int):
         """(columns, values) of row ``i``; values is None for pattern."""
@@ -128,18 +163,54 @@ class CSRMatrix:
     # ------------------------------------------------------------------
     # Transformations (pure; callers account for their cost)
     # ------------------------------------------------------------------
+    def with_values(self, values: Optional[np.ndarray]) -> "CSRMatrix":
+        """This structure carrying other ``values`` (None: pattern-only).
+
+        No copy: the result shares ``indptr``/``indices`` (read-only by
+        convention) and the structural memo, so plans derived through
+        either matrix serve both.
+        """
+        out = CSRMatrix(self.nrows, self.ncols, self.indptr, self.indices,
+                        values)
+        out._memo = self._memo
+        return out
+
+    def transpose_plan(self) -> Tuple[np.ndarray, "CSRMatrix"]:
+        """``(order, pattern)``: how to transpose anything of this structure.
+
+        ``order`` is the stable permutation that sorts the entries by
+        column — entry ``k`` of the transpose is entry ``order[k]`` of this
+        matrix — and ``pattern`` the pattern-only CSR of the transposed
+        structure.  Both are pure functions of structure, memoized in the
+        plan cache; the arrays are read-only.
+        """
+        return plancache.cached(self, "transpose", (), self._derive_transpose)
+
+    def _derive_transpose(self) -> Tuple[np.ndarray, "CSRMatrix"]:
+        # LSD radix sort of the column ids: numpy's stable sort of 16-bit
+        # keys is a counting sort, so one O(nnz) pass per 16-bit digit
+        # yields np.argsort(self.indices, kind="stable") exactly.
+        order = np.argsort(self.indices.astype(np.uint16), kind="stable")
+        if self.ncols > 1 << 16:
+            high = (self.indices >> 16).astype(np.uint16)
+            order = order[np.argsort(high[order], kind="stable")]
+        if self.nvals < 1 << 31:
+            order = order.astype(np.int32)
+        counts = np.bincount(self.indices, minlength=self.ncols)
+        indptr = np.concatenate(([0], np.cumsum(counts))).astype(PTR_DTYPE)
+        # Row ids in the index dtype, not via row_ids(): that memo is int64
+        # and would stay on this structure for as long as the plan does.
+        indices = np.repeat(np.arange(self.nrows, dtype=INDEX_DTYPE),
+                            self.row_degrees())[order]
+        for plan_array in (order, indptr, indices):
+            plan_array.setflags(write=False)
+        return order, CSRMatrix(self.ncols, self.nrows, indptr, indices)
+
     def transpose(self) -> "CSRMatrix":
         """The transposed matrix, also in CSR (i.e. this matrix's CSC view)."""
-        nnz = self.nvals
-        rows = self.row_ids()
-        order = np.argsort(self.indices, kind="stable")
-        new_indices = rows[order]
-        new_values = None if self.values is None else self.values[order]
-        counts = np.bincount(self.indices, minlength=self.ncols)
-        new_indptr = np.concatenate(([0], np.cumsum(counts))).astype(PTR_DTYPE)
-        out = CSRMatrix(self.ncols, self.nrows, new_indptr, new_indices, new_values)
-        assert out.nvals == nnz
-        return out
+        order, pattern = self.transpose_plan()
+        return pattern.with_values(
+            None if self.values is None else self.values[order])
 
     def extract_tril(self, strict: bool = True) -> "CSRMatrix":
         """Lower-triangular part (col < row, or <= when not strict)."""

@@ -11,7 +11,12 @@ signature — never changes after the first call.
 
 This module memoizes those decisions *on the matrix itself*, in the same
 numpy-level structural-memo family as ``CSRMatrix.row_degrees()`` /
-``row_ids()``: a ``_plan_cache`` dict living in a slot on the host CSR.
+``row_ids()``: a ``_plan_cache`` dict on the host CSR.  The CSR keeps it in
+its structure memo, which ``CSRMatrix.with_values`` siblings share by
+reference — so a plan derived through one matrix serves every matrix of the
+same structure (the transpose plan of a dataset's graph outlives the
+per-run matrices wrapped around it), and :func:`drop` through any sharer
+clears it for all of them.
 Cached plans never appear in the machine model's memory accounting, and a
 cache hit can never change results — every cached value is a pure function
 of structure that the deriving code would recompute identically (the
@@ -134,7 +139,12 @@ def cached(host, kernel: str, key, derive: Callable):
 
 
 def drop(host) -> None:
-    """Forget every plan cached on ``host`` (structural invalidation)."""
+    """Forget every plan cached on ``host`` (structural invalidation).
+
+    Hosts sharing one structure memo share the dict: the entries are
+    subtracted from the bookkeeping once, and none of them can replay a
+    dropped plan.
+    """
     with _LOCK:
         cache = getattr(host, "_plan_cache", None)
         if cache:

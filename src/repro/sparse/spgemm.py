@@ -223,7 +223,8 @@ def spgemm_diag_left(
 
     Each row of ``B`` is scaled by the corresponding diagonal entry, with no
     expansion or key sort — the optimization GaloisBLAS applies when it
-    detects a diagonal operand.
+    detects a diagonal operand.  The result shares ``B``'s structure (and
+    with it ``B``'s transpose plan).
     """
     if len(diag) != B.nrows:
         raise DimensionMismatch("diagonal length must equal B.nrows")
@@ -231,5 +232,4 @@ def spgemm_diag_left(
     row_of = B.row_ids()
     b_vals = B.value_array(out_dtype)
     vals = mult.apply(diag[row_of].astype(out_dtype, copy=False), b_vals)
-    C = CSRMatrix(B.nrows, B.ncols, B.indptr.copy(), B.indices.copy(), vals)
-    return C, B.nvals
+    return B.with_values(vals), B.nvals

@@ -11,6 +11,15 @@ arrays; counters; events: tests.test_modeled_rows_pinned.event_digest}}``.
 ``tests/test_modeled_rows_pinned.py`` pins the same properties on a study
 graph; ``tests/test_operation_semantics.py`` checks each operation against
 the spec.  (The test ids are kept from the two-path era.)
+
+The ``pr_topo/*`` keys pin ``pagerank_gb`` — the driver the registry
+dispatches for GB — the same way, recorded at commit 654a80c (the parent of
+the structure-shared transpose) with this module's ``_run_driver`` and::
+
+    {"counters": backend.machine.counters.as_dict(),
+     "dtype": vec._values.dtype.str,
+     "events": event_digest(backend.machine.context.events),
+     "present": _sha(vec._present), "values": _sha(vec._values)}
 """
 
 import hashlib
@@ -22,8 +31,9 @@ import pytest
 import repro.graphblas as gb
 from repro.galoisblas import GaloisBLASBackend
 from repro.graphblas import pipeline
-from repro.lagraph import bfs, delta_stepping, pagerank_gb_res
+from repro.lagraph import bfs, delta_stepping, pagerank_gb, pagerank_gb_res
 from repro.perf.machine import Machine
+from repro.sparse import plancache
 from repro.suitesparse import SuiteSparseBackend
 
 from tests.conftest import pattern_matrix, random_digraph, weighted_matrix
@@ -42,6 +52,8 @@ def _run_driver(backend_cls, app):
     Aw = weighted_matrix(backend, csr)
     if app == "pr":
         vec = pagerank_gb_res(backend, A, iters=6)
+    elif app == "pr_topo":
+        vec = pagerank_gb(backend, A, iters=6)
     elif app == "bfs":
         vec = bfs(backend, A, 0)
     else:
@@ -54,7 +66,7 @@ def _sha(array) -> str:
 
 
 @pytest.mark.parametrize("system", sorted(BACKENDS))
-@pytest.mark.parametrize("app", ["pr", "bfs", "sssp"])
+@pytest.mark.parametrize("app", ["pr", "pr_topo", "bfs", "sssp"])
 class TestFusedEquivalence:
     def test_results_bit_identical(self, system, app):
         vec, _backend = _run_driver(BACKENDS[system], app)
@@ -88,3 +100,33 @@ def test_drivers_actually_fuse(app):
     assert stats["fused_ops"] > stats["chains"]
     assert stats["bytes_not_materialized"] > 0
     assert (stats["chains"] > 0) == (app != "bfs")
+
+
+def test_second_instance_derives_no_transpose_plan():
+    """The transpose plan lives with the dataset's structure, not the run.
+
+    A second ``SystemInstance`` on the same dataset wraps fresh matrices
+    around the cached CSR and must find its plan (wall-clock), while the
+    model still charges one CSC rebuild per round (``transpose_build``).
+    """
+    from repro.core.systems import SystemInstance
+    from repro.graphs.datasets import get_dataset
+
+    dataset = get_dataset("road-USA-W")
+    previous = plancache.set_enabled(True)
+    try:
+        answers = []
+        for _ in range(2):
+            plancache.reset_stats()
+            instance = SystemInstance("GB", dataset)
+            answers.append(instance.run("pr"))
+            events = instance.machine.context.events
+            rounds = sum(e.kind == "round" for e in events)
+            assert rounds == 10
+            assert sum(e.kind == "transpose_build" for e in events) == rounds
+        assert plancache.plan_cache_stats()["transpose"]["misses"] == 0
+        assert plancache.plan_cache_stats()["transpose"]["hits"] == rounds
+        assert answers[0] == answers[1]
+    finally:
+        plancache.set_enabled(previous)
+        plancache.reset_stats()
