@@ -4,10 +4,11 @@ Every :class:`~repro.perf.machine.Machine` owns one
 :class:`ExecutionContext`.  Emitters (GraphBLAS backends, the Galois
 runtime's loop constructs) open a *span*, charge their loops against the
 machine as before, and close the span with the :class:`OpEvent` describing
-what ran; the context stamps the event with the number of parallel loop
+what ran; the context stamps *that object* with the number of parallel loop
 nests charged inside the span, whether any ended in a barrier, and the
-current round id.  Parallel loops charged outside any span (graph
-preprocessing, ad-hoc passes) are recorded as synthetic ``loop`` events, so
+current round id, and records it — one construction per recorded event.
+Parallel loops charged outside any span (graph preprocessing, ad-hoc
+passes) are recorded as synthetic ``loop`` events, so
 
     sum(event.loops for event in context.events) == counters.loops
 
@@ -28,11 +29,11 @@ This module deliberately imports nothing from the rest of ``repro`` except
 
 from __future__ import annotations
 
-from dataclasses import replace
 from typing import List, Tuple
 
 from repro.engine import cancel
-from repro.engine.events import OpEvent
+from repro.engine.events import OpEvent, record_stamps
+from repro.errors import InvalidValue
 
 
 class ExecutionContext:
@@ -69,8 +70,9 @@ class ExecutionContext:
     def on_round(self, round_id: int) -> None:
         """Called by :meth:`Machine.round`: record the round boundary."""
         cancel.check()
-        self._round_id = int(round_id)
-        self._events.append(OpEvent(kind="round", round_id=self._round_id))
+        round_id = int(round_id)
+        self._events.append(OpEvent(kind="round", round_id=round_id))
+        self._round_id = round_id
 
     # ------------------------------------------------------------------
     # Emitter-side spans
@@ -79,22 +81,24 @@ class ExecutionContext:
         """Start attributing charged loops to the event being emitted."""
         self._spans.append([0, False])
 
-    def close_span(self, event: OpEvent) -> OpEvent:
-        """Close the innermost span and record ``event`` stamped with the
-        span's loop count, barrier flag and the current round id.
+    def close_span(self, event: OpEvent, **emitter_stamps) -> OpEvent:
+        """Close the innermost span and record ``event``, stamped in place
+        with the span's loop count, barrier flag and the current round id.
+
+        ``emitter_stamps`` are the closing emitter's own late fields (see
+        :data:`repro.engine.events.EMITTER_STAMPS`), e.g. a backend's
+        ``bytes_materialized=...``.  Returns ``event``.
 
         Emitters call this in a ``finally`` block so the span stack stays
         balanced when a charge raises (timeout, OOM, injected fault).
         """
+        if not self._spans:
+            raise InvalidValue("close_span without a matching open_span")
         loops, barrier_seen = self._spans.pop()
-        stamped = replace(
-            event,
-            loops=loops,
-            barrier=event.barrier or barrier_seen,
-            round_id=self._round_id,
-        )
-        self._events.append(stamped)
-        return stamped
+        record_stamps(event, loops, barrier_seen, self._round_id,
+                      emitter_stamps)
+        self._events.append(event)
+        return event
 
     # ------------------------------------------------------------------
     # Reading and resetting

@@ -23,8 +23,6 @@ that compiler technology addresses only limitations (i) and (ii).
 
 from __future__ import annotations
 
-from dataclasses import replace
-
 from repro.galoisblas.backend import GaloisBLASBackend
 from repro.graphblas.backend import INSTR_PER_ELEM
 from repro.perf.costmodel import Schedule
@@ -73,11 +71,11 @@ class FusedGaloisBLASBackend(GaloisBLASBackend):
             finally:
                 # Stamp the continuation so trace analysis can count fused
                 # calls and the intermediate bytes the fusion skipped.
-                recorded = ctx.close_span(replace(
+                ctx.close_span(
                     event, fused=True,
-                    bytes_not_materialized=self._materialized_bytes(event,
-                                                                    out)))
-            return recorded
+                    bytes_not_materialized=self._materialized_bytes(
+                        event.kind, self._vector_bytes(out)))
+            return event
         recorded = super().emit(event, out, mat=mat, mat2=mat2,
                                 weights=weights)
         self._chain_open = (event.kind in FUSABLE

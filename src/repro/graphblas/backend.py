@@ -18,7 +18,6 @@ where the paper says the implementations differ (§III):
 
 from __future__ import annotations
 
-from dataclasses import replace
 from typing import Optional
 
 import numpy as np
@@ -116,19 +115,22 @@ class BaseBackend:
 
         Dispatches on ``event.kind`` to the matching cost handler, charges
         the fixed per-call overhead, and closes the event's span so the
-        context stamps it with the loops attributed to this operation.
-        Returns the recorded (stamped) event.
+        context stamps it with the loops attributed to this operation and
+        with the output bytes it materialized.  ``out``'s modeled footprint
+        is evaluated once here and handed to the handlers.  Returns the
+        recorded event (``event`` itself).
         """
-        if event.kind not in GRAPHBLAS_KINDS:
+        kind = event.kind
+        if kind not in GRAPHBLAS_KINDS:
             raise InvalidValue(
                 f"GraphBLAS backends emit only GraphBLAS kinds, got "
-                f"{event.kind!r}")
+                f"{kind!r}")
+        out_bytes = self._vector_bytes(out)
         ctx = self.machine.context
         ctx.open_span()
         try:
-            kind = event.kind
             if kind in ("mxv", "vxm"):
-                self._charge_mxv(event, out, mat, weights)
+                self._charge_mxv(event, out, out_bytes, mat, weights)
             elif kind == "mxm":
                 self._charge_mxm(event, out, mat, mat2)
             elif kind == "diag_mxm":
@@ -140,30 +142,27 @@ class BaseBackend:
             elif kind == "reduce_matrix":
                 self._charge_reduce_matrix(event, out)
             else:
-                self._charge_elementwise(event, out)
+                self._charge_elementwise(event, out, out_bytes)
             # Per-call overhead (dispatch, descriptor handling) is a fixed
             # cost of the real machine, independent of the dataset's scale.
             self.machine.charge_loop(
                 schedule=Schedule.SERIAL, barrier=False,
                 fixed_ns=self.call_overhead_ns)
         finally:
-            recorded = ctx.close_span(replace(
-                event,
-                bytes_materialized=self._materialized_bytes(event, out)))
-        return recorded
+            ctx.close_span(event, bytes_materialized=(
+                self._materialized_bytes(kind, out_bytes)))
+        return event
 
-    def _materialized_bytes(self, event: OpEvent, out) -> int:
-        """Output bytes this operation materialized (trace attribution)."""
-        if event.kind in _SCALAR_RESULT_KINDS:
-            return 0
-        return self._vector_bytes(out)
+    @staticmethod
+    def _materialized_bytes(kind: str, out_bytes: int) -> int:
+        """Output bytes an operation materialized (trace attribution)."""
+        return 0 if kind in _SCALAR_RESULT_KINDS else out_bytes
 
     # --- matrix-vector products ---------------------------------------
-    def _charge_mxv(self, event: OpEvent, out, mat, weights):
+    def _charge_mxv(self, event: OpEvent, out, vec_bytes, mat, weights):
         rt = self.runtime
         flops = event.flops
         mat_bytes = mat.csr.nbytes
-        vec_bytes = self._vector_bytes(out)
         dense_bytes = out.size * out.type.itemsize
         streams = []
         if event.mode == "pull":
@@ -192,7 +191,7 @@ class BaseBackend:
             # fuses the mask into the multiply; the accesses remain).
             streams.append(rt.rand(event.mask_bytes, flops))
         streams.extend(self._output_pass_streams(
-            out, event.masked, n_processed=event.out_nvals))
+            vec_bytes, event.masked, event.out_nvals))
         rt.parallel(
             n_items=n_items,
             instr_per_item=1.0,
@@ -201,7 +200,7 @@ class BaseBackend:
             weights=weights,
             schedule=self._spmv_schedule(event.mode),
         )
-        self._post_op_materialize(out, n_touched=max(event.out_nvals, 1))
+        self._post_op_materialize(out, vec_bytes, max(event.out_nvals, 1))
 
     # --- matrix-matrix product ------------------------------------------
     def _charge_mxm(self, event: OpEvent, out, mat, mat2):
@@ -245,23 +244,21 @@ class BaseBackend:
         )
 
     # --- element-wise passes ---------------------------------------------
-    def _charge_elementwise(self, event: OpEvent, out):
+    def _charge_elementwise(self, event: OpEvent, out, vec_bytes):
         rt = self.runtime
-        vec_bytes = self._vector_bytes(out)
         n = max(event.items, 1)
         # Masked/gather passes touch scattered positions of the operand;
         # unmasked passes stream it.
         scattered = event.gather or event.masked
         streams = [rt.rand(vec_bytes, n) if scattered
                    else rt.seq(vec_bytes, n)]
-        streams.extend(self._output_pass_streams(out, event.masked,
-                                                 n_processed=n))
+        streams.extend(self._output_pass_streams(vec_bytes, event.masked, n))
         rt.parallel(
             n_items=n,
             instr_per_item=INSTR_PER_ELEM + (self._rep_lookup_instr(out)),
             streams=streams,
         )
-        self._post_op_materialize(out, n_touched=n)
+        self._post_op_materialize(out, vec_bytes, n)
 
     def _charge_ewise_matrix(self, event: OpEvent, out):
         rt = self.runtime
@@ -309,24 +306,22 @@ class BaseBackend:
             return 3.0  # binary search / merge bookkeeping
         return 0.0
 
-    def _output_pass_streams(self, out, masked: bool, n_processed=None):
+    def _output_pass_streams(self, vec_bytes: int, masked: bool,
+                             n_processed: int):
         """Streams of the write-back pass (plus the mask read if masked).
 
         SuiteSparse and GaloisBLAS both exploit mask sparsity: the pass
         touches the processed entries (scattered through the output), not
         the whole vector.
         """
-        vec_bytes = self._vector_bytes(out)
-        if n_processed is None:
-            n = out.size if not hasattr(out, "csr") else max(out.nvals, 1)
-        else:
-            n = max(n_processed, 1)
+        n = max(n_processed, 1)
         if masked:
             return [self.runtime.rand(vec_bytes, n),
                     self.runtime.rand(max(n, 64), n, elem_bytes=1)]
         return [self.runtime.seq(vec_bytes, n)]
 
-    def _post_op_materialize(self, out, n_touched: int = 1) -> None:
+    def _post_op_materialize(self, out, out_bytes: int,
+                             n_touched: int) -> None:
         """Hook: SuiteSparse materializes each result into a new object."""
 
     def _spmv_schedule(self, mode: str):

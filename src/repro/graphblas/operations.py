@@ -109,14 +109,16 @@ def _write_back(
     allowed: Optional[np.ndarray],
     accum: Optional[BinaryOp],
     replace: bool,
+    t_nvals: Optional[int] = None,
 ) -> dict:
     """Steps 2 and 3 of the GraphBLAS execution semantics.
 
-    ``t_vals``/``t_present`` must be arrays the caller owns.  Returns the
+    ``t_vals``/``t_present`` must be arrays the caller owns; ``t_nvals``
+    is ``t_present``'s count when the caller holds it.  Returns the
     OpEvent stamp: :func:`_no_merge_stamp` when ``T`` was stored as is.
     """
     if allowed is None and accum is None:
-        out._store(np.ascontiguousarray(t_vals), t_present)
+        out._store(np.ascontiguousarray(t_vals), t_present, t_nvals)
         return _no_merge_stamp(out)
 
     c_vals, c_present = out._values, out._present
@@ -258,6 +260,7 @@ def _matvec(kind, w, u, A, flip, add, pull_mult, push_mult, mask, accum,
             f"w length must match the {n_out} entries {kind} produces")
     dtype = w.type.dtype
     u_idx = np.flatnonzero(u._present)
+    t_nvals = None
     _parallel.clear_fanout()
     if len(u_idx) == u.size:
         bt = _oriented(A, not flip)
@@ -294,12 +297,13 @@ def _matvec(kind, w, u, A, flip, add, pull_mult, push_mult, mask, accum,
         t_present = np.zeros(w.size, dtype=bool)
         t_vals[y_idx] = y_vals
         t_present[y_idx] = True
+        t_nvals = len(y_idx)  # one entry per distinct output index
         weights = b.row_degrees()[u_idx] + 1
         mode = "push"
 
     stamp = _write_back(w, t_vals, t_present,
                         _mask_allowed(mask, w.size, desc), accum,
-                        desc.replace)
+                        desc.replace, t_nvals)
     _emit(w, OpEvent(
         kind=kind, items=len(u_idx), flops=flops, mode=mode,
         masked=mask is not None, in_nvals=len(u_idx), out_nvals=w.nvals,
@@ -386,14 +390,17 @@ def mxm(
 # ----------------------------------------------------------------------
 
 def _finish(kind, w, t_vals, t_present, mask, accum, desc, items=None,
-            **detail) -> Vector:
+            t_nvals=None, **detail) -> Vector:
     """Write ``T`` back through the mask and emit the pass over ``items``
-    entries (default: T's explicit entries)."""
+    entries (default: T's explicit entries, ``t_nvals`` if the caller
+    already counted them)."""
     if items is None:
-        items = int(np.count_nonzero(t_present))
+        if t_nvals is None:
+            t_nvals = int(np.count_nonzero(t_present))
+        items = t_nvals
     stamp = _write_back(w, t_vals, t_present,
                         _mask_allowed(mask, w.size, desc), accum,
-                        desc.replace)
+                        desc.replace, t_nvals)
     _emit(w, OpEvent(kind=kind, items=items, out_nvals=w.nvals,
                      masked=mask is not None, **detail, **stamp))
     return w
@@ -413,12 +420,14 @@ def eWiseAdd(
         raise DimensionMismatch("eWiseAdd operands must have equal size")
     binop = op.as_binary() if isinstance(op, Monoid) else op
     u_p, v_p, u_d, v_d = u._present, v._present, u._values, v._values
-    if u_p.all():
+    t_nvals = None
+    if u.nvals == u.size:
         # All-present u (the drivers' dist/rank accumulators): start from
         # u and combine only where v has entries.
         t_vals = u_d.astype(w.type.dtype)
         t_vals[v_p] = binop.apply(u_d[v_p], v_d[v_p])
         t_present = np.ones(w.size, dtype=bool)
+        t_nvals = w.size
     else:
         t_present = u_p | v_p
         t_vals = np.zeros(w.size, dtype=w.type.dtype)
@@ -428,7 +437,8 @@ def eWiseAdd(
         t_vals[only_u] = u_d[only_u]
         only_v = v_p & ~u_p
         t_vals[only_v] = v_d[only_v]
-    return _finish("ewise_add", w, t_vals, t_present, mask, accum, desc)
+    return _finish("ewise_add", w, t_vals, t_present, mask, accum, desc,
+                   t_nvals=t_nvals)
 
 
 def eWiseMult(
@@ -471,12 +481,14 @@ def apply(
         raise DimensionMismatch("apply operands must have equal size")
     u_d = u._values
     t_present = u._present.copy()
-    if t_present.all():
+    t_nvals = u.nvals
+    if t_nvals == u.size:
         t_vals = _owned(op.apply(u_d), w.type.dtype, u_d)
     else:
         t_vals = np.zeros(w.size, dtype=w.type.dtype)
         t_vals[t_present] = op.apply(u_d[t_present])
-    return _finish("apply", w, t_vals, t_present, mask, accum, desc)
+    return _finish("apply", w, t_vals, t_present, mask, accum, desc,
+                   t_nvals=t_nvals)
 
 
 _VALUE_SELECTORS = {
@@ -513,7 +525,7 @@ def select(
         keep[src_present] = pred(vals[src_present], thunk)
         t_vals = np.where(keep, vals, 0).astype(out.type.dtype, copy=False)
         return _finish("select", out, t_vals, keep, mask, accum, desc,
-                       items=int(np.count_nonzero(src_present)))
+                       items=source.nvals)
 
     csr: CSRMatrix = source.csr
     rows = csr.row_ids()
@@ -565,6 +577,7 @@ def assign(
         where = slice(None) if allowed is None else allowed
         w._values[where] = value
         w._present[where] = True
+        w._nvals = w.size if allowed is None else None
         return _emit_assign(w, w.size, mask, _no_merge_stamp(w))
 
     t_vals = np.zeros(w.size, dtype=w.type.dtype)
@@ -576,7 +589,7 @@ def assign(
                 raise DimensionMismatch("assign source must match w's size")
             t_vals[src_present] = value._values[src_present]
             t_present = src_present.copy()
-            n_processed = int(np.count_nonzero(src_present))
+            n_processed = value.nvals
         else:
             idx = np.asarray(indices, dtype=np.int64)
             if value.size != len(idx):

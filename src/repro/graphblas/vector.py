@@ -8,6 +8,13 @@ both).  What *differs* per backend is the modeled representation
 GaloisBLAS chooses among an ordered map, an unordered list, and a dense
 array (§III-B); the backends charge memory traffic according to that
 choice.
+
+A vector knows its ``nvals``: the count is cached in ``_nvals`` (``None`` =
+not counted since the last write) and every mutator either updates it or
+drops it, so the cost model's many ``nvals`` / ``nbytes_modeled()`` reads
+per operation cost at most one scan of the presence bitmap.  Code that
+writes ``_present`` directly (only :mod:`repro.graphblas.operations` does)
+must go through :meth:`Vector._store` or reset ``_nvals`` itself.
 """
 
 from __future__ import annotations
@@ -38,6 +45,8 @@ class Vector:
         self.label = label
         self._values = np.zeros(self.size, dtype=self.type.dtype)
         self._present = np.zeros(self.size, dtype=bool)
+        # Before the allocation charge: it reads nbytes_modeled().
+        self._nvals: Optional[int] = 0
         self._allocation = backend.charge_vector_alloc(self)
 
     # ------------------------------------------------------------------
@@ -48,7 +57,10 @@ class Vector:
         if not 0 <= index < self.size:
             raise IndexOutOfBounds(f"index {index} out of range [0, {self.size})")
         self._values[index] = value
-        self._present[index] = True
+        if not self._present[index]:
+            self._present[index] = True
+            if self._nvals is not None:
+                self._nvals += 1
 
     def extract_element(self, index: int):
         """Read one explicit entry; raises NoValue when absent."""
@@ -62,7 +74,10 @@ class Vector:
         """Make one entry implicit (GrB_Vector_removeElement)."""
         if not 0 <= index < self.size:
             raise IndexOutOfBounds(f"index {index} out of range [0, {self.size})")
-        self._present[index] = False
+        if self._present[index]:
+            self._present[index] = False
+            if self._nvals is not None:
+                self._nvals -= 1
 
     # ------------------------------------------------------------------
     # Introspection
@@ -70,7 +85,10 @@ class Vector:
     @property
     def nvals(self) -> int:
         """Number of explicit entries (GrB_Vector_nvals)."""
-        return int(np.count_nonzero(self._present))
+        nvals = self._nvals
+        if nvals is None:
+            nvals = self._nvals = int(np.count_nonzero(self._present))
+        return nvals
 
     def indices(self) -> np.ndarray:
         """Sorted indices of explicit entries."""
@@ -116,18 +134,19 @@ class Vector:
     def clear(self) -> None:
         """Remove all entries (GrB_Vector_clear)."""
         self._present[:] = False
+        self._nvals = 0
 
     def densify(self) -> None:
         """Make every position explicit, in place (absent -> 0)."""
         self._values[~self._present] = 0
         self._present[:] = True
+        self._nvals = self.size
 
     def dup(self, label: Optional[str] = None) -> "Vector":
         """Deep copy (GrB_Vector_dup)."""
         out = Vector(self.backend, self.type, self.size, rep=self.rep,
                      label=label or f"{self.label}_dup")
-        out._values = self._values.copy()
-        out._present = self._present.copy()
+        out._store(self._values.copy(), self._present.copy(), self._nvals)
         return out
 
     def build(self, indices, values) -> None:
@@ -143,17 +162,22 @@ class Vector:
         self.clear()
         self._values[indices] = vals.astype(self.type.dtype, copy=False)
         self._present[indices] = True
+        self._nvals = None  # duplicates allowed: count on demand
 
     def free(self) -> None:
         """Release the modeled storage (GrB_free)."""
         self.backend.release(self._allocation)
 
     # Internal: overwrite storage wholesale (used by operations.py).
-    def _store(self, values: np.ndarray, present: np.ndarray) -> None:
+    def _store(self, values: np.ndarray, present: np.ndarray,
+               nvals: Optional[int] = None) -> None:
+        """``nvals`` is ``present``'s count when the caller already holds
+        it (None: counted on the next read)."""
         if len(values) != self.size or len(present) != self.size:
             raise DimensionMismatch("store arrays must match vector size")
         self._values = values.astype(self.type.dtype, copy=False)
         self._present = present
+        self._nvals = nvals
 
     def __repr__(self):
         return (f"Vector({self.label!r}, size={self.size}, nvals={self.nvals}, "

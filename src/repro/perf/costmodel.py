@@ -69,7 +69,7 @@ class CostParams:
     heavy_tail_ratio: float = 32.0
 
 
-@dataclass
+@dataclass(slots=True)
 class LoopCost:
     """Cost record for one parallel loop nest (or serial code segment)."""
 
@@ -133,6 +133,33 @@ class CostModel:
         self.params = params
         self._latency = dict(zip(LEVELS, hierarchy.spec.latency_ns))
         self._caps = dict(zip(LEVELS, params.level_speedup_cap))
+        self._loop_terms: dict = {}
+
+    def loop_terms(self, threads: int) -> tuple:
+        """The model's constants at ``threads`` threads, memoized:
+
+        ``(latency, huge_page_latency, divisors, barrier_ns, point)`` —
+        per-level service latency without / with huge pages, per-level
+        effective parallel divisor, the barrier's fixed cost, and the
+        :data:`THREAD_POINTS` key static imbalance is looked up under.
+        :meth:`Machine.charge_loop` evaluates :meth:`loop_time_ns` from
+        these without re-deriving them per loop.
+        """
+        terms = self._loop_terms.get(threads)
+        if terms is None:
+            if threads < 1:
+                raise InvalidValue("threads must be >= 1")
+            p = self.params
+            huge = dict(self._latency)
+            huge["dram"] *= p.huge_page_dram_factor
+            terms = self._loop_terms[threads] = (
+                self._latency, huge,
+                {level: min(threads, cap)
+                 for level, cap in self._caps.items()},
+                p.barrier_base_ns
+                + p.barrier_slope_ns * math.log2(max(threads, 2)),
+                _nearest_thread_point(threads))
+        return terms
 
     def work_time_ns(self, loop: LoopCost, threads: int) -> float:
         """Scaled-work duration of one loop (excludes fixed per-loop costs).

@@ -25,7 +25,13 @@ from repro.perf.costmodel import (
     Schedule,
     static_block_imbalance,
 )
-from repro.perf.memmodel import AccessStream, CacheHierarchy, XEON_GOLD_5120
+from repro.perf.memmodel import (
+    LINE_BYTES,
+    XEON_GOLD_5120,
+    AccessPattern,
+    AccessStream,
+    CacheHierarchy,
+)
 
 #: The paper's experiments use 56 threads unless otherwise mentioned (§IV).
 DEFAULT_THREADS = 56
@@ -94,10 +100,42 @@ class Machine:
         imbalance of a static schedule averages out.
         """
         faults.trip("kernel")
+        threads = self.threads
+        latency, huge_latency, divisors, barrier_ns, point = (
+            self.cost_model.loop_terms(threads))
+        serial = schedule is Schedule.SERIAL
+        instructions = int(instructions)
+        n_items = int(n_items)
+        barrier = barrier and not serial
+
+        # CacheHierarchy.classify per stream, merged into one dict whose
+        # keys keep the order of first appearance (the time sums below run
+        # in that order, and float addition is order-sensitive).
         hits: dict = {}
-        for stream in streams:
-            for level, count in self.hierarchy.classify(stream).items():
-                hits[level] = hits.get(level, 0) + count
+        if streams:
+            byte_scale = self.hierarchy.byte_scale
+            l1_cap, l2_cap, l3_cap = self.hierarchy.capacities
+            for stream in streams:
+                n = stream.n_accesses
+                if n == 0:
+                    continue
+                effective = stream.array_bytes * byte_scale
+                if effective <= l1_cap:
+                    hits["l1"] = hits.get("l1", 0) + n
+                    continue
+                level = ("l2" if effective <= l2_cap
+                         else "l3" if effective <= l3_cap else "dram")
+                pattern = stream.pattern
+                if pattern is AccessPattern.RANDOM:
+                    hits[level] = hits.get(level, 0) + n
+                    continue
+                if pattern is AccessPattern.STRIDED:
+                    far = (n + 1) // 2
+                else:  # SEQUENTIAL: one line fill per LINE_BYTES touched
+                    far = min(n, -(-n // max(
+                        1, LINE_BYTES // stream.elem_bytes)))
+                hits[level] = hits.get(level, 0) + far
+                hits["l1"] = hits.get("l1", 0) + (n - far)
 
         max_item_frac = 0.0
         static_imb: dict = {}
@@ -121,32 +159,38 @@ class Machine:
                         for p, v in static_imb.items()
                     }
 
-        loop = LoopCost(
-            schedule=schedule,
-            instructions=int(instructions),
-            hits=hits,
-            n_items=int(n_items),
-            max_item_frac=max_item_frac,
-            static_imbalance=static_imb,
-            barrier=barrier and schedule is not Schedule.SERIAL,
-            huge_pages=huge_pages,
-            fixed_ns=fixed_ns,
-        )
+        loop = LoopCost(schedule, instructions, hits, n_items, max_item_frac,
+                        static_imb, barrier, huge_pages, fixed_ns)
         self._loops.append(loop)
 
-        self.counters.instructions += loop.instructions
-        self.counters.add_level_hits(hits)
-        self.counters.work_items += loop.n_items
-        if loop.schedule is not Schedule.SERIAL:
-            self.counters.loops += 1
-        self.context.on_loop(
-            n_items=loop.n_items,
-            barrier=loop.barrier,
-            parallel=loop.schedule is not Schedule.SERIAL,
-        )
+        counters = self.counters
+        counters.instructions += instructions
+        if hits:
+            counters.add_level_hits(hits)
+        counters.work_items += n_items
+        if not serial:
+            counters.loops += 1
+        self.context.on_loop(n_items, barrier, not serial)
 
-        self._elapsed_ns_default += self.cost_model.loop_time_ns(
-            loop, self.threads, self.time_scale)
+        # CostModel.loop_time_ns(loop, threads, time_scale), term by term.
+        compute_ns = instructions * self.cost_model.params.ns_per_instruction
+        mem_serial = 0.0
+        mem_parallel = 0.0
+        if huge_pages:
+            latency = huge_latency
+        for level, count in hits.items():
+            t = count * latency[level]
+            mem_serial += t
+            mem_parallel += t / divisors[level]
+        work_ns = compute_ns + mem_serial
+        if not serial and threads != 1:
+            parallel_ns = compute_ns / threads + mem_parallel
+            if static_imb:  # only a STATIC schedule fills it
+                parallel_ns *= static_imb.get(point, 1.0)
+            work_ns = max(parallel_ns, work_ns * max_item_frac)
+        self._elapsed_ns_default += (
+            work_ns * self.time_scale
+            + (fixed_ns + barrier_ns if barrier else fixed_ns))
         self.check_timeout()
         return loop
 

@@ -32,6 +32,7 @@ counts.  Datasets carry their scale factor and the harness installs it.
 from __future__ import annotations
 
 import enum
+from collections import namedtuple
 from dataclasses import dataclass
 
 from repro.errors import InvalidValue
@@ -49,9 +50,9 @@ class AccessPattern(enum.Enum):
     STRIDED = "strided"
 
 
-@dataclass(frozen=True)
-class AccessStream:
-    """One declared bundle of memory accesses.
+class AccessStream(namedtuple(
+        "AccessStream", ("array_bytes", "n_accesses", "pattern", "elem_bytes"))):
+    """One declared bundle of memory accesses (immutable, validated).
 
     Parameters
     ----------
@@ -67,16 +68,17 @@ class AccessStream:
         Size of one accessed element (4 for int32/float32, 8 for int64).
     """
 
-    array_bytes: int
-    n_accesses: int
-    pattern: AccessPattern = AccessPattern.SEQUENTIAL
-    elem_bytes: int = 4
+    __slots__ = ()
 
-    def __post_init__(self):
-        if self.array_bytes < 0 or self.n_accesses < 0:
+    def __new__(cls, array_bytes: int, n_accesses: int,
+                pattern: AccessPattern = AccessPattern.SEQUENTIAL,
+                elem_bytes: int = 4):
+        if array_bytes < 0 or n_accesses < 0:
             raise InvalidValue("stream sizes must be non-negative")
-        if self.elem_bytes <= 0:
+        if elem_bytes <= 0:
             raise InvalidValue("elem_bytes must be positive")
+        return tuple.__new__(cls, (array_bytes, n_accesses, pattern,
+                                   elem_bytes))
 
 
 @dataclass(frozen=True)
@@ -113,7 +115,8 @@ class CacheHierarchy:
     def __init__(self, spec: HierarchySpec = XEON_GOLD_5120, byte_scale: float = 1.0):
         self.spec = spec
         self.byte_scale = float(byte_scale)
-        self._capacities = (spec.l1_bytes, spec.l2_bytes, spec.l3_bytes)
+        #: Capacity of L1, L2 and L3 in bytes, nearest first.
+        self.capacities = (spec.l1_bytes, spec.l2_bytes, spec.l3_bytes)
 
     def set_byte_scale(self, scale: float) -> None:
         """Install the dataset's linear scale factor (see module docstring)."""
@@ -124,7 +127,7 @@ class CacheHierarchy:
     def residency(self, array_bytes: int) -> str:
         """The level a working set of ``array_bytes`` (scaled) lives in."""
         effective = array_bytes * self.byte_scale
-        for level, cap in zip(LEVELS, self._capacities):
+        for level, cap in zip(LEVELS, self.capacities):
             if effective <= cap:
                 return level
         return "dram"

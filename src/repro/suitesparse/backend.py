@@ -50,17 +50,17 @@ class SuiteSparseBackend(BaseBackend):
         self.machine.allocator.free(workspace)
         self.machine.allocator.free(inspector)
 
-    def _post_op_materialize(self, out, n_touched: int = 1) -> None:
+    def _post_op_materialize(self, out, out_bytes: int,
+                             n_touched: int) -> None:
         """Every SuiteSparse op builds its result in a fresh object and
         moves it into place — an extra write pass (over the entries the op
         produced) plus allocator churn."""
         rt = self.runtime
-        nbytes = self._vector_bytes(out)
         temp = self.machine.allocator.allocate(
-            min(nbytes, max(n_touched, 1) * 16), f"{out.label}:temp")
+            min(out_bytes, n_touched * 16), f"{out.label}:temp")
         rt.parallel(
-            n_items=max(n_touched, 1),
+            n_items=n_touched,
             instr_per_item=1.0,
-            streams=[rt.seq(nbytes, max(n_touched, 1))],
+            streams=[rt.seq(out_bytes, n_touched)],
         )
         self.machine.allocator.free(temp)

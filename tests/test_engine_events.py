@@ -3,7 +3,9 @@ ExecutionContext span attribution, and the lint-style guarantee that no
 call site still uses the old stringly-typed charging helpers."""
 
 import ast
+import copy
 import pathlib
+import pickle
 
 import pytest
 
@@ -25,7 +27,7 @@ class TestOpEventValidation:
     def test_negative_counts_rejected(self):
         for field in ("items", "flops", "bytes_materialized", "loops",
                       "round_id", "in_nvals", "out_nvals", "mask_bytes",
-                      "bytes_not_materialized"):
+                      "bytes_not_materialized", "shards", "threads"):
             with pytest.raises(InvalidValue):
                 OpEvent(kind="mxv", **{field: -1})
 
@@ -37,10 +39,27 @@ class TestOpEventValidation:
         with pytest.raises(InvalidValue):
             OpEvent(kind="mxm", method="gustavson")
 
+    def test_typo_field_name_rejected(self):
+        with pytest.raises(TypeError):
+            OpEvent(kind="mxv", itmes=3)
+
     def test_frozen(self):
         event = OpEvent(kind="mxv")
         with pytest.raises(AttributeError):
             event.items = 5
+        with pytest.raises(AttributeError):
+            del event.items
+        with pytest.raises(AttributeError):
+            event.extra = 5
+
+    def test_value_semantics(self):
+        a = OpEvent(kind="vxm", items=3, mode="push")
+        b = OpEvent(**a.as_dict())
+        assert a == b and a is not b and hash(a) == hash(b)
+        assert a != OpEvent(kind="vxm", items=4, mode="push")
+        assert copy.copy(a) == a and pickle.loads(pickle.dumps(a)) == a
+        assert repr(a).startswith("OpEvent(kind='vxm', label='', items=3, ")
+        assert repr(a).endswith("shards=0, threads=0)")
 
     def test_defaults(self):
         event = OpEvent(kind="do_all", label="demo")
@@ -89,6 +108,35 @@ class TestExecutionContext:
         assert recorded.round_id == 1
         kinds = [e.kind for e in ctx.events]
         assert kinds == ["round", "mxv"]
+
+    def test_close_without_open_rejected(self):
+        ctx = ExecutionContext()
+        with pytest.raises(InvalidValue, match="matching open_span"):
+            ctx.close_span(OpEvent(kind="mxv"))
+        assert ctx.events == ()
+
+    def test_event_is_stamped_in_place_and_recorded_once(self):
+        ctx = ExecutionContext()
+        ctx.on_round(2)
+        ctx.open_span()
+        ctx.on_loop(n_items=1, barrier=True, parallel=True)
+        event = OpEvent(kind="assign", items=4)
+        recorded = ctx.close_span(event, bytes_materialized=64)
+        assert recorded is event and ctx.events[-1] is event
+        assert (event.loops, event.barrier, event.round_id,
+                event.bytes_materialized) == (1, True, 2, 64)
+        ctx.open_span()
+        with pytest.raises(InvalidValue, match="already recorded"):
+            ctx.close_span(event)
+        assert len(ctx.events) == 2
+
+    def test_emitter_stamps_are_checked(self):
+        ctx = ExecutionContext()
+        for stamps in ({"items": 3}, {"bytes_materialized": -1}):
+            ctx.open_span()
+            with pytest.raises(InvalidValue):
+                ctx.close_span(OpEvent(kind="apply"), **stamps)
+        assert ctx.events == ()
 
     def test_reset_clears(self):
         ctx = ExecutionContext()

@@ -28,11 +28,11 @@ that also regenerates ``cells.json``).
 import hashlib
 import json
 import pathlib
-from dataclasses import replace
 
 import pytest
 
 from repro.core import experiments
+from repro.engine import OpEvent
 from repro.engine.analysis import run_traced
 
 ROOT = pathlib.Path(__file__).resolve().parent.parent
@@ -44,8 +44,9 @@ PINNED_FIELDS = ("status", "answer", "seconds", "mrss_gb", "counters")
 
 def event_digest(events) -> str:
     """sha256 of an event stream minus its wall-clock-only stamps."""
-    charged = [replace(e, fused=False, bytes_not_materialized=0,
-                       shards=0, threads=0) for e in events]
+    charged = [OpEvent(**{**e.as_dict(), "fused": False,
+                          "bytes_not_materialized": 0, "shards": 0,
+                          "threads": 0}) for e in events]
     return hashlib.sha256(repr(charged).encode()).hexdigest()
 
 

@@ -206,9 +206,9 @@ def _normalized_events(events):
     ``shards``/``threads`` are observability (like ``seconds``): they may
     differ across thread counts, everything else must not.
     """
-    import dataclasses
+    from repro.engine import OpEvent
 
-    return tuple(dataclasses.replace(e, shards=0, threads=0)
+    return tuple(OpEvent(**{**e.as_dict(), "shards": 0, "threads": 0})
                  for e in events)
 
 
