@@ -55,7 +55,10 @@ overhead dominates; see :func:`_tc_graph`):
   iteration per matrix row.
 * ``tricount_lower`` — ``count_triangles_lower`` on the same L.
 * ``ktruss_supports`` — the ktruss initial ``edge_supports`` pass
-  (aliveness-filtered intersections) on the symmetric pattern.
+  (aliveness-filtered intersections) on the symmetric pattern; and, on a
+  power-law Chung-Lu graph, the same pass (each triangle listed once,
+  :func:`repro.sparse.tricount.symmetric_supports`) against the generic
+  ``row_pair_join`` self-join it replaced, asserted >= 5x in both modes.
 
 ``--quick`` shrinks the graph/array sizes and repeat counts for the CI
 perf-smoke job (floor ratio 2x instead of the full run's 5x).
@@ -485,8 +488,39 @@ def bench_tricount(L):
     }
 
 
+def _skewed_graph():
+    """Symmetric pattern of a Chung-Lu power-law graph (the recipe of the
+    study's friendster twin): a symmetric self-join gathers every hub row
+    once per neighbour, so almost all of its candidates are wasted."""
+    from repro.graphs.generators import chung_lu
+    from repro.sparse.csr import build_csr
+
+    n, src, dst = chung_lu(n=16400, avg_degree=14, exponent=2.3, seed=18)
+    keep = src != dst
+    return build_csr(n, n, np.concatenate([src[keep], dst[keep]]),
+                     np.concatenate([dst[keep], src[keep]]), None)
+
+
 def bench_ktruss_supports(sym):
     from repro.sparse.tricount import edge_supports
+
+    # What the triangle listing replaced: the generic self-join (any
+    # explicit row list keeps it), every triangle found six times.
+    skewed = _skewed_graph()
+    all_rows = np.arange(skewed.nrows)
+    live = np.ones(skewed.nvals, dtype=bool)
+
+    def listed():
+        return edge_supports(skewed, live)
+
+    def self_join():
+        return edge_supports(skewed, live, rows=all_rows)
+
+    (s_l, w_l, rw_l), (s_j, w_j, rw_j) = listed(), self_join()
+    assert w_l == w_j and np.array_equal(s_l, s_j) \
+        and np.array_equal(rw_l, rw_j)
+    self_join_ms = best_of(self_join, repeats=2)
+    listed_ms = best_of(listed)
 
     alive = np.ones(sym.nvals, dtype=bool)
 
@@ -506,6 +540,11 @@ def bench_ktruss_supports(sym):
         "baseline_per_row_ms": round(baseline_ms, 3),
         "engine_ms": round(engine_ms, 3),
         "speedup_vs_per_row": round(baseline_ms / engine_ms, 1),
+        "skewed_graph": "chung-lu-16400",
+        "skewed_nedges": int(skewed.nvals),
+        "self_join_ms": round(self_join_ms, 3),
+        "listed_ms": round(listed_ms, 3),
+        "speedup_vs_self_join": round(self_join_ms / listed_ms, 1),
     }
 
 
@@ -565,6 +604,10 @@ def main(argv=None):
         ratio = report[section]["speedup_vs_per_row"]
         assert ratio >= floor, \
             f"{section} speedup {ratio}x below the {floor}x floor"
+    # Not scaled down by --quick: the graph is the same in both modes.
+    ratio = report["ktruss_supports"]["speedup_vs_self_join"]
+    assert ratio >= 5.0, \
+        f"ktruss triangle listing {ratio}x the self-join, below the 5x floor"
     pr_ceiling = 3.0 if args.quick else 2.0
     pr_ratio = pr["graphblas_over_lonestar"]
     assert pr_ratio <= pr_ceiling, \

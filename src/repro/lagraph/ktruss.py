@@ -44,6 +44,8 @@ def ktruss(backend, A: gb.Matrix, k: int, max_rounds: int = 1000):
         if new_nvals == last_nvals:
             break
         last_nvals = new_nvals
-        S.replace_csr(C.csr.copy())
-    S.replace_csr(C.csr.copy())
+        # No copy: mxm and select always swap fresh storage into C, so S
+        # can hold the same CSR (and keep its structural memos).
+        S.replace_csr(C.csr)
+    S.replace_csr(C.csr)
     return S, rounds

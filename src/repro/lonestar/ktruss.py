@@ -23,7 +23,7 @@ import numpy as np
 from repro.engine.events import OpEvent
 from repro.galois.graph import Graph
 from repro.galois.loops import DEFAULT_TILE
-from repro.sparse.join import dedup_bounded, join_sorted
+from repro.sparse.join import dedup_bounded, row_pair_join
 from repro.sparse.tricount import edge_supports, twin_positions
 
 
@@ -36,7 +36,7 @@ def ktruss(graph: Graph, k: int, max_rounds: int = 100000):
     rt = graph.runtime
     csr = graph.csr
     needed = k - 2
-    indptr, indices = csr.indptr, csr.indices
+    indices = csr.indices
     entry_rows = csr.row_ids()
 
     alive = np.ones(csr.nvals, dtype=bool)
@@ -59,44 +59,44 @@ def ktruss(graph: Graph, k: int, max_rounds: int = 100000):
 
     # Removal cascade: a worklist of doomed entry positions (both
     # orientations resolve to the lower position to dedup).
+    row_deg = csr.row_degrees()
     doomed = np.flatnonzero(alive & (supports < needed))
     doomed = dedup_bounded(np.minimum(doomed, twin[doomed]), csr.nvals)
+    is_doomed = np.zeros(csr.nvals, dtype=bool)
     rounds = 0
     while len(doomed) and rounds < max_rounds:
         rounds += 1
         rt.round()
-        wave_work = 0
-        freshly_doomed = []
-        for p in doomed:
-            if not alive[p]:
-                continue
-            # Remove this edge now — immediately visible (Gauss-Seidel), so
-            # a triangle shared by two doomed edges is enumerated exactly
-            # once, by whichever removal runs first.
-            alive[p] = False
-            alive[twin[p]] = False
-            u = int(entry_rows[p])
-            v = int(indices[p])
-            lo_u, hi_u = indptr[u], indptr[u + 1]
-            lo_v, hi_v = indptr[v], indptr[v + 1]
-            row_u = indices[lo_u:hi_u]
-            row_v = indices[lo_v:hi_v]
-            live_u = alive[lo_u:hi_u]
-            # Common live neighbors w: the triangles (u, v, w) destroyed.
-            # One pairwise merge join — the Gauss-Seidel cascade's
-            # immediate-visibility requirement forbids batching pairs.
-            u_idx, v_idx = join_sorted(row_u, row_v)
-            wave_work += len(row_u)
-            live_common = live_u[u_idx] & alive[lo_v + v_idx]
-            if not live_common.any():
-                continue
-            p_uw = lo_u + u_idx[live_common]
-            p_vw = lo_v + v_idx[live_common]
-            for q in np.concatenate([p_uw, p_vw]):
-                supports[q] -= 1
-                supports[twin[q]] -= 1
-                if alive[q] and supports[q] < needed:
-                    freshly_doomed.append(min(int(q), int(twin[q])))
+        # One batch per wave.  Removals are immediately visible
+        # (Gauss-Seidel), so a triangle with several doomed edges is
+        # destroyed once, by whichever of them is removed first — in
+        # worklist order, its smallest doomed canonical edge.  That makes
+        # the wave order-free: list, for every doomed edge (u, v), the
+        # triangles alive *before* the wave, and credit each one only to
+        # the smallest doomed edge among its three.
+        u = entry_rows[doomed]
+        wave_work = int(row_deg[u].sum())
+        v = indices[doomed].astype(np.int64)
+        # Gather the shorter row of each pair, probe the longer: the two
+        # sides are treated alike below, and the model is charged
+        # ``wave_work`` whichever side the kernel reads.
+        swap = row_deg[v] > row_deg[u]
+        res = row_pair_join(csr, np.where(swap, v, u),
+                            csr, np.where(swap, u, v),
+                            a_keep=alive, b_keep=alive)
+        first = doomed[res.out_seg]
+        is_doomed[doomed] = True
+        credited = np.ones(len(first), dtype=bool)
+        for other in (res.a_pos, res.b_pos):
+            canon = np.minimum(other, twin[other])
+            credited &= ~(is_doomed[canon] & (canon < first))
+        is_doomed[doomed] = False
+        alive[doomed] = False
+        alive[twin[doomed]] = False
+        # The other two edges of every destroyed triangle lose one support.
+        hit = np.concatenate([res.a_pos[credited], res.b_pos[credited]])
+        supports -= np.bincount(np.concatenate([hit, twin[hit]]),
+                                minlength=csr.nvals)
         # One asynchronous wave: no global barrier between removals.
         rt.for_each(
             OpEvent(kind="for_each", label="ktruss_wave",
@@ -106,10 +106,6 @@ def ktruss(graph: Graph, k: int, max_rounds: int = 100000):
             streams=[rt.strided(csr.nbytes, wave_work),
                      rt.rand(supports.nbytes, wave_work, elem_bytes=8)],
         )
-        if freshly_doomed:
-            doomed = dedup_bounded(
-                np.asarray(freshly_doomed, dtype=np.int64), csr.nvals)
-            doomed = doomed[alive[doomed]]
-        else:
-            doomed = np.empty(0, dtype=np.int64)
+        hit = hit[alive[hit] & (supports[hit] < needed)]
+        doomed = dedup_bounded(np.minimum(hit, twin[hit]), csr.nvals)
     return alive, rounds

@@ -322,8 +322,11 @@ def join_sorted(a: np.ndarray,
     """Positions of the common elements of two sorted arrays.
 
     Returns ``(ia, ib)`` with ``a[ia] == b[ib]``, ordered by position in
-    ``a`` — the single-pair primitive for call sites (the ktruss removal
-    cascade) whose sequential dependences forbid batching pairs.
+    ``a`` — the single-pair primitive.  Kernels batch their pairs through
+    :func:`row_pair_join` (the ktruss removal cascade too: within a wave a
+    triangle is destroyed exactly once, by its smallest doomed edge,
+    whatever the order); the scalar reference cascade that the batched
+    wave is tested against is written with this.
     """
     if len(a) == 0 or len(b) == 0:
         empty = np.empty(0, dtype=np.int64)

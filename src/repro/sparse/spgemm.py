@@ -28,6 +28,7 @@ from repro.sparse.csr import CSRMatrix, INDEX_DTYPE, PTR_DTYPE, gather_rows
 from repro.sparse.join import cast_values, masked_row_join
 from repro.sparse.segreduce import coo_group_reduce, segment_reduce
 from repro.sparse.semiring_ops import BinaryFn, MonoidFn, SegmentReducer
+from repro.sparse.tricount import same_structure, symmetric_supports
 
 #: Default cap on the expansion buffer of one SAXPY batch (elements).
 DEFAULT_BATCH_FLOPS = 1 << 21
@@ -151,6 +152,12 @@ def spgemm_masked_dot(
 
     A :class:`repro.sparse.blocked.BlockedCSR` left operand joins
     shard-by-shard, with the mask row-sliced along the shard bounds.
+
+    When the semiring is plus-pair and ``A``, ``Bt`` and ``mask`` are one
+    symmetric, diagonal-free structure (ktruss's ``C<S> = S*S'``), the
+    same ``C`` and the same work count come from listing each triangle
+    once (:func:`repro.sparse.tricount.symmetric_supports`) — a property
+    read off the operands, not an option.
     """
     if hasattr(A, "shards"):
         from repro.sparse import blocked
@@ -160,6 +167,16 @@ def spgemm_masked_dot(
     if A.nrows != mask.nrows or Bt.nrows != mask.ncols:
         raise DimensionMismatch("mask shape must match A.nrows x Bt.nrows")
     out_dtype = np.dtype(out_dtype)
+    if (add.kind == "plus" and mult.name == "pair" and out_dtype.kind in "iuf"
+            and same_structure(mask, A) and same_structure(Bt, A)):
+        # ``C<S> = S plus.pair S'`` on one symmetric structure (ktruss's
+        # support round) is a triangle listing: any execution returning
+        # the same matrix will do, so each triangle is met once.
+        listed = symmetric_supports(A)
+        if listed is not None:
+            hits, cand = listed
+            C = mask.with_values(hits.astype(out_dtype, copy=False))
+            return C.filter_entries(hits > 0), int(cand.sum())
     reducer = SegmentReducer(add)
     res = masked_row_join(A, Bt, mask)
 

@@ -11,10 +11,13 @@ behaviour, which is the paper's limitation #2:
 
 :func:`edge_supports` computes per-edge common-neighbor counts restricted
 to a set of rows and an aliveness filter, which is what the Gauss-Seidel
-Lonestar ktruss needs.
+Lonestar ktruss needs.  :func:`symmetric_supports` is the same count for
+a whole symmetric pattern with each triangle listed once; both stacks'
+ktruss support passes run on it (``edge_supports`` here, and the
+plus-pair ``C<S> = S*S'`` of ``spgemm_masked_dot``).
 
-Both kernels are one call into the batched merge-join engine
-(:mod:`repro.sparse.join`) — no per-row Python loop — and report the same
+Every kernel is one call into the batched merge-join engine
+(:mod:`repro.sparse.join`) — no per-row Python loop — and reports the same
 work/row_work counts the per-row loops they replaced did, so the machine
 model sees identical numbers.
 """
@@ -50,11 +53,98 @@ def count_triangles_lower(L: CSRMatrix, check_order: bool = True):
     return int(res.hits.sum()), res.work, row_work
 
 
+def same_structure(X: CSRMatrix, Y: CSRMatrix) -> bool:
+    """Whether two matrices hold one sparsity structure (shared or equal)."""
+    return (X.ncols == Y.ncols
+            and (X.indptr is Y.indptr or np.array_equal(X.indptr, Y.indptr))
+            and (X.indices is Y.indices
+                 or np.array_equal(X.indices, Y.indices)))
+
+
+def symmetric_twins(csr: CSRMatrix) -> Optional[np.ndarray]:
+    """``twin`` (see :func:`twin_positions`) when ``csr`` is square,
+    structurally symmetric and diagonal-free; ``None`` otherwise.
+
+    The answer is *observed*, never assumed: the transposed pattern must
+    equal the pattern itself.  An O(log) probe — the reverse of the first
+    entry must exist — turns away triangular operands (triangle counting's
+    ``L``) before any O(nnz) work is spent on them.
+    """
+    if csr.nrows != csr.ncols:
+        return None
+    if csr.nvals == 0:
+        return np.empty(0, dtype=np.int64)
+    first_row = int(np.searchsorted(csr.indptr, 0, side="right")) - 1
+    if csr.get(int(csr.indices[0]), first_row) is None:
+        return None
+    order, pattern = csr.transpose_plan()
+    if not same_structure(pattern, csr):
+        return None
+    if (csr.indices == csr.row_ids()).any():
+        return None
+    return order
+
+
+def symmetric_supports(
+    csr: CSRMatrix,
+    keep: Optional[np.ndarray] = None,
+) -> Optional[Tuple[np.ndarray, np.ndarray]]:
+    """Per-entry triangle supports of a symmetric pattern, each triangle
+    listed once.
+
+    The self-join ``|N(u) ∩ N(v)|`` for every kept entry (u, v) finds each
+    triangle six times, always gathering the heavier endpoint's row.  Here
+    vertices are ranked by (kept degree, id), only the *forward* entries
+    (rank u < rank v) are kept as a CSR, and one :func:`masked_row_join`
+    over it meets every triangle exactly once — at its lowest-ranked edge —
+    after which +1 is scattered to the triangle's three edges and their
+    twins.  Forward rows are short (at most ~sqrt(2 nnz) entries), which is
+    where the candidate count collapses.
+
+    Returns ``(supports, cand)``, both aligned with ``csr`` entries and
+    zero at dropped ones: ``supports[p]`` is the common kept-neighbour
+    count of entry ``p``'s endpoints and ``cand[p]`` the kept degree of its
+    column vertex — the candidates the generic join would have gathered
+    for that pair, which is what the machine model is charged.  Returns
+    ``None`` — caller takes the generic join — unless ``csr`` is
+    symmetric and diagonal-free (:func:`symmetric_twins`) and ``keep``
+    marks both orientations of every edge alike.
+    """
+    twin = symmetric_twins(csr)
+    if twin is None:
+        return None
+    if keep is None:
+        kept_deg = csr.row_degrees()
+        cand = kept_deg[csr.indices]
+    else:
+        if not np.array_equal(keep, keep[twin]):
+            return None
+        kept_deg = segment_reduce(keep, None, csr.nrows, "plus",
+                                  dtype=np.int64, row_splits=csr.indptr)
+        cand = np.where(keep, kept_deg[csr.indices], 0)
+
+    rank = np.empty(csr.nrows, dtype=np.int64)
+    rank[np.argsort(kept_deg, kind="stable")] = np.arange(csr.nrows)
+    forward = rank[csr.row_ids()] < rank[csr.indices]
+    if keep is not None:
+        forward &= keep
+    fwd = csr.with_values(None).filter_entries(forward)
+    res = masked_row_join(fwd, fwd, fwd)
+    fwd_supports = (res.hits
+                    + np.bincount(res.a_pos, minlength=fwd.nvals)
+                    + np.bincount(res.b_pos, minlength=fwd.nvals))
+    fwd_pos = np.flatnonzero(forward)
+    supports = np.zeros(csr.nvals, dtype=np.int64)
+    supports[fwd_pos] = fwd_supports
+    supports[twin[fwd_pos]] = fwd_supports
+    return supports, cand
+
+
 def edge_supports(
     csr: CSRMatrix,
     alive: np.ndarray,
     rows: Optional[np.ndarray] = None,
-) -> Tuple[np.ndarray, int]:
+) -> Tuple[np.ndarray, int, np.ndarray]:
     """Common-neighbor count per (alive) edge of the given rows.
 
     ``alive`` is a boolean over csr entries; dead entries neither receive a
@@ -62,7 +152,18 @@ def edge_supports(
     ``(supports, work, row_work)`` where ``supports`` is aligned with csr
     entries (0 where dead or not in ``rows``) and ``row_work`` aligns with
     ``rows``.
+
+    Over all rows of a symmetric, diagonal-free pattern (the ktruss
+    support pass) the counts come from :func:`symmetric_supports`; ``work``
+    and ``row_work`` are the same degree sums either way.
     """
+    if rows is None:
+        listed = symmetric_supports(csr, alive)
+        if listed is not None:
+            supports, cand = listed
+            row_work = segment_reduce(cand, None, csr.nrows, "plus",
+                                      dtype=np.int64, row_splits=csr.indptr)
+            return supports, int(cand.sum()), row_work
     supports = np.zeros(csr.nvals, dtype=np.int64)
     row_arr = (np.arange(csr.nrows, dtype=np.int64) if rows is None
                else np.asarray(rows, dtype=np.int64))
@@ -95,17 +196,12 @@ def twin_positions(csr: CSRMatrix) -> np.ndarray:
     """For a symmetric pattern, the entry position of each entry's reverse.
 
     ``twin[p]`` is the index of (col, row) given entry ``p`` = (row, col);
-    used to remove both orientations of an undirected edge together.
+    used to remove both orientations of an undirected edge together.  It
+    is the structure's transpose permutation: when the transposed pattern
+    is the pattern itself, entry ``k`` of the transpose — entry
+    ``order[k]`` of ``csr`` — sits where entry ``k`` of ``csr`` does.
     """
-    if csr.nvals == 0:
-        return np.empty(0, dtype=np.int64)
-    rows = csr.row_ids()
-    cols = csr.indices.astype(np.int64)
-    # CSR entries are sorted by (row, col), so the flattened keys are sorted
-    # ascending and each reversed key can be located with one binary search.
-    keys = rows * csr.ncols + cols
-    rev = cols * csr.ncols + rows
-    twin = np.searchsorted(keys, rev)
-    if twin.max(initial=0) >= csr.nvals or not np.array_equal(keys[twin], rev):
+    order, pattern = csr.transpose_plan()
+    if not same_structure(pattern, csr):
         raise ValueError("matrix is not structurally symmetric")
-    return twin
+    return order.astype(np.int64)
