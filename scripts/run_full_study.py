@@ -13,11 +13,15 @@ instead of re-run, and the final ``cells.json`` is byte-identical to an
 uninterrupted run's.  Fault injection for drills is configured through the
 ``REPRO_FAULTS`` environment knobs (see ``repro.faults``).
 
-With ``--workers N`` (N > 1) the grid cells run on a supervised pool of N
-worker processes (``repro.service``): crashed or hung workers are
-respawned and their cells requeued, and the journal still commits in
+With ``--workers N`` (N > 1) the grid cells are submitted as jobs to a
+queue and drained by a supervised pool of N worker processes
+(``repro.service.run_grid``): crashed or hung workers are respawned and
+their cells retried with backoff, and the journal still commits in
 canonical order, so ``cells.json`` stays byte-identical to a sequential
-run's.  ``--workers`` composes with ``--resume`` and the fault knobs.
+run's.  The queue is ephemeral unless ``--queue PATH`` keeps it on disk,
+in which case a killed run re-invoked against the same queue resumes
+exactly once per job.  ``--workers`` composes with ``--resume`` and the
+fault knobs.
 """
 
 import argparse
@@ -56,46 +60,11 @@ def parse_args(argv=None):
                              "processes (default: 1 = in-process)")
     parser.add_argument("--queue", type=pathlib.Path, default=None,
                         metavar="PATH",
-                        help="route the grid through a durable job queue "
-                             "at PATH (created if missing): cells are "
-                             "submitted as idempotent jobs and drained by "
-                             "a crash-safe QueueSupervisor with --workers "
-                             "processes; a killed run re-invoked against "
-                             "the same queue resumes exactly once per job")
+                        help="keep the grid's job queue at PATH (created "
+                             "if missing) instead of a temporary file: a "
+                             "killed run re-invoked against the same queue "
+                             "resumes exactly once per job")
     return parser.parse_args(argv)
-
-
-def _drain_through_queue(queue_path, tasks, workers: int) -> None:
-    """Run the grid as durable queue jobs instead of an in-memory list.
-
-    Each task becomes one idempotent job (``study:<system>:<app>:<graph>``
-    keys), so re-invoking a killed run against the same queue resubmits
-    nothing — already-committed jobs replay their stored result into the
-    journal and the rest resume from their requeued leases.  Results are
-    mirrored into the experiment memo in submission order through the
-    OrderedCommitter discipline, so the downstream renderers and
-    ``cells.json`` behave exactly as in the ``--workers`` path.
-    """
-    from repro.service import JobQueue, QueueSupervisor
-
-    queue = JobQueue(queue_path)
-    job_ids = []
-    for task in tasks:
-        job = queue.submit(
-            task.system, task.app, task.graph,
-            params={"sweep": True} if task.sweep else {},
-            tenant="study",
-            idem_key=f"study:{task.system}:{task.app}:{task.graph}")
-        job_ids.append(job.id)
-    supervisor = QueueSupervisor(queue, workers=workers,
-                                 mirror_jobs=job_ids)
-    counts = supervisor.drain()
-    print(supervisor.describe(), flush=True)
-    if counts["dead"]:
-        print(f"warning: {counts['dead']} job(s) dead-lettered; see "
-              f"'repro-serve status --queue {queue_path}'",
-              file=sys.stderr)
-    queue.close()
 
 
 def main(argv=None) -> int:
@@ -124,21 +93,16 @@ def main(argv=None) -> int:
         checkpoint.attach(journal_path, fresh=True)
 
     if args.queue is not None or args.workers > 1:
-        from repro.service import grid_tasks
+        from repro.service import grid_tasks, run_grid
 
         tasks = grid_tasks(
             graphs, apps,
             sweep_apps=[a for a in apps if a in figures.FIGURE2_APPS]
             or figures.FIGURE2_APPS,
             sweep_graphs=[g for g in graphs if g in LARGEST] or LARGEST)
-        if args.queue is not None:
-            _drain_through_queue(args.queue, tasks, args.workers)
-        else:
-            from repro.service import Supervisor
-
-            supervisor = Supervisor(tasks, workers=args.workers)
-            supervisor.run()
-            print(supervisor.describe(), flush=True)
+        _results, line = run_grid(tasks, args.workers,
+                                  queue_path=args.queue)
+        print(line, flush=True)
 
     targets = (
         ("table1", lambda: tables.table1(graphs)),

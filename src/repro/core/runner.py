@@ -48,10 +48,11 @@ def main(argv=None) -> int:
                         help="skip cells already present in --journal "
                              "(implies journaling)")
     parser.add_argument("--workers", type=int, default=1, metavar="N",
-                        help="run grid cells on N supervised worker "
+                        help="run grid cells as jobs on an ephemeral "
+                             "queue drained by N supervised worker "
                              "processes (default: 1 = in-process); crashed "
                              "or hung workers are respawned and their "
-                             "cells requeued")
+                             "cells retried under REPRO_JOB_MAX_ATTEMPTS")
     parser.add_argument("--strict", action="store_true",
                         help="exit nonzero when any cell ends in ERR")
     args = parser.parse_args(argv)
@@ -127,7 +128,9 @@ def main(argv=None) -> int:
 
 
 def _prewarm_grid(target: str, graphs, apps, workers: int) -> None:
-    """Compute the target's grid cells on a supervised worker pool.
+    """Compute the target's grid cells on a supervised worker pool
+    (:func:`repro.service.run_grid`: the cells drain through an
+    ephemeral job queue).
 
     Fills the experiment memo (and the attached journal, in canonical
     order) so the in-process renderers afterwards only hit cache.  Targets
@@ -135,7 +138,7 @@ def _prewarm_grid(target: str, graphs, apps, workers: int) -> None:
     the separate problem-variant memo) are left to the sequential path.
     """
     from repro.core.figures import FIGURE2_APPS
-    from repro.service import Supervisor, grid_tasks
+    from repro.service import grid_tasks, run_grid
 
     fig2_graphs = ([g for g in graphs if g in GRAPH_ORDER[-4:]]
                    or list(GRAPH_ORDER[-4:]))
@@ -151,9 +154,8 @@ def _prewarm_grid(target: str, graphs, apps, workers: int) -> None:
                            sweep_graphs=fig2_graphs)
     else:
         return
-    supervisor = Supervisor(tasks, workers=workers)
-    supervisor.run()
-    print(f"({supervisor.describe()})", file=sys.stderr)
+    _results, line = run_grid(tasks, workers)
+    print(f"({line})", file=sys.stderr)
 
 
 def _explain_cell(system: str, app: str, graph: str) -> str:

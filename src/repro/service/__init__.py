@@ -6,14 +6,10 @@ or an injected :class:`repro.faults.FatalFault` — aborts the whole grid and
 only the checkpoint journal survives.  This package keeps the study alive
 through such deaths by running cells *out of process* under supervision:
 
-* :mod:`repro.service.supervisor` — the in-process supervisor: owns the
-  canonical task list, dispatches cells to a spawn-based worker pool,
-  detects dead or hung workers (pipe EOF, missed heartbeats, a blown
-  per-cell deadline), respawns them, requeues the in-flight cell, and
-  quarantines a cell as ``ERR``/``PoisonedCell`` after it has crashed
-  ``K`` workers.  Results are committed through the checkpoint cell
-  journal in canonical task order, so a parallel, fault-ridden run
-  produces a ``cells.json`` byte-identical to a sequential clean run.
+* :mod:`repro.service.supervisor` — the spawn-based worker pool: detects
+  dead or hung workers (pipe EOF, missed heartbeats, a blown per-cell
+  deadline), respawns them, and hands the in-flight cell back to the work
+  source; plus the grid's canonical task list (:func:`grid_tasks`).
 * :mod:`repro.service.worker` — the out-of-process worker loop: runs one
   cell at a time via :func:`repro.core.experiments.run_cell` with the
   fault plan installed from the environment, heartbeating throughout.
@@ -33,16 +29,22 @@ through such deaths by running cells *out of process* under supervision:
   (idempotent submission, crash-safe leases, retry with backoff,
   dead-letter state, tenant admission control).
 * :mod:`repro.service.queue_supervisor` — drains the queue through the
-  same worker pool, with exactly-once result commit and breaker-driven
-  defer/reroute admission.
+  worker pool, with exactly-once result commit and breaker-driven
+  defer/reroute admission.  Its :func:`run_grid` runs a study grid: the
+  cells become jobs on a queue (ephemeral unless a path is given), and
+  a cell whose workers keep dying dead-letters as ``ERR``/``DeadLetter``
+  after ``REPRO_JOB_MAX_ATTEMPTS`` leases.  Results mirror into the
+  checkpoint cell journal in canonical task order, so a parallel,
+  fault-ridden run produces a ``cells.json`` byte-identical to a
+  sequential clean run.
 * :mod:`repro.service.api` / :mod:`repro.service.serve` — the service
   front-end: a stdlib HTTP JSON API and the ``repro-serve`` CLI
   (``submit``/``status``/``result``/``drain``/``api``).
 
 Both study CLIs expose the pool via ``--workers N``; the default ``N=1``
 keeps the existing in-process sequential path byte-for-byte unchanged.
-``run_full_study.py --queue`` routes the same grid through the durable
-queue instead.
+``run_full_study.py --queue PATH`` keeps the grid's queue on disk so a
+killed run can be re-invoked against it.
 """
 
 from repro.service.breaker import CircuitBreaker
@@ -50,9 +52,8 @@ from repro.service.chaos import ChaosPlan
 from repro.service.config import QueueConfig, ServiceConfig, \
     validate_env_knobs
 from repro.service.queue import Job, JobQueue
-from repro.service.queue_supervisor import QueueSupervisor
-from repro.service.supervisor import (CellTask, Supervisor, WorkerPool,
-                                      grid_tasks)
+from repro.service.queue_supervisor import QueueSupervisor, run_grid
+from repro.service.supervisor import CellTask, WorkerPool, grid_tasks
 
 __all__ = [
     "CellTask",
@@ -63,8 +64,8 @@ __all__ = [
     "QueueConfig",
     "QueueSupervisor",
     "ServiceConfig",
-    "Supervisor",
     "WorkerPool",
     "grid_tasks",
+    "run_grid",
     "validate_env_knobs",
 ]

@@ -9,8 +9,9 @@ SystemSpec` gets a :class:`CircuitBreaker` with the classic three states:
   consecutive failures open the breaker.
 * **open** — cells are rerouted to a capability-compatible fallback system
   (:func:`repro.engine.registry.compatible_fallbacks`) and flagged
-  ``degraded`` — never substituted silently.  After ``cooldown`` dispatch
-  decisions the breaker half-opens.
+  ``degraded`` — never substituted silently — or, with no healthy
+  fallback, deferred.  After ``cooldown`` dispatch decisions the breaker
+  half-opens.
 * **half-open** — exactly one probe cell runs on the original system;
   success closes the breaker, failure re-opens it for another cooldown.
 
@@ -125,19 +126,6 @@ class BreakerBoard:
             if other is None or other.state == CLOSED:
                 return ("reroute", fallback)
         return ("defer", None)
-
-    def route(self, code: str) -> Optional[str]:
-        """Decide where a cell of ``code`` runs: its own system or a
-        fallback.
-
-        The fixed-grid policy over :meth:`admit`: returns ``None`` to run
-        on ``code`` itself (breaker closed, or the half-open probe, or no
-        healthy fallback exists — a grid has nowhere to defer to, and
-        rerouting to nothing helps nobody), else the fallback system's
-        code.  The caller must flag rerouted cells as degraded.
-        """
-        _decision, fallback = self.admit(code)
-        return fallback
 
     def record(self, code: str, ok: bool) -> None:
         """Feed an outcome to the breaker of the system that *ran* it."""

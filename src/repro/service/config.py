@@ -34,9 +34,6 @@ DEFAULT_HEARTBEAT_TIMEOUT = 30.0
 #: Default wall-clock seconds one cell may occupy a worker.
 DEFAULT_CELL_DEADLINE = 600.0
 
-#: Default number of worker crashes before a cell is quarantined.
-DEFAULT_MAX_CRASHES = 3
-
 #: Default consecutive per-system failures that open the circuit breaker.
 DEFAULT_BREAKER_THRESHOLD = 5
 
@@ -106,7 +103,6 @@ KNOWN_KNOBS = frozenset({
     "REPRO_SERVICE_HEARTBEAT",
     "REPRO_SERVICE_HEARTBEAT_TIMEOUT",
     "REPRO_CELL_DEADLINE",
-    "REPRO_CELL_MAX_CRASHES",
     "REPRO_BREAKER_THRESHOLD",
     "REPRO_BREAKER_COOLDOWN",
     "REPRO_BREAKER_FORCE_OPEN",
@@ -219,7 +215,7 @@ def _nonnegative_int(env: dict, name: str, default: int) -> int:
 
 @dataclass(frozen=True)
 class ServiceConfig:
-    """Validated supervisor policy (heartbeat, deadline, quarantine, breaker).
+    """Validated supervisor policy (heartbeat, deadline, breaker, budgets).
 
     Build one with :meth:`from_env` (the CLIs do) or directly in tests.
     """
@@ -231,9 +227,6 @@ class ServiceConfig:
     #: Wall-clock seconds one cell may occupy a worker before it is killed
     #: and the cell requeued.
     cell_deadline: float = DEFAULT_CELL_DEADLINE
-    #: Worker crashes on the same cell before it is quarantined as
-    #: ``ERR``/``PoisonedCell`` (>= 1; crash K of the same cell poisons it).
-    max_crashes: int = DEFAULT_MAX_CRASHES
     #: Consecutive per-system crash/ERR outcomes that open its breaker
     #: (0 disables the breaker entirely).
     breaker_threshold: int = DEFAULT_BREAKER_THRESHOLD
@@ -273,9 +266,6 @@ class ServiceConfig:
                 f"interval={self.heartbeat_interval})")
         if self.cell_deadline <= 0:
             raise errors.InvalidValue("cell deadline must be > 0")
-        if self.max_crashes < 1:
-            raise errors.InvalidValue(
-                f"max crashes must be >= 1; got {self.max_crashes}")
         if self.mem_budget_mb < 0:
             raise errors.InvalidValue(
                 "worker memory budget must be >= 0 (0 = off); got "
@@ -301,10 +291,17 @@ class ServiceConfig:
         force_raw = env.get("REPRO_BREAKER_FORCE_OPEN", "").strip()
         force = tuple(c.strip() for c in force_raw.split(",") if c.strip())
         if force:
-            from repro.engine.registry import get_system
+            from repro.engine.registry import compatible_fallbacks
 
             for code in force:
-                get_system(code)  # raises with did-you-mean when unknown
+                # Unknown codes raise with did-you-mean.  A forced breaker
+                # never half-opens, so without an unforced fallback its
+                # jobs would be deferred forever.
+                if all(fb in force for fb in compatible_fallbacks(code)):
+                    raise errors.InvalidValue(
+                        f"REPRO_BREAKER_FORCE_OPEN forces {code} open but "
+                        "leaves it no compatible fallback to reroute to; "
+                        "its cells would be deferred forever")
         return cls(
             heartbeat_interval=_positive_float(
                 env, "REPRO_SERVICE_HEARTBEAT", DEFAULT_HEARTBEAT_INTERVAL),
@@ -313,8 +310,6 @@ class ServiceConfig:
                 DEFAULT_HEARTBEAT_TIMEOUT),
             cell_deadline=_positive_float(
                 env, "REPRO_CELL_DEADLINE", DEFAULT_CELL_DEADLINE),
-            max_crashes=_nonnegative_int(
-                env, "REPRO_CELL_MAX_CRASHES", DEFAULT_MAX_CRASHES),
             breaker_threshold=_nonnegative_int(
                 env, "REPRO_BREAKER_THRESHOLD", DEFAULT_BREAKER_THRESHOLD),
             breaker_cooldown=_nonnegative_int(

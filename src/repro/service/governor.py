@@ -11,7 +11,8 @@ mechanisms live where the resources do:
   pipe), asks :func:`looks_like_oom` whether the heartbeat history reads
   like a kernel OOM kill — rising RSS that approached the budget — so
   the loss is retried once in sharded mode and then quarantined as
-  ``OOM`` rather than a generic ``PoisonedCell``.
+  ``OOM`` rather than burning the job's attempt budget toward a
+  ``DeadLetter``.
 * Before dispatching, the queue supervisor asks
   :func:`estimate_footprint` (artifact-manifest nnz/nrows — *metadata
   only*, no payload faulted in) whether the cell can fit a worker's

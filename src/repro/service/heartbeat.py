@@ -1,9 +1,10 @@
 """Worker liveness protocol: message tags, the heartbeat thread, health.
 
-The supervisor and its workers talk over one duplex pipe per worker.  All
-messages are small picklable tuples whose first element is a tag:
+The supervising pool (:class:`repro.service.supervisor.WorkerPool`) and
+its workers talk over one duplex pipe per worker.  All messages are small
+picklable tuples whose first element is a tag:
 
-Worker → supervisor::
+Worker → pool::
 
     (READY,    worker_id)                # spawn finished, imports done
     (HB,       worker_id, rss_bytes)     # periodic liveness beat + RSS
@@ -11,17 +12,17 @@ Worker → supervisor::
     (RESULT,   worker_id, task_id, row)  # cell finished; row is JSON-clean
     (PREBUILT, worker_id, task_id)       # dataset prewarm finished
 
-Supervisor → worker::
+Pool → worker::
 
     (RUN,      task_dict)                # run one cell
     (PREBUILD, task_dict)                # warm one graph's dataset cache
     (STOP,)                              # drain and exit
 
-Prebuild tasks carry negative ids (cell indices are >= 0), so a worker
+Prebuild tasks carry negative ids (job ids are >= 1), so a worker
 dying mid-prewarm requeues nothing — the replacement worker restarts its
 own warmup queue.
 
-A SIGKILL'd worker never says goodbye: the supervisor learns of the death
+A SIGKILL'd worker never says goodbye: the pool learns of the death
 from the pipe (EOF / a torn, unpicklable write) or from the process exit
 code, both surfaced by :class:`WorkerHealth` bookkeeping.
 """
@@ -94,7 +95,7 @@ class Heartbeat:
 
 @dataclass
 class WorkerHealth:
-    """Supervisor-side liveness record for one worker.
+    """Pool-side liveness record for one worker.
 
     ``task_id``/``task_started`` track the in-flight cell (None when
     idle); ``last_beat`` is the monotonic time of the last message of any

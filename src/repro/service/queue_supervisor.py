@@ -1,17 +1,17 @@
 """Drain the durable job queue through the supervised worker pool.
 
-:class:`QueueSupervisor` is the second work source for
-:class:`repro.service.supervisor.WorkerPool` (the first being the fixed
-study grid): instead of a task list it owns a
+:class:`QueueSupervisor` is the work source for
+:class:`repro.service.supervisor.WorkerPool`: it owns a
 :class:`repro.service.queue.JobQueue` and keeps leasing ready jobs until
-none remain open.  The robustness contract, layer by layer:
+none remain open.  A study grid runs the same way — :func:`run_grid`
+submits its cells as jobs (to an ephemeral queue unless a path is given)
+and drains them.  The robustness contract, layer by layer:
 
 * **Worker dies / hangs** — the pool reaps it (pipe EOF, heartbeat
   silence, blown deadline), and the job's lease is *failed back* to the
-  queue: requeued with exponential backoff, or dead-lettered once
-  ``max_attempts`` leases have been burned.  The per-cell quarantine the
-  grid supervisor applies (``PoisonedCell``) is subsumed by the queue's
-  attempt budget.
+  queue: requeued with exponential backoff, or dead-lettered (an
+  ``ERR``/``DeadLetter`` cell) once ``max_attempts`` leases have been
+  burned — one poisonous cell cannot stall the pool.
 * **Supervisor dies** — leases stop being renewed.  A restarted drain
   calls :meth:`~repro.service.queue.JobQueue.requeue_orphans` (it owns no
   workers, so every lease in the database is an orphan) and takes over;
@@ -39,16 +39,18 @@ none remain open.  The robustness contract, layer by layer:
 
 from __future__ import annotations
 
+import contextlib
 import os
-from typing import Dict, List, Optional, Tuple
+import tempfile
+from typing import Dict, List, Optional, Sequence, Tuple
 
 from repro.core import checkpoint, experiments
-from repro.core.experiments import CANCELLED, ERR, OOM, CellResult
+from repro.core.experiments import CANCELLED, ERR, OK, OOM, CellResult
 from repro.service import governor
 from repro.service.breaker import BreakerBoard
 from repro.service.config import ServiceConfig
 from repro.service.queue import DEAD, Job, JobQueue
-from repro.service.supervisor import WorkerPool
+from repro.service.supervisor import CellTask, WorkerPool
 
 #: Event-loop ticks between per-job "heartbeat" progress events (with the
 #: default 0.25 s heartbeat interval: one event per in-flight job per
@@ -71,8 +73,8 @@ class QueueSupervisor(WorkerPool):
     ``mirror_jobs`` (a list of job ids, in the order their cells should
     commit) additionally mirrors those jobs' results into the experiment
     memo/journal through an :class:`OrderedCommitter` — the mode
-    ``run_full_study.py --queue`` uses so a queue-driven study still
-    renders tables and writes a canonical ``cells.json``.  ``owner``
+    :func:`run_grid` uses so a queue-driven study still renders tables
+    and writes a canonical ``cells.json``.  ``owner``
     names this supervisor on its leases; it defaults to the pid and only
     needs overriding in tests.
     """
@@ -147,10 +149,10 @@ class QueueSupervisor(WorkerPool):
         """One-line drain summary for the CLIs' stderr diagnostics."""
         s = self.stats
         parts = [f"{s['jobs']} jobs", f"{self.pool_size} workers"]
-        for key in ("reclaimed", "prewarmed", "crashes", "requeued",
-                    "deferred", "rerouted", "dead", "stale", "cancelled",
-                    "mem_kills", "oom_retried", "oom_quarantined",
-                    "mem_deferred", "failed_back"):
+        for key in ("reclaimed", "prewarmed", "prewarm_generated",
+                    "crashes", "requeued", "deferred", "rerouted", "dead",
+                    "stale", "cancelled", "mem_kills", "oom_retried",
+                    "oom_quarantined", "mem_deferred", "failed_back"):
             if s[key]:
                 parts.append(f"{s[key]} {key}")
         return "queue: " + ", ".join(parts)
@@ -435,6 +437,60 @@ class QueueSupervisor(WorkerPool):
                 dead = self.queue.get(job_id)
                 if dead is not None:
                     self._mirror(job_id, _dead_letter_cell(dead))
+
+
+def run_grid(tasks: Sequence[CellTask], workers: int,
+             config: Optional[ServiceConfig] = None, queue_path=None,
+             journal=None
+             ) -> Tuple[Dict[Tuple[str, str, str], CellResult], str]:
+    """Run a study grid as queue jobs on the supervised worker pool.
+
+    Returns ``({key: CellResult}, describe line)`` covering every task.
+    Cells the experiment memo already satisfies (a resumed journal) are
+    recalled, not re-run, exactly like the sequential path.  The rest are
+    submitted in canonical order as idempotent
+    ``study:<system>:<app>:<graph>`` jobs to ``JobQueue(queue_path)`` — a
+    durable queue a killed run can be re-invoked against — or, with no
+    path, to a queue in a temporary directory removed on return.  Jobs
+    dispatch in submission order (``peek_ready`` orders by priority, then
+    id) and mirror into the memo and ``journal`` (default: the attached
+    one) in that order, so ``cells.json`` is byte-identical to a
+    sequential run's.  Never raises for worker-level failures: a cell
+    whose workers keep dying commits as an ``ERR``/``DeadLetter`` cell.
+    """
+    tasks = list(tasks)
+    memo = experiments.all_results()
+    pending = []
+    for task in tasks:
+        cached = memo.get(task.key)
+        # A sweep task also needs the recorded thread sweep — unless the
+        # cell did not end ok, in which case there is nothing to sweep.
+        if cached is None or (task.sweep and not cached.thread_sweep
+                              and cached.status == OK):
+            pending.append(task)
+    with contextlib.ExitStack() as stack:
+        if queue_path is None:
+            queue_path = os.path.join(
+                stack.enter_context(
+                    tempfile.TemporaryDirectory(prefix="repro-grid-")),
+                "grid.db")
+        queue = JobQueue(queue_path)
+        stack.callback(queue.close)
+        job_ids = [
+            queue.submit(
+                task.system, task.app, task.graph,
+                params={"sweep": True} if task.sweep else {},
+                tenant="study",
+                idem_key=f"study:{task.system}:{task.app}:{task.graph}").id
+            for task in pending]
+        supervisor = QueueSupervisor(queue, workers, config,
+                                     mirror_jobs=job_ids, journal=journal)
+        supervisor.drain()
+    line = supervisor.describe()
+    if len(pending) < len(tasks):
+        line += f", {len(tasks) - len(pending)} recalled"
+    results = experiments.all_results()
+    return {task.key: results[task.key] for task in tasks}, line
 
 
 def _cancelled_cell(job: Job, reason: str) -> CellResult:

@@ -1,8 +1,8 @@
-"""The study-grid supervisor: dispatch, detect, respawn, requeue, commit.
+"""The supervised worker pool and the study grid's task list.
 
-Two layers live here.  :class:`WorkerPool` is the generic crash-isolated
-pool: it owns the spawn-started workers (:mod:`repro.service.worker`),
-multiplexes their pipes, and enforces the liveness rules —
+:class:`WorkerPool` is the crash-isolated pool: it owns the spawn-started
+workers (:mod:`repro.service.worker`), multiplexes their pipes, and
+enforces the liveness rules —
 
 * a **dead** worker (SIGKILL, segfault, injected
   :class:`~repro.faults.FatalFault`) surfaces as pipe EOF or a torn
@@ -12,25 +12,12 @@ multiplexes their pipes, and enforces the liveness rules —
   SIGKILLed first and then treated exactly like a dead one
 
 — while *what* the work is stays behind a handful of hooks
-(``_next_assignment``/``_task_done``/``_task_lost``/...).  Two work
-sources plug in: the fixed-grid :class:`Supervisor` below, and the
-durable-queue :class:`~repro.service.queue_supervisor.QueueSupervisor`.
-
-:class:`Supervisor` owns the canonical task list for a grid run.  It adds
-the grid-specific policies:
-
-* a cell that has crashed ``max_crashes`` workers is **quarantined** as an
-  ``ERR`` cell with ``error.type == "PoisonedCell"`` instead of being
-  retried forever — one poisonous cell cannot stall the pool;
-* cells are committed through :class:`repro.core.checkpoint.
-  OrderedCommitter` in canonical task order, so the journal stays an
-  in-order prefix (killed parallel runs resume like killed sequential
-  ones) and ``cells.json`` is byte-identical to a sequential clean run's
-  regardless of worker count, crashes, or injected faults;
-* per-system circuit breakers (:mod:`repro.service.breaker`) watch outcome
-  streams: a system that keeps crashing workers has its cells rerouted to
-  a capability-compatible fallback from the engine registry, with a
-  visible ``degraded`` flag on every rerouted cell.
+(``_next_assignment``/``_task_done``/``_task_lost``/...).  The one work
+source is the durable job queue:
+:class:`~repro.service.queue_supervisor.QueueSupervisor` implements the
+hooks, and :func:`~repro.service.queue_supervisor.run_grid` runs a study
+grid by submitting its :class:`CellTask` list (:func:`grid_tasks`) to a
+queue and draining it.
 """
 
 from __future__ import annotations
@@ -43,10 +30,7 @@ from multiprocessing.connection import wait as _connection_wait
 from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
 from repro import errors
-from repro.core import checkpoint, experiments
-from repro.core.experiments import ERR, OK, OOM, CellResult
 from repro.service import governor, heartbeat
-from repro.service.breaker import BreakerBoard
 from repro.service.chaos import ChaosPlan
 from repro.service.config import ServiceConfig
 from repro.service.worker import worker_main
@@ -137,9 +121,9 @@ class WorkerPool:
     """Generic supervised pool of spawn-started cell workers.
 
     Owns spawning, pipe multiplexing, heartbeat/deadline health checks,
-    reaping, and respawning; subclasses define the work source through
+    reaping, and respawning; the subclass defines the work source through
     the hooks below.  The pool itself never raises for worker-level
-    failures — that is the contract both work sources inherit.
+    failures — that is the contract the work source inherits.
     """
 
     def __init__(self, workers: int,
@@ -214,13 +198,13 @@ class WorkerPool:
 
         ``oom=True`` marks a loss the memory governor attributed to an
         out-of-memory kill (budget breach, or silent death with a rising
-        RSS history) — work sources retry those once in sharded mode
+        RSS history) — the work source retries those once in sharded mode
         before quarantining as ``OOM``."""
         raise NotImplementedError
 
     def _drain_timeout(self) -> None:
-        """The drain grace expired with tasks still in flight; work
-        sources fail them back to their queue before the loop exits."""
+        """The drain grace expired with tasks still in flight; the work
+        source fails them back to its queue before the loop exits."""
 
     def _graphs_to_warm(self) -> Iterable[str]:
         """Graphs a freshly spawned worker should prebuild."""
@@ -462,198 +446,3 @@ class WorkerPool:
                 self._reap(handle, "heartbeat lost")
             elif not handle.process.is_alive():
                 self._reap(handle, "worker died (process exited)")
-
-
-class Supervisor(WorkerPool):
-    """Run a fixed task list on a supervised, crash-isolated worker pool.
-
-    ``journal`` defaults to whatever journal is attached to the experiment
-    layer (``--journal``/``--resume`` attach one); results also seed the
-    in-process memo, so the table/figure renderers afterwards hit cache.
-    """
-
-    def __init__(self, tasks: Iterable[CellTask], workers: int,
-                 config: Optional[ServiceConfig] = None,
-                 journal=None):
-        super().__init__(workers, config)
-        self.tasks = list(tasks)
-        self.journal = journal if journal is not None else \
-            experiments.get_journal()
-        self.stats.update({
-            "tasks": len(self.tasks), "recalled": 0, "completed": 0,
-            "requeued": 0, "quarantined": 0, "rerouted": 0,
-            "oom_retried": 0, "oom_quarantined": 0,
-        })
-        # Distinct graphs in task order: each worker prebuilds the ones
-        # still pending before accepting cells (negative task ids).
-        for graph in dict.fromkeys(task.graph for task in self.tasks):
-            self._warm_id(graph)
-        self._pending: deque = deque()
-        self._inflight: Dict[int, tuple] = {}
-        self._crashes: Dict[int, int] = {}
-        #: OOM-kill count per task index (tracked apart from generic
-        #: crashes: one OOM buys a sharded retry, two a quarantine).
-        self._oom_kills: Dict[int, int] = {}
-        #: Task index -> shard geometry for its post-OOM sharded retry.
-        self._shard_retry: Dict[int, int] = {}
-        self._committer: Optional[checkpoint.OrderedCommitter] = None
-        self._breakers: Optional[BreakerBoard] = None
-
-    # ------------------------------------------------------------------
-    # Public API
-    # ------------------------------------------------------------------
-    def run(self) -> Dict[Tuple[str, str, str], CellResult]:
-        """Execute every task; returns ``{key: CellResult}`` for all of
-        them.
-
-        Never raises for worker-level failures — that is the contract.
-        Cells already satisfied by the experiment memo (a resumed journal)
-        are recalled, not re-run, exactly like the sequential path.
-        """
-        from repro.engine.registry import system_codes
-
-        self._committer = checkpoint.OrderedCommitter(
-            len(self.tasks), journal=self.journal)
-        self._breakers = BreakerBoard(
-            system_codes(), self.config.breaker_threshold,
-            self.config.breaker_cooldown,
-            forced_open=self.config.breaker_force_open)
-        memo = experiments.all_results()
-        for task in self.tasks:
-            cached = memo.get(task.key)
-            if cached is not None and (not task.sweep or cached.thread_sweep
-                                       or cached.status != OK):
-                self._committer.skip(task.index)
-                self.stats["recalled"] += 1
-            else:
-                self._pending.append(task)
-
-        if self._pending:
-            self._run_pool(min(self.pool_size, len(self._pending)))
-
-        results = experiments.all_results()
-        return {task.key: results[task.key] for task in self.tasks}
-
-    # ------------------------------------------------------------------
-    # Work-source hooks
-    # ------------------------------------------------------------------
-    def _finished(self) -> bool:
-        return self._committer.done
-
-    def _work_remains(self) -> bool:
-        return bool(self._pending or self._inflight)
-
-    def _has_dispatchable(self) -> bool:
-        return bool(self._pending)
-
-    def _graphs_to_warm(self):
-        # Warm only graphs that still have pending cells: a late respawn
-        # shouldn't rebuild datasets no remaining cell will touch.
-        pending_graphs = ({t.graph for t in self._pending}
-                          | {entry[0].graph
-                             for entry in self._inflight.values()})
-        return (g for g in self._warm_ids if g in pending_graphs)
-
-    def _next_assignment(self, worker_id: int) -> Optional[dict]:
-        task = self._pending.popleft()
-        fallback = self._breakers.route(task.system)
-        run_system = fallback or task.system
-        degraded = None
-        if fallback is not None:
-            degraded = {"via": fallback,
-                        "reason": f"circuit breaker open for {task.system}"}
-            self.stats["rerouted"] += 1
-        attempt = self._crashes.get(task.index, 0) + 1
-        self._inflight[task.index] = (task, run_system, degraded)
-        payload = {"id": task.index, "system": run_system, "app": task.app,
-                   "graph": task.graph, "sweep": task.sweep,
-                   "attempt": attempt}
-        if task.index in self._shard_retry:
-            payload["shard_rows"] = self._shard_retry[task.index]
-        return payload
-
-    def _task_done(self, task_id: int, row: dict):
-        if task_id not in self._inflight:
-            return  # late result for a cell already requeued elsewhere
-        task, run_system, degraded = self._inflight.pop(task_id)
-        if degraded is not None:
-            row = dict(row)
-            row["system"] = task.system  # keep the grid keyed as asked
-            row["degraded"] = dict(degraded)
-        result = experiments.cell_from_row(row)
-        self._breakers.record(run_system, ok=result.status != ERR)
-        self._committer.offer(task.index, result)
-        self.stats["completed"] += 1
-
-    def _task_lost(self, task_id: int, reason: str, oom: bool = False):
-        if task_id not in self._inflight:
-            return  # a prebuild (negative id); the respawn re-warms
-        task, run_system, _degraded = self._inflight.pop(task_id)
-        self._breakers.record(run_system, ok=False)
-        if oom:
-            # The memory-governor path, separate from generic crash
-            # accounting: the first OOM kill retries the cell once in
-            # sharded mode (the footprint drops to O(shard)); a second
-            # quarantines it as an ``OOM`` cell — the paper's own status
-            # for cells that cannot fit — not a generic PoisonedCell.
-            kills = self._oom_kills.get(task.index, 0) + 1
-            self._oom_kills[task.index] = kills
-            if kills == 1:
-                from repro.sparse.blocked import shard_rows_from_env
-
-                self._shard_retry[task.index] = shard_rows_from_env()
-                self._pending.appendleft(task)
-                self.stats["oom_retried"] += 1
-            else:
-                self._committer.offer(
-                    task.index, _oom_cell(task, kills, reason))
-                self.stats["oom_quarantined"] += 1
-                self.stats["completed"] += 1
-            return
-        crashes = self._crashes.get(task.index, 0) + 1
-        self._crashes[task.index] = crashes
-        if crashes >= self.config.max_crashes:
-            self._committer.offer(
-                task.index, _poisoned_cell(task, crashes, reason))
-            self.stats["quarantined"] += 1
-            self.stats["completed"] += 1
-        else:
-            self._pending.appendleft(task)
-            self.stats["requeued"] += 1
-
-    def describe(self) -> str:
-        """One-line run summary for the CLIs' stderr diagnostics."""
-        s = self.stats
-        parts = [f"{s['tasks']} cells", f"{self.pool_size} workers"]
-        for key in ("recalled", "prewarmed", "prewarm_generated", "crashes",
-                    "requeued", "quarantined", "rerouted", "mem_kills",
-                    "oom_retried", "oom_quarantined"):
-            if s[key]:
-                parts.append(f"{s[key]} {key}")
-        return "service: " + ", ".join(parts)
-
-
-def _poisoned_cell(task: CellTask, crashes: int, reason: str) -> CellResult:
-    """The quarantine record for a cell that keeps killing its workers."""
-    return CellResult(
-        system=task.system, app=task.app, graph=task.graph,
-        status=ERR, seconds=None, mrss_gb=0.0, counters={}, answer=None,
-        thread_sweep={}, attempts=crashes,
-        error={"type": "PoisonedCell",
-               "message": f"quarantined after crashing {crashes} "
-                          f"worker(s); last failure: {reason}",
-               "traceback": ""})
-
-
-def _oom_cell(task: CellTask, kills: int, reason: str) -> CellResult:
-    """The quarantine record for a cell that OOM-killed its workers even
-    after the sharded retry — an ``OOM`` cell, matching the paper's
-    status for work that cannot fit."""
-    return CellResult(
-        system=task.system, app=task.app, graph=task.graph,
-        status=OOM, seconds=None, mrss_gb=0.0, counters={}, answer=None,
-        thread_sweep={}, attempts=kills,
-        error={"type": "WorkerOOM",
-               "message": f"worker OOM-killed {kills} time(s), including "
-                          f"one sharded retry; last failure: {reason}",
-               "traceback": ""})

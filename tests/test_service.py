@@ -6,16 +6,21 @@ two apps) so every drill spawns real processes but stays seconds-cheap:
 * kill-and-requeue — a worker SIGKILLed mid-cell is reaped and respawned,
   the cell requeued, and the finished grid is byte-identical to a clean
   sequential run;
-* poison quarantine — a cell that kills its worker on *every* attempt
-  ends as ``ERR``/``PoisonedCell`` after ``max_crashes`` tries without
-  stalling the rest of the pool;
+* poison dead-letter — a cell that kills its worker on *every* attempt
+  ends as ``ERR``/``DeadLetter`` after ``REPRO_JOB_MAX_ATTEMPTS`` leases
+  without stalling the rest of the pool;
 * hang detection — a worker stuck forever blows the per-cell deadline,
   is killed, and the cell completes on requeue;
 * circuit breaking — a forced-open breaker reroutes cells to a
   capability-compatible fallback with a visible ``degraded`` flag.
+
+Every drill runs the grid through :func:`repro.service.run_grid`: the
+cells are jobs on an ephemeral queue drained by the worker pool.
 """
 
 import json
+import pathlib
+import tempfile
 
 import pytest
 
@@ -25,7 +30,7 @@ from repro.core.experiments import ERR, OK, CellResult
 from repro.core.runner import main as runner_main
 from repro.engine.registry import compatible_fallbacks
 from repro.service import CellTask, ChaosPlan, CircuitBreaker, \
-    ServiceConfig, Supervisor, grid_tasks
+    QueueSupervisor, ServiceConfig, grid_tasks, run_grid
 from repro.service.breaker import BreakerBoard, CLOSED, HALF_OPEN, OPEN
 from repro.service.chaos import ChaosSpec
 from repro.service.chaos import parse_spec as parse_chaos_spec
@@ -169,15 +174,16 @@ class TestCircuitBreaker:
     def test_board_routes_to_compatible_closed_fallback(self):
         board = BreakerBoard(("SS", "GB", "LS"), threshold=1, cooldown=99,
                              forced_open=("GB",))
-        assert board.route("SS") is None
-        fallback = board.route("GB")
+        assert board.admit("SS") == ("run", None)
+        decision, fallback = board.admit("GB")
+        assert decision == "reroute"
         assert fallback in compatible_fallbacks("GB")
         assert board.open_codes() == ("GB",)
 
     def test_board_runs_in_place_without_healthy_fallback(self):
         board = BreakerBoard(("SS", "GB", "LS"), threshold=1, cooldown=99,
                              forced_open=("SS", "GB", "LS"))
-        assert board.route("GB") is None
+        assert board.admit("GB") == ("defer", None)
 
 
 class TestChaosPlan:
@@ -231,9 +237,13 @@ class TestServiceConfig:
     def test_env_knobs_are_validated(self, monkeypatch):
         for name, bad in [("REPRO_SERVICE_HEARTBEAT", "zero"),
                           ("REPRO_CELL_DEADLINE", "-1"),
-                          ("REPRO_CELL_MAX_CRASHES", "0"),
                           ("REPRO_BREAKER_THRESHOLD", "-2"),
-                          ("REPRO_BREAKER_FORCE_OPEN", "XX")]:
+                          ("REPRO_BREAKER_FORCE_OPEN", "XX"),
+                          # A forced breaker never half-opens: each of
+                          # these leaves a system no fallback to reroute
+                          # to, so its cells would defer forever.
+                          ("REPRO_BREAKER_FORCE_OPEN", "LS"),
+                          ("REPRO_BREAKER_FORCE_OPEN", "SS,GB")]:
             monkeypatch.setenv(name, bad)
             with pytest.raises(errors.InvalidValue):
                 ServiceConfig.from_env()
@@ -241,12 +251,10 @@ class TestServiceConfig:
 
     def test_env_knobs_apply(self, monkeypatch):
         monkeypatch.setenv("REPRO_CELL_DEADLINE", "12.5")
-        monkeypatch.setenv("REPRO_CELL_MAX_CRASHES", "5")
-        monkeypatch.setenv("REPRO_BREAKER_FORCE_OPEN", "GB,LS")
+        monkeypatch.setenv("REPRO_BREAKER_FORCE_OPEN", "GB")
         config = ServiceConfig.from_env()
         assert config.cell_deadline == 12.5
-        assert config.max_crashes == 5
-        assert config.breaker_force_open == ("GB", "LS")
+        assert config.breaker_force_open == ("GB",)
 
     def test_heartbeat_timeout_must_exceed_interval(self):
         with pytest.raises(errors.InvalidValue):
@@ -314,86 +322,104 @@ class TestJsonCleanRow:
         assert rebuilt.seconds == result.seconds
 
 
+@pytest.fixture
+def drained(monkeypatch):
+    """The QueueSupervisors ``run_grid`` drains through, for their stats."""
+    seen = []
+    real_drain = QueueSupervisor.drain
+
+    def drain(self):
+        seen.append(self)
+        return real_drain(self)
+
+    monkeypatch.setattr(QueueSupervisor, "drain", drain)
+    return seen
+
+
+def journal_keys(path):
+    return [tuple(json.loads(line)["cell"][f]
+                  for f in ("system", "app", "graph"))
+            for line in path.read_text().splitlines()]
+
+
 @pytest.mark.slow
 class TestSupervisorDrills:
     """Real multi-process drills; each spawns 2 spawn-context workers."""
 
     def test_kill_and_requeue_byte_identical(self, isolated_grid,
-                                             monkeypatch, tmp_path):
+                                             monkeypatch, tmp_path,
+                                             drained):
         baseline = sequential_baseline(apps=("bfs",))
 
         monkeypatch.setenv("REPRO_CHAOS_KILL_CELLS",
                            f"GB:bfs:{GRAPH}:attempt=1")
         journal = checkpoint.attach(tmp_path / "par.jsonl", fresh=True)
-        supervisor = Supervisor(grid_tasks([GRAPH], ["bfs"]), workers=2,
-                                config=FAST, journal=journal)
-        results = supervisor.run()
+        results, line = run_grid(grid_tasks([GRAPH], ["bfs"]), workers=2,
+                                 config=FAST, journal=journal)
         experiments.set_journal(None)
 
+        supervisor, = drained
         assert supervisor.stats["crashes"] >= 1
         assert supervisor.stats["requeued"] >= 1
         assert supervisor.stats["respawns"] >= 1
+        assert "crashes" in line and "dead" not in line
         assert all(r.status == OK for r in results.values())
         assert snapshot_bytes() == baseline
 
         # The journal committed in canonical task order despite the chaos.
-        keys = [tuple(json.loads(line)["cell"][f]
-                      for f in ("system", "app", "graph"))
-                for line in (tmp_path / "par.jsonl").read_text()
-                .splitlines()]
-        assert keys == [t.key for t in grid_tasks([GRAPH], ["bfs"])]
+        assert journal_keys(tmp_path / "par.jsonl") == \
+            [t.key for t in grid_tasks([GRAPH], ["bfs"])]
 
-    def test_poison_cell_is_quarantined(self, isolated_grid, monkeypatch):
+    def test_poison_cell_is_quarantined(self, isolated_grid, monkeypatch,
+                                        drained):
         monkeypatch.setenv("REPRO_CHAOS_KILL_CELLS", f"LS:bfs:{GRAPH}")
-        config = ServiceConfig(heartbeat_interval=0.05, max_crashes=2)
-        supervisor = Supervisor(grid_tasks([GRAPH], ["bfs"]), workers=2,
-                                config=config)
-        results = supervisor.run()
+        monkeypatch.setenv("REPRO_JOB_MAX_ATTEMPTS", "2")
+        config = ServiceConfig(heartbeat_interval=0.05)
+        results, line = run_grid(grid_tasks([GRAPH], ["bfs"]), workers=2,
+                                 config=config)
 
         poisoned = results[("LS", "bfs", GRAPH)]
         assert poisoned.status == ERR
-        assert poisoned.error["type"] == "PoisonedCell"
+        assert poisoned.error["type"] == "DeadLetter"
         assert poisoned.attempts == 2
-        assert supervisor.stats["quarantined"] == 1
+        assert drained[0].stats["dead"] == 1
+        assert "1 dead" in line
         assert results[("SS", "bfs", GRAPH)].status == OK
         assert results[("GB", "bfs", GRAPH)].status == OK
 
     def test_hung_worker_blows_deadline_and_recovers(self, isolated_grid,
-                                                     monkeypatch):
+                                                     monkeypatch, drained):
         monkeypatch.setenv("REPRO_CHAOS_HANG_CELLS",
                            f"SS:bfs:{GRAPH}:attempt=1")
         config = ServiceConfig(heartbeat_interval=0.05, cell_deadline=2.0)
-        supervisor = Supervisor(grid_tasks([GRAPH], ["bfs"],
-                                           systems=("SS",)), workers=1,
-                                config=config)
-        results = supervisor.run()
+        results, _line = run_grid(grid_tasks([GRAPH], ["bfs"],
+                                             systems=("SS",)),
+                                  workers=1, config=config)
         assert results[("SS", "bfs", GRAPH)].status == OK
-        assert supervisor.stats["crashes"] >= 1
+        assert drained[0].stats["crashes"] >= 1
 
     def test_prewarm_runs_before_cells_and_keeps_identity(
-            self, isolated_grid):
+            self, isolated_grid, drained):
         baseline = sequential_baseline(apps=("bfs",))
 
-        supervisor = Supervisor(grid_tasks([GRAPH], ["bfs"]), workers=2,
-                                config=FAST)
-        results = supervisor.run()
+        results, line = run_grid(grid_tasks([GRAPH], ["bfs"]), workers=2,
+                                 config=FAST)
 
-        # Every worker prewarms each graph that still has pending cells
+        # Every worker prewarms each graph that still has open jobs
         # exactly once before accepting its first cell, so a worker's
         # first cell deadline never includes dataset generation time.
-        assert supervisor.stats["prewarmed"] >= 1
-        assert supervisor.stats["prewarmed"] <= 2  # workers x graphs
-        assert "prewarmed" in supervisor.describe()
+        assert drained[0].stats["prewarmed"] >= 1
+        assert drained[0].stats["prewarmed"] <= 2  # workers x graphs
+        assert "prewarmed" in line
         assert all(r.status == OK for r in results.values())
         assert snapshot_bytes() == baseline
 
     def test_forced_open_breaker_reroutes_with_degraded_flag(
-            self, isolated_grid):
+            self, isolated_grid, drained):
         config = ServiceConfig(heartbeat_interval=0.05,
                                breaker_force_open=("GB",))
-        supervisor = Supervisor(grid_tasks([GRAPH], ["bfs"]), workers=2,
-                                config=config)
-        results = supervisor.run()
+        results, _line = run_grid(grid_tasks([GRAPH], ["bfs"]), workers=2,
+                                  config=config)
 
         rerouted = results[("GB", "bfs", GRAPH)]
         assert rerouted.system == "GB"  # grid stays keyed as asked
@@ -401,13 +427,46 @@ class TestSupervisorDrills:
         assert rerouted.degraded["via"] in compatible_fallbacks("GB")
         assert "circuit breaker" in rerouted.degraded["reason"]
         assert "~" in rerouted.display()  # visible in Table II cells
-        assert supervisor.stats["rerouted"] >= 1
+        assert drained[0].stats["rerouted"] >= 1
         assert results[("SS", "bfs", GRAPH)].degraded is None
         # The flag survives the row round trip (journal / cells.json).
         row = experiments.cell_to_row(rerouted)
         assert row["degraded"]["via"] == rerouted.degraded["via"]
         assert "degraded" not in experiments.cell_to_row(
             results[("SS", "bfs", GRAPH)])
+
+    def test_resume_with_workers_submits_only_missing_cells(
+            self, isolated_grid, monkeypatch, tmp_path, drained):
+        tasks = grid_tasks([GRAPH], ["bfs"])
+        argv = ["table2", "--graphs", GRAPH, "--apps", "bfs"]
+        assert runner_main(argv + ["--save", str(tmp_path / "seq.json")]) \
+            == 0
+        experiments.clear_cache()
+
+        # A killed run's journal: the first k cells, in canonical order.
+        k = 2
+        journal = tmp_path / "run.jsonl"
+        checkpoint.attach(journal, fresh=True)
+        for task in tasks[:k]:
+            experiments.run_cell(*task.key)
+        experiments.set_journal(None)
+        experiments.clear_cache()
+
+        scratch = tmp_path / "tmp"
+        scratch.mkdir()
+        monkeypatch.setattr(tempfile, "tempdir", str(scratch))
+        assert runner_main(argv + [
+            "--journal", str(journal), "--resume", "--workers", "2",
+            "--save", str(tmp_path / "par.json")]) == 0
+
+        supervisor, = drained
+        assert supervisor.stats["jobs"] == len(tasks) - k
+        assert journal_keys(journal) == [t.key for t in tasks]
+        assert (tmp_path / "par.json").read_bytes() == \
+            (tmp_path / "seq.json").read_bytes()
+        # The ephemeral queue lived under the temp dir and is gone.
+        assert pathlib.Path(supervisor.queue.path).parent.parent == scratch
+        assert list(scratch.iterdir()) == []
 
 
 @pytest.mark.slow
