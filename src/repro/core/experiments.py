@@ -91,26 +91,14 @@ class CellResult:
     attempts: int = 1
     #: For ERR cells: exception type, message and traceback summary.
     error: Optional[Dict[str, str]] = None
-    #: Set when the service layer rerouted this cell to a fallback system
-    #: (circuit breaker open): ``{"via": code, "reason": text}``.  The key
-    #: keeps the *original* system so the grid stays complete; this flag
-    #: keeps the substitution visible.
-    degraded: Optional[Dict[str, str]] = None
 
     @property
     def key(self) -> Tuple[str, str, str]:
         return (self.system, self.app, self.graph)
 
     def display(self) -> str:
-        """Table II cell text: seconds, or the failure annotation.
-
-        A degraded cell (ran on a fallback system behind an open circuit
-        breaker) is marked ``~CODE`` so no substitution is silent.
-        """
-        text = f"{self.seconds:.2f}" if self.status == OK else self.status
-        if self.degraded:
-            text += f"~{self.degraded.get('via', '?')}"
-        return text
+        """Table II cell text: seconds, or the failure annotation."""
+        return f"{self.seconds:.2f}" if self.status == OK else self.status
 
 
 _MEMO: Dict[Tuple[str, str, str], CellResult] = {}
@@ -309,14 +297,10 @@ def cell_to_row(result: CellResult) -> dict:
 
     ``wall_seconds`` is dropped: it is real elapsed time, so keeping it
     would make otherwise-identical runs produce different snapshots (the
-    resume machinery promises byte-identical ``cells.json``).  A ``None``
-    ``degraded`` flag is dropped too, so snapshots from runs that never
-    engaged a circuit breaker stay byte-identical to pre-service ones.
+    resume machinery promises byte-identical ``cells.json``).
     """
     row = asdict(result)
     row.pop("wall_seconds", None)
-    if row.get("degraded") is None:
-        row.pop("degraded", None)
     return row
 
 

@@ -102,8 +102,7 @@ def table2(graphs: Iterable[str] = GRAPH_ORDER,
     return TableText(
         title="Table II: 56-thread execution time (simulated seconds, "
               "paper-scale; * = fastest; TO = 2h timeout; OOM = out of "
-              "memory; ERR = harness error, see cell.error; ~SYS = "
-              "degraded, rerouted to SYS by an open circuit breaker)",
+              "memory; ERR = harness error, see cell.error)",
         text="\n".join(rows),
         data=cells,
     )

@@ -115,9 +115,8 @@ def catalog() -> Tuple[dict, ...]:
     """JSON-able description of every registered system.
 
     The service front-end (``repro-serve`` / ``GET /systems``) publishes
-    this so clients can discover valid job targets — code, API family,
-    capability flags, and where an open circuit breaker may reroute jobs
-    (:func:`compatible_fallbacks`) — without importing the registry.
+    this so clients can discover valid job targets — code, API family and
+    capability flags — without importing the registry.
     """
     return tuple(
         {
@@ -125,35 +124,8 @@ def catalog() -> Tuple[dict, ...]:
             "description": spec.description,
             "api": spec.api,
             "capabilities": sorted(_capability_flags(spec.capabilities)),
-            "fallbacks": list(compatible_fallbacks(spec.code)),
         }
         for spec in _SYSTEMS.values())
-
-
-def compatible_fallbacks(code: str) -> Tuple[str, ...]:
-    """Systems able to stand in for ``code``, best match first.
-
-    A fallback must implement the same API family (its drivers answer the
-    same application calls, so a substituted run stays *valid* — just a
-    different variant).  Candidates whose capability flags cover all of
-    the original's come first: they can take every dispatch fast path the
-    original takes (e.g. ``diag_fast_path`` pagerank), so the degraded
-    run's shape stays closest.  Remaining same-family systems follow.
-    Used by the service layer's circuit breakers to reroute cells away
-    from a crash-looping system; callers must surface the substitution
-    (a ``degraded`` flag), never hide it.
-    """
-    spec = get_system(code)
-    wanted = _capability_flags(spec.capabilities)
-    covering, partial = [], []
-    for other in _SYSTEMS.values():
-        if other.code == code or other.api != spec.api:
-            continue
-        if wanted <= _capability_flags(other.capabilities):
-            covering.append(other.code)
-        else:
-            partial.append(other.code)
-    return tuple(covering + partial)
 
 
 # ----------------------------------------------------------------------

@@ -14,10 +14,9 @@ through such deaths by running cells *out of process* under supervision:
   cell at a time via :func:`repro.core.experiments.run_cell` with the
   fault plan installed from the environment, heartbeating throughout.
 * :mod:`repro.service.breaker` — per-system circuit breakers (closed →
-  open → half-open) that reroute cells from a crash-looping system to a
-  capability-compatible fallback from the engine registry, flagging the
-  rerouted cell as *degraded* instead of failing (or substituting)
-  silently.
+  open → half-open) that defer a crash-looping system's cells until a
+  half-open probe on that same system succeeds; a cell never runs on a
+  system other than the one it names.
 * :mod:`repro.service.chaos` — deterministic worker-kill/hang schedules
   for drills (the service-level analogue of :mod:`repro.faults`).
 * :mod:`repro.service.config` — the ``REPRO_SERVICE_*`` /
@@ -30,7 +29,7 @@ through such deaths by running cells *out of process* under supervision:
   dead-letter state, tenant admission control).
 * :mod:`repro.service.queue_supervisor` — drains the queue through the
   worker pool, with exactly-once result commit and breaker-driven
-  defer/reroute admission.  Its :func:`run_grid` runs a study grid: the
+  deferral.  Its :func:`run_grid` runs a study grid: the
   cells become jobs on a queue (ephemeral unless a path is given), and
   a cell whose workers keep dying dead-letters as ``ERR``/``DeadLetter``
   after ``REPRO_JOB_MAX_ATTEMPTS`` leases.  Results mirror into the

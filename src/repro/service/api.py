@@ -63,6 +63,9 @@ class _Handler(BaseHTTPRequestHandler):
     queue_config: Optional[QueueConfig] = None
     server_version = "repro-serve/1"
     protocol_version = "HTTP/1.1"
+    #: TCP_NODELAY: ``_reply`` writes headers and body as two segments,
+    #: which a kept-alive client would otherwise wait out as a delayed ACK.
+    disable_nagle_algorithm = True
 
     def log_message(self, format, *args):  # noqa: A002 (stdlib signature)
         pass  # tests and drills drive this server; keep stderr clean

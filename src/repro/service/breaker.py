@@ -1,4 +1,4 @@
-"""Per-system circuit breakers with capability-aware fallback routing.
+"""Per-system circuit breakers: an open breaker defers, it never substitutes.
 
 A system whose cells keep crashing workers (or ending ``ERR``) should stop
 receiving fresh cells for a while instead of grinding the whole grid
@@ -7,23 +7,21 @@ SystemSpec` gets a :class:`CircuitBreaker` with the classic three states:
 
 * **closed** — normal; cells run on their own system.  ``threshold``
   consecutive failures open the breaker.
-* **open** — cells are rerouted to a capability-compatible fallback system
-  (:func:`repro.engine.registry.compatible_fallbacks`) and flagged
-  ``degraded`` — never substituted silently — or, with no healthy
-  fallback, deferred.  After ``cooldown`` dispatch decisions the breaker
-  half-opens.
-* **half-open** — exactly one probe cell runs on the original system;
+* **open** — the system's cells are deferred (they stay queued, nothing
+  runs in their place).  After ``cooldown`` dispatch decisions the
+  breaker half-opens.
+* **half-open** — exactly one probe cell runs on the system itself;
   success closes the breaker, failure re-opens it for another cooldown.
 
+A cell always runs on the system it names: a system that keeps failing
+burns its own jobs' attempt budgets and lands them ``ERR``/``DeadLetter``.
 The state machine is driven by dispatch decisions and commit outcomes —
 counters, not wall clocks — so supervised runs stay deterministic.
 """
 
 from __future__ import annotations
 
-from typing import Dict, Optional, Tuple
-
-from repro.engine.registry import compatible_fallbacks
+from typing import Dict
 
 #: Breaker states.
 CLOSED = "closed"
@@ -34,13 +32,11 @@ HALF_OPEN = "half-open"
 class CircuitBreaker:
     """Failure-rate gate for one system (closed → open → half-open)."""
 
-    def __init__(self, code: str, threshold: int, cooldown: int,
-                 forced_open: bool = False):
+    def __init__(self, code: str, threshold: int, cooldown: int):
         self.code = code
         self.threshold = threshold
         self.cooldown = cooldown
-        self.forced_open = forced_open
-        self.state = OPEN if forced_open else CLOSED
+        self.state = CLOSED
         self.consecutive_failures = 0
         self.trips = 0
         self._cooldown_left = 0
@@ -56,8 +52,6 @@ class CircuitBreaker:
         happens here, and the half-open probe is the single dispatch that
         gets a True while not closed.
         """
-        if self.forced_open:
-            return False
         if self.state == CLOSED:
             return True
         if self.state == OPEN:
@@ -68,6 +62,17 @@ class CircuitBreaker:
             return False
         return False  # HALF_OPEN: probe already in flight
 
+    def release(self) -> None:
+        """Hand back an admission that was never dispatched.
+
+        A half-open probe the caller could not dispatch (its lease was
+        lost) would otherwise leave the breaker waiting forever for an
+        outcome; the next decision hands the probe out again.
+        """
+        if self.state == HALF_OPEN:
+            self.state = OPEN
+            self._cooldown_left = 0
+
     def record(self, ok: bool) -> None:
         """Feed one outcome (committed cell or worker crash) back in.
 
@@ -75,8 +80,6 @@ class CircuitBreaker:
         status other than ``ERR`` — the paper's TO/OOM are *modeled*
         results, not system failures.
         """
-        if self.forced_open:
-            return
         if ok:
             self.consecutive_failures = 0
             if self.state == HALF_OPEN:
@@ -93,50 +96,34 @@ class CircuitBreaker:
 
 
 class BreakerBoard:
-    """The supervisor's set of breakers, one per system code, plus routing."""
+    """The supervisor's set of breakers, one per system code."""
 
-    def __init__(self, codes, threshold: int, cooldown: int,
-                 forced_open=()):
+    def __init__(self, codes, threshold: int, cooldown: int):
         self.breakers: Dict[str, CircuitBreaker] = {
-            code: CircuitBreaker(code, threshold, cooldown,
-                                 forced_open=code in tuple(forced_open))
+            code: CircuitBreaker(code, threshold, cooldown)
             for code in codes}
 
-    def admit(self, code: str) -> Tuple[str, Optional[str]]:
-        """One admission decision for a cell of ``code``.
+    def admit(self, code: str) -> bool:
+        """One admission decision for a cell of ``code``: run it now?
 
-        Returns one of::
-
-            ("run", None)          # breaker closed (or the half-open probe)
-            ("reroute", fallback)  # breaker open; a healthy same-API
-                                   # fallback exists — caller must flag
-                                   # the cell degraded
-            ("defer", None)        # breaker open and no healthy fallback
-
+        False means the breaker is open and the caller defers the cell.
         Each call is one dispatch decision (it advances the open-state
-        cooldown), so a caller that defers must not spin: the cooldown
-        guarantees a half-open probe after ``cooldown`` decisions, which
-        is what lets a deferred queue eventually drain.
+        cooldown), so the deferrals themselves earn the half-open probe
+        after ``cooldown`` decisions — which is what lets a deferred
+        queue eventually drain.  A True the caller cannot act on must be
+        handed back with :meth:`release`.
         """
-        breaker = self.breakers[code]
-        if breaker.allow():
-            return ("run", None)
-        for fallback in compatible_fallbacks(code):
-            other = self.breakers.get(fallback)
-            if other is None or other.state == CLOSED:
-                return ("reroute", fallback)
-        return ("defer", None)
+        return self.breakers[code].allow()
+
+    def release(self, code: str) -> None:
+        """Hand back an admission of ``code`` that was never dispatched."""
+        self.breakers[code].release()
 
     def record(self, code: str, ok: bool) -> None:
-        """Feed an outcome to the breaker of the system that *ran* it."""
+        """Feed an outcome to the breaker of the system that ran it."""
         breaker = self.breakers.get(code)
         if breaker is not None:
             breaker.record(ok)
-
-    def open_codes(self):
-        """Codes whose breaker is not closed (diagnostics)."""
-        return tuple(code for code, b in self.breakers.items()
-                     if b.state != CLOSED)
 
     def states(self) -> Dict[str, dict]:
         """JSON-able per-system snapshot — the ``repro-serve status

@@ -19,7 +19,7 @@ from __future__ import annotations
 import difflib
 import os
 import sys
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Optional, Tuple
 
 from repro import errors
@@ -105,7 +105,6 @@ KNOWN_KNOBS = frozenset({
     "REPRO_CELL_DEADLINE",
     "REPRO_BREAKER_THRESHOLD",
     "REPRO_BREAKER_COOLDOWN",
-    "REPRO_BREAKER_FORCE_OPEN",
     "REPRO_CHAOS_KILL_CELLS",
     "REPRO_CHAOS_HANG_CELLS",
     "REPRO_CHAOS_KILL_RATE",
@@ -232,8 +231,6 @@ class ServiceConfig:
     breaker_threshold: int = DEFAULT_BREAKER_THRESHOLD
     #: Dispatch decisions an open breaker waits before one half-open probe.
     breaker_cooldown: int = DEFAULT_BREAKER_COOLDOWN
-    #: System codes whose breaker is forced open for the whole run.
-    breaker_force_open: Tuple[str, ...] = field(default_factory=tuple)
     #: Per-worker RSS budget in MiB; a worker exceeding it is reaped and
     #: the memory governor classifies the loss as an OOM kill.  0 = off.
     mem_budget_mb: float = DEFAULT_WORKER_MEM_BUDGET_MB
@@ -288,20 +285,6 @@ class ServiceConfig:
         called by the CLIs before the first worker spawns.
         """
         env = os.environ if environ is None else environ
-        force_raw = env.get("REPRO_BREAKER_FORCE_OPEN", "").strip()
-        force = tuple(c.strip() for c in force_raw.split(",") if c.strip())
-        if force:
-            from repro.engine.registry import compatible_fallbacks
-
-            for code in force:
-                # Unknown codes raise with did-you-mean.  A forced breaker
-                # never half-opens, so without an unforced fallback its
-                # jobs would be deferred forever.
-                if all(fb in force for fb in compatible_fallbacks(code)):
-                    raise errors.InvalidValue(
-                        f"REPRO_BREAKER_FORCE_OPEN forces {code} open but "
-                        "leaves it no compatible fallback to reroute to; "
-                        "its cells would be deferred forever")
         return cls(
             heartbeat_interval=_positive_float(
                 env, "REPRO_SERVICE_HEARTBEAT", DEFAULT_HEARTBEAT_INTERVAL),
@@ -314,7 +297,6 @@ class ServiceConfig:
                 env, "REPRO_BREAKER_THRESHOLD", DEFAULT_BREAKER_THRESHOLD),
             breaker_cooldown=_nonnegative_int(
                 env, "REPRO_BREAKER_COOLDOWN", DEFAULT_BREAKER_COOLDOWN),
-            breaker_force_open=force,
             mem_budget_mb=_nonnegative_float(
                 env, "REPRO_WORKER_MEM_BUDGET",
                 DEFAULT_WORKER_MEM_BUDGET_MB),

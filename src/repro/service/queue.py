@@ -479,9 +479,10 @@ class JobQueue:
               note: str = "deferred") -> bool:
         """Push a queued job's earliest dispatch out (no attempt charged).
 
-        The admission path for an open circuit breaker with no healthy
-        fallback: the job stays queued — visible, never dropped — and
-        becomes dispatchable again once the window passes.
+        The admission path for an open circuit breaker (and for a job
+        over the worker memory budget): the job stays queued — visible,
+        never dropped, never run on another system — and becomes
+        dispatchable again once the window passes.
         """
         now = self.clock()
         seconds = self.config.defer_seconds if seconds is None else seconds
@@ -528,8 +529,6 @@ class JobQueue:
             for key in ("loops", "rounds", "instructions"):
                 if key in counters:
                     detail[key] = counters[key]
-            if row.get("degraded"):
-                detail["degraded"] = row["degraded"]
             self._record(job_id, state, detail)
         return True
 
@@ -641,7 +640,7 @@ class JobQueue:
     # ------------------------------------------------------------------
     def record(self, job_id: int, kind: str, detail: dict) -> None:
         """Append one progress event (public hook for the supervisor's
-        heartbeat/reroute annotations)."""
+        heartbeat annotations)."""
         with self._conn:
             self._record(job_id, kind, detail)
 

@@ -27,14 +27,14 @@ and drains them.  The robustness contract, layer by layer:
   byte-identical to a sequential clean run — the queue commit happens
   *first*, and a crash between the two replays the stored result blob
   into the journal on restart (offers are idempotent).
-* **Admission control** — every lease decision consults the per-system
-  circuit breakers via :meth:`~repro.service.breaker.BreakerBoard.admit`:
-  an open breaker reroutes the job to a capability-compatible fallback
-  (result re-keyed to the asked system with a ``degraded`` flag) or, with
-  no healthy fallback, *defers* the job — pushes its ``not_before`` out
-  and moves on, never dropping it.  Breaker cooldowns are counted in
-  admission decisions, so a deferred queue always earns a half-open
-  probe and cannot livelock.
+* **Admission control** — a job that survives the deadline and memory
+  checks consults its system's circuit breaker via
+  :meth:`~repro.service.breaker.BreakerBoard.admit`: an open breaker
+  *defers* the job — pushes its ``not_before`` out and moves on, never
+  dropping it and never running it on another system.  Breaker cooldowns
+  are counted in admission decisions, and an admission whose lease is
+  lost is handed back, so a deferred queue always earns a half-open probe
+  and cannot livelock.
 """
 
 from __future__ import annotations
@@ -88,12 +88,12 @@ class QueueSupervisor(WorkerPool):
         self.owner = owner if owner is not None else f"pid:{os.getpid()}"
         self.stats.update({
             "jobs": 0, "reclaimed": 0, "completed": 0, "requeued": 0,
-            "deferred": 0, "rerouted": 0, "dead": 0, "stale": 0,
+            "deferred": 0, "dead": 0, "stale": 0,
             "cancelled": 0, "oom_retried": 0, "oom_quarantined": 0,
             "mem_deferred": 0, "failed_back": 0,
         })
-        #: job_id -> (leased Job snapshot, system it runs on, degraded).
-        self._inflight: Dict[int, Tuple[Job, str, Optional[dict]]] = {}
+        #: job_id -> leased Job snapshot.
+        self._inflight: Dict[int, Job] = {}
         self._breakers: Optional[BreakerBoard] = None
         #: job_id -> shard geometry for its post-OOM sharded retry.
         self._shard_retry: Dict[int, int] = {}
@@ -124,8 +124,7 @@ class QueueSupervisor(WorkerPool):
 
         self._breakers = BreakerBoard(
             system_codes(), self.config.breaker_threshold,
-            self.config.breaker_cooldown,
-            forced_open=self.config.breaker_force_open)
+            self.config.breaker_cooldown)
         reclaimed = self.queue.requeue_orphans()
         self.stats["reclaimed"] = len(reclaimed)
 
@@ -150,7 +149,7 @@ class QueueSupervisor(WorkerPool):
         s = self.stats
         parts = [f"{s['jobs']} jobs", f"{self.pool_size} workers"]
         for key in ("reclaimed", "prewarmed", "prewarm_generated",
-                    "crashes", "requeued", "deferred", "rerouted", "dead",
+                    "crashes", "requeued", "deferred", "dead",
                     "stale", "cancelled", "mem_kills", "oom_retried",
                     "oom_quarantined", "mem_deferred", "failed_back"):
             if s[key]:
@@ -216,35 +215,29 @@ class QueueSupervisor(WorkerPool):
                 # burning a worker on a job whose caller gave up on it.
                 self._cancel_before_dispatch(job)
                 continue
-            decision, fallback = self._breakers.admit(job.system)
-            if decision == "defer":
-                # Open breaker, no healthy fallback: push the job's
-                # dispatch window out and look at the next one.  The
-                # breaker cooldown is charged per admit() call, so the
-                # deferral loop itself earns the half-open probe.
+            verdict, fit_shard_rows = self._fit(job)
+            if verdict == "no":
+                self._defer_for_memory(job)
+                continue
+            # The breaker goes last, right before the lease, so an
+            # admission (maybe the half-open probe) is always dispatched
+            # or handed back.  An open breaker defers the job; every
+            # admit() call charges the cooldown, so deferring earns the
+            # probe.
+            if not self._breakers.admit(job.system):
                 self.queue.defer(
                     job.id,
                     note=f"circuit breaker open for {job.system}")
                 self.stats["deferred"] += 1
                 continue
-            verdict, fit_shard_rows = self._fit(job)
-            if verdict == "no":
-                self._defer_for_memory(job)
-                continue
             leased = self.queue.lease(job.id, self.owner)
             if leased is None:
-                continue  # raced with another writer; pick again
-            run_system = leased.system
-            degraded = None
-            if decision == "reroute":
-                run_system = fallback
-                degraded = {
-                    "via": fallback,
-                    "reason": f"circuit breaker open for {leased.system}"}
-                self.stats["rerouted"] += 1
-                self.queue.record(leased.id, "rerouted", degraded)
-            self._inflight[leased.id] = (leased, run_system, degraded)
-            payload = {"id": leased.id, "system": run_system,
+                # Raced with another writer: hand the admission back
+                # and pick again.
+                self._breakers.release(job.system)
+                continue
+            self._inflight[leased.id] = leased
+            payload = {"id": leased.id, "system": leased.system,
                        "app": leased.app, "graph": leased.graph,
                        "sweep": bool(leased.params.get("sweep")),
                        "attempt": leased.attempts}
@@ -334,15 +327,10 @@ class QueueSupervisor(WorkerPool):
         return False
 
     def _task_done(self, job_id: int, row: dict):
-        entry = self._inflight.pop(job_id, None)
-        if entry is None:
+        job = self._inflight.pop(job_id, None)
+        if job is None:
             return
-        job, run_system, degraded = entry
-        if degraded is not None:
-            row = dict(row)
-            row["system"] = job.system  # keep keyed as the tenant asked
-            row["degraded"] = dict(degraded)
-        self._breakers.record(run_system, ok=row.get("status") != ERR)
+        self._breakers.record(job.system, ok=row.get("status") != ERR)
         if self.queue.complete(job_id, self.owner, job.attempts, row):
             self.stats["completed"] += 1
             self._mirror(job_id, experiments.cell_from_row(row))
@@ -353,11 +341,10 @@ class QueueSupervisor(WorkerPool):
             self.stats["stale"] += 1
 
     def _task_lost(self, job_id: int, reason: str, oom: bool = False):
-        entry = self._inflight.pop(job_id, None)
-        if entry is None:
+        job = self._inflight.pop(job_id, None)
+        if job is None:
             return  # a prebuild (negative id); the respawn re-warms
-        job, run_system, _degraded = entry
-        self._breakers.record(run_system, ok=False)
+        self._breakers.record(job.system, ok=False)
         if oom:
             kills = self._oom_kills.get(job_id, 0) + 1
             self._oom_kills[job_id] = kills
@@ -428,7 +415,7 @@ class QueueSupervisor(WorkerPool):
         queue (requeue with backoff, or dead-letter) so no lease is left
         dangling when the process exits."""
         for job_id in list(self._inflight):
-            job, _run_system, _degraded = self._inflight.pop(job_id)
+            job = self._inflight.pop(job_id)
             state = self.queue.fail(job_id, self.owner, job.attempts,
                                     "drain grace expired")
             self.stats["failed_back"] += 1

@@ -124,13 +124,19 @@ class TestSnapshotPersistence:
             experiments.load_results(str(path))
 
     def test_load_rejects_unknown_row_fields(self, tmp_path):
-        row = experiments.cell_to_row(fake_cell())
-        row["from_the_future"] = 1
-        path = tmp_path / "cells.json"
-        path.write_text(json.dumps(
-            {"schema": experiments.SCHEMA_VERSION, "cells": [row]}))
-        with pytest.raises(errors.InvalidValue, match="from_the_future"):
-            experiments.load_results(str(path))
+        # A newer schema's field, and an older build's circuit-breaker
+        # substitution flag: a row whose time may be another system's
+        # must not load silently.
+        for name, value in [("from_the_future", 1),
+                            ("degraded", {"via": "SS",
+                                          "reason": "breaker open"})]:
+            row = experiments.cell_to_row(fake_cell())
+            row[name] = value
+            path = tmp_path / "cells.json"
+            path.write_text(json.dumps(
+                {"schema": experiments.SCHEMA_VERSION, "cells": [row]}))
+            with pytest.raises(errors.InvalidValue, match=name):
+                experiments.load_results(str(path))
 
     def test_legacy_unversioned_list_still_loads(self, tmp_path):
         legacy = [dict(experiments.cell_to_row(fake_cell()),

@@ -9,9 +9,11 @@ database, and require every job to reach a terminal state exactly once
 with the experiment snapshot byte-identical to a sequential clean run.
 """
 
+import http.client
 import json
 import os
 import pathlib
+import statistics
 import subprocess
 import sys
 import threading
@@ -22,7 +24,7 @@ import urllib.request
 import pytest
 
 from repro.core import experiments
-from repro.engine.registry import compatible_fallbacks, system_codes
+from repro.engine.registry import system_codes
 from repro.service.api import make_server
 from repro.service.breaker import BreakerBoard
 from repro.service.config import QueueConfig, ServiceConfig
@@ -145,7 +147,31 @@ class TestHTTPAPI:
         status, body = _request(api, "/systems")
         codes = {s["code"] for s in body["systems"]}
         assert status == 200 and set(system_codes()) <= codes
-        assert all("fallbacks" in s for s in body["systems"])
+        # A job runs on the system it names; nothing stands in for it.
+        assert not any("fallbacks" in s for s in body["systems"])
+
+    def test_kept_alive_requests_skip_delayed_ack(self, api):
+        # Headers and body leave as two segments; without TCP_NODELAY a
+        # kept-alive client waits out a delayed ACK (~40 ms) per request.
+        host, port = api.rsplit("/", 1)[1].split(":")
+        conn = http.client.HTTPConnection(host, int(port), timeout=10)
+        requests = [("GET", "/health", None), ("GET", "/systems", None),
+                    ("POST", "/jobs", json.dumps({
+                        "system": "GB", "app": "bfs", "graph": GRAPH,
+                        "idem_key": "keep-alive"}))]
+        elapsed = []
+        try:
+            for i in range(20):
+                method, path, body = requests[i % len(requests)]
+                start = time.perf_counter()
+                conn.request(method, path, body=body)
+                response = conn.getresponse()
+                response.read()
+                elapsed.append(time.perf_counter() - start)
+                assert response.status in (200, 201)
+        finally:
+            conn.close()
+        assert statistics.median(elapsed) < 0.020, elapsed
 
     def test_submit_created_then_dedup(self, api):
         payload = {"system": "GB", "app": "bfs", "graph": GRAPH,
@@ -201,18 +227,28 @@ class TestHTTPAPI:
 # Breaker admission over the queue (supervisor internals, no workers)
 # ----------------------------------------------------------------------
 class TestQueueAdmission:
-    def _supervisor(self, queue, forced_open):
+    def _supervisor(self, queue, open_codes, cooldown):
+        """A supervisor whose ``open_codes`` breakers each opened on one
+        failure and half-open after ``cooldown`` decisions."""
         supervisor = QueueSupervisor(queue, workers=1, config=FAST,
                                      owner="test")
-        supervisor._breakers = BreakerBoard(system_codes(), 5, 8,
-                                            forced_open=forced_open)
+        supervisor._breakers = BreakerBoard(system_codes(), 1, cooldown)
+        for code in open_codes:
+            supervisor._breakers.record(code, ok=False)
         return supervisor
+
+    def _clocked_queue(self, tmp_path):
+        """A queue on a hand-advanced clock (deferrals pass on demand)."""
+        now = [1000.0]
+        queue = JobQueue(tmp_path / "q.db", QueueConfig(defer_seconds=1.0),
+                         clock=lambda: now[0])
+        return queue, now
 
     def test_open_breaker_with_no_fallback_defers(self, tmp_path, capsys):
         path = tmp_path / "q.db"
         queue = JobQueue(path, QueueConfig(defer_seconds=30.0))
         job = queue.submit("GB", "bfs", GRAPH)
-        supervisor = self._supervisor(queue, forced_open=system_codes())
+        supervisor = self._supervisor(queue, system_codes(), cooldown=99)
         assert supervisor._next_assignment(0) is None
         assert supervisor.stats["deferred"] == 1
         deferred = queue.get(job.id)
@@ -229,21 +265,62 @@ class TestQueueAdmission:
         queue.close()
 
     def test_open_breaker_reroutes_and_rekeys_degraded(self, tmp_path):
-        fallback = compatible_fallbacks("GB")[0]
-        queue = JobQueue(tmp_path / "q.db", QueueConfig())
+        # An open GB breaker defers the GB job until the cooldown earns
+        # the half-open probe, which runs on GB itself.
+        queue, now = self._clocked_queue(tmp_path)
         job = queue.submit("GB", "bfs", GRAPH)
-        supervisor = self._supervisor(queue, forced_open=("GB",))
-        payload = supervisor._next_assignment(0)
-        assert payload["id"] == job.id and payload["system"] == fallback
-        assert supervisor.stats["rerouted"] == 1
-        supervisor._task_done(job.id, ok_row(system=fallback))
+        supervisor = self._supervisor(queue, ("GB",), cooldown=3)
+        payloads = []
+        for _ in range(3):
+            payloads.append(supervisor._next_assignment(0))
+            now[0] += 1.5
+        assert payloads[:2] == [None, None]
+        assert payloads[2]["id"] == job.id
+        assert payloads[2]["system"] == "GB"
+        assert supervisor.stats["deferred"] == 2
+        supervisor._task_done(job.id, ok_row(system="GB"))
         done = queue.get(job.id)
-        assert done.state == DONE
-        # The result stays keyed as the tenant asked, flagged degraded.
-        assert done.result["system"] == "GB"
-        assert done.result["degraded"]["via"] == fallback
+        assert done.state == DONE and done.result == ok_row(system="GB")
+        assert supervisor._breakers.states()["GB"]["state"] == "closed"
         kinds = [e["kind"] for e in queue.events(job.id)]
-        assert kinds == ["submitted", "leased", "rerouted", "done"]
+        assert kinds == ["submitted", "deferred", "deferred", "leased",
+                         "done"]
+        queue.close()
+
+    def test_lost_lease_hands_the_probe_back(self, tmp_path, monkeypatch):
+        # The half-open probe is admitted, then the lease is lost to a
+        # race: the probe must not be spent, or GB would defer forever.
+        queue, _now = self._clocked_queue(tmp_path)
+        job = queue.submit("GB", "bfs", GRAPH)
+        supervisor = self._supervisor(queue, ("GB",), cooldown=1)
+        real_lease = queue.lease
+        calls = []
+
+        def lease(job_id, owner):
+            calls.append(job_id)
+            return None if len(calls) == 1 else real_lease(job_id, owner)
+
+        monkeypatch.setattr(queue, "lease", lease)
+        payload = supervisor._next_assignment(0)
+        assert len(calls) == 2
+        assert payload["id"] == job.id and payload["system"] == "GB"
+        queue.close()
+
+    def test_memory_deferral_does_not_spend_the_probe(self, tmp_path,
+                                                      monkeypatch):
+        # The memory check runs before the breaker, so a job deferred for
+        # memory never holds the half-open probe.
+        queue, now = self._clocked_queue(tmp_path)
+        job = queue.submit("GB", "bfs", GRAPH)
+        supervisor = self._supervisor(queue, ("GB",), cooldown=1)
+        verdicts = iter([("no", None)])
+        monkeypatch.setattr(supervisor, "_fit",
+                            lambda job: next(verdicts, ("fits", None)))
+        assert supervisor._next_assignment(0) is None
+        assert supervisor.stats["mem_deferred"] == 1
+        now[0] += 1.5
+        payload = supervisor._next_assignment(0)
+        assert payload["id"] == job.id and payload["system"] == "GB"
         queue.close()
 
 

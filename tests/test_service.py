@@ -11,8 +11,9 @@ two apps) so every drill spawns real processes but stays seconds-cheap:
   without stalling the rest of the pool;
 * hang detection — a worker stuck forever blows the per-cell deadline,
   is killed, and the cell completes on requeue;
-* circuit breaking — a forced-open breaker reroutes cells to a
-  capability-compatible fallback with a visible ``degraded`` flag.
+* circuit breaking — an open breaker only defers its system's cells; a
+  system that keeps failing dead-letters its own cells and never borrows
+  another system's time.
 
 Every drill runs the grid through :func:`repro.service.run_grid`: the
 cells are jobs on an ephemeral queue drained by the worker pool.
@@ -23,12 +24,13 @@ import pathlib
 import tempfile
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro import errors, faults
 from repro.core import checkpoint, experiments
 from repro.core.experiments import ERR, OK, CellResult
 from repro.core.runner import main as runner_main
-from repro.engine.registry import compatible_fallbacks
 from repro.service import CellTask, ChaosPlan, CircuitBreaker, \
     QueueSupervisor, ServiceConfig, grid_tasks, run_grid
 from repro.service.breaker import BreakerBoard, CLOSED, HALF_OPEN, OPEN
@@ -166,24 +168,87 @@ class TestCircuitBreaker:
         assert breaker.state == CLOSED and breaker.allow()
 
     def test_forced_open_stays_open(self):
-        breaker = CircuitBreaker("GB", threshold=5, cooldown=1,
-                                 forced_open=True)
-        for _ in range(10):
+        # An open breaker stays open for exactly ``cooldown`` decisions.
+        breaker = CircuitBreaker("GB", threshold=1, cooldown=10)
+        breaker.record(ok=False)
+        for _ in range(9):
             assert not breaker.allow()
+            assert breaker.state == OPEN
+        assert breaker.allow() and breaker.state == HALF_OPEN
 
     def test_board_routes_to_compatible_closed_fallback(self):
-        board = BreakerBoard(("SS", "GB", "LS"), threshold=1, cooldown=99,
-                             forced_open=("GB",))
-        assert board.admit("SS") == ("run", None)
-        decision, fallback = board.admit("GB")
-        assert decision == "reroute"
-        assert fallback in compatible_fallbacks("GB")
-        assert board.open_codes() == ("GB",)
+        # An open board defers; it never names another system.
+        board = BreakerBoard(("SS", "GB", "LS"), threshold=1, cooldown=99)
+        board.record("GB", ok=False)
+        assert board.admit("SS") is True
+        assert board.admit("GB") is False
+        states = board.states()
+        assert states["GB"]["state"] == OPEN and states["GB"]["trips"] == 1
+        assert states["SS"]["state"] == states["LS"]["state"] == CLOSED
 
     def test_board_runs_in_place_without_healthy_fallback(self):
-        board = BreakerBoard(("SS", "GB", "LS"), threshold=1, cooldown=99,
-                             forced_open=("SS", "GB", "LS"))
-        assert board.admit("GB") == ("defer", None)
+        # With every breaker open, each system's own probe comes after
+        # ``cooldown`` decisions on that system.
+        board = BreakerBoard(("SS", "GB", "LS"), threshold=1, cooldown=3)
+        for code in ("SS", "GB", "LS"):
+            board.record(code, ok=False)
+        for code in ("SS", "GB", "LS"):
+            assert [board.admit(code) for _ in range(3)] \
+                == [False, False, True]
+            assert board.states()[code]["state"] == HALF_OPEN
+
+    def test_release_hands_the_probe_back(self):
+        breaker = CircuitBreaker("GB", threshold=1, cooldown=4)
+        breaker.record(ok=False)
+        while not breaker.allow():
+            pass
+        assert breaker.state == HALF_OPEN
+        assert not breaker.allow()  # the probe is out
+        breaker.release()           # ... but was never dispatched
+        assert breaker.allow() and breaker.state == HALF_OPEN
+        closed = CircuitBreaker("GB", threshold=1, cooldown=4)
+        assert closed.allow()
+        closed.release()            # a closed admission has nothing to give
+        assert closed.state == CLOSED
+
+
+class TestBreakerTermination:
+    """Livelock freedom: with nothing in flight, an open breaker admits
+    its probe within ``max(cooldown, 1)`` decisions, whatever happened
+    before — the argument that lets a deferred queue always drain."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(threshold=st.integers(0, 5), cooldown=st.integers(0, 10),
+           ops=st.lists(st.sampled_from(("admit", "lost", "ok", "fail")),
+                        max_size=60))
+    def test_open_breaker_admits_within_cooldown(self, threshold, cooldown,
+                                                 ops):
+        breaker = CircuitBreaker("GB", threshold=threshold,
+                                 cooldown=cooldown)
+        in_flight = 0  # admitted and dispatched, outcome not yet recorded
+        refused = 0    # consecutive refusals with nothing in flight
+        for op in ops:
+            if op in ("ok", "fail"):
+                if in_flight:  # every recorded outcome is an admitted job's
+                    in_flight -= 1
+                    breaker.record(ok=op == "ok")
+                    refused = 0
+                continue
+            if breaker.allow():
+                refused = 0
+                if op == "lost":   # admitted, but the lease was lost
+                    breaker.release()
+                else:
+                    in_flight += 1
+                continue
+            assert threshold, "threshold=0 must never defer"
+            if not in_flight:
+                assert breaker.state == OPEN
+                refused += 1
+                assert refused < max(cooldown, 1)
+        for _ in range(in_flight):
+            breaker.record(ok=False)
+        assert any(breaker.allow() for _ in range(max(cooldown, 1)))
 
 
 class TestChaosPlan:
@@ -238,12 +303,7 @@ class TestServiceConfig:
         for name, bad in [("REPRO_SERVICE_HEARTBEAT", "zero"),
                           ("REPRO_CELL_DEADLINE", "-1"),
                           ("REPRO_BREAKER_THRESHOLD", "-2"),
-                          ("REPRO_BREAKER_FORCE_OPEN", "XX"),
-                          # A forced breaker never half-opens: each of
-                          # these leaves a system no fallback to reroute
-                          # to, so its cells would defer forever.
-                          ("REPRO_BREAKER_FORCE_OPEN", "LS"),
-                          ("REPRO_BREAKER_FORCE_OPEN", "SS,GB")]:
+                          ("REPRO_BREAKER_COOLDOWN", "soon")]:
             monkeypatch.setenv(name, bad)
             with pytest.raises(errors.InvalidValue):
                 ServiceConfig.from_env()
@@ -251,10 +311,10 @@ class TestServiceConfig:
 
     def test_env_knobs_apply(self, monkeypatch):
         monkeypatch.setenv("REPRO_CELL_DEADLINE", "12.5")
-        monkeypatch.setenv("REPRO_BREAKER_FORCE_OPEN", "GB")
+        monkeypatch.setenv("REPRO_BREAKER_COOLDOWN", "3")
         config = ServiceConfig.from_env()
         assert config.cell_deadline == 12.5
-        assert config.breaker_force_open == ("GB",)
+        assert config.breaker_cooldown == 3
 
     def test_heartbeat_timeout_must_exceed_interval(self):
         with pytest.raises(errors.InvalidValue):
@@ -415,25 +475,30 @@ class TestSupervisorDrills:
         assert snapshot_bytes() == baseline
 
     def test_forced_open_breaker_reroutes_with_degraded_flag(
-            self, isolated_grid, drained):
+            self, isolated_grid, monkeypatch, drained):
+        # GB's cell kills its worker on every attempt, and one failure
+        # opens GB's breaker.  The open breaker only defers: each retry
+        # is a half-open probe on GB itself, so the cell burns its own
+        # attempt budget and dead-letters — no other system runs it.
+        monkeypatch.setenv("REPRO_CHAOS_KILL_CELLS", f"GB:bfs:{GRAPH}")
+        monkeypatch.setenv("REPRO_JOB_DEFER", "0.05")
+        monkeypatch.setenv("REPRO_JOB_BACKOFF", "0.05")
         config = ServiceConfig(heartbeat_interval=0.05,
-                               breaker_force_open=("GB",))
-        results, _line = run_grid(grid_tasks([GRAPH], ["bfs"]), workers=2,
-                                  config=config)
+                               breaker_threshold=1, breaker_cooldown=2)
+        results, line = run_grid(grid_tasks([GRAPH], ["bfs"]), workers=2,
+                                 config=config)
 
-        rerouted = results[("GB", "bfs", GRAPH)]
-        assert rerouted.system == "GB"  # grid stays keyed as asked
-        assert rerouted.degraded is not None
-        assert rerouted.degraded["via"] in compatible_fallbacks("GB")
-        assert "circuit breaker" in rerouted.degraded["reason"]
-        assert "~" in rerouted.display()  # visible in Table II cells
-        assert drained[0].stats["rerouted"] >= 1
-        assert results[("SS", "bfs", GRAPH)].degraded is None
-        # The flag survives the row round trip (journal / cells.json).
-        row = experiments.cell_to_row(rerouted)
-        assert row["degraded"]["via"] == rerouted.degraded["via"]
-        assert "degraded" not in experiments.cell_to_row(
-            results[("SS", "bfs", GRAPH)])
+        dead = results[("GB", "bfs", GRAPH)]
+        assert dead.system == "GB" and dead.status == ERR
+        assert dead.error["type"] == "DeadLetter"
+        assert results[("SS", "bfs", GRAPH)].status == OK
+        assert results[("LS", "bfs", GRAPH)].status == OK
+        assert not any("degraded" in experiments.cell_to_row(r)
+                       for r in results.values())
+        supervisor, = drained
+        assert supervisor.stats["deferred"] >= 1
+        assert supervisor._breakers.states()["GB"]["trips"] >= 1
+        assert "deferred" in line and "1 dead" in line
 
     def test_resume_with_workers_submits_only_missing_cells(
             self, isolated_grid, monkeypatch, tmp_path, drained):
