@@ -215,10 +215,10 @@ finishes and can pick up where a killed run left off:
   `REPRO_FAULTS="site:kind[:transient][:nth=N][:times=N]"` (sites
   `kernel`/`alloc`/`*`; kinds `fault`/`oom`/`timeout`/`fatal`), or seeded
   random transients via `REPRO_FAULTS_RATE`/`REPRO_FAULTS_SEED`.
-  Transient faults are retried with bounded backoff (the attempt count is
-  recorded on the cell); injected OOM/timeout keep the paper's annotation
-  vocabulary.  CI runs a small grid under injected transient faults plus
-  a kill-and-resume drill on every push.
+  Transient faults are retried with bounded backoff, 3 attempts in total
+  (the attempt count is recorded on the cell); injected OOM/timeout keep
+  the paper's annotation vocabulary.  CI runs a small grid under injected
+  transient faults plus a kill-and-resume drill on every push.
 
 ## Supervised parallel runs
 
@@ -235,12 +235,14 @@ retry backoff; a cell whose workers keep dying is dead-lettered after
 cells of a repeatedly failing system until a half-open probe on that
 same system succeeds; a cell always runs on the system it names, so a
 system that keeps failing dead-letters its own cells and every Table II
-number is the named system's.  Results are committed through the
-journal in canonical task order, so a parallel, fault-ridden run writes
-a `cells.json` byte-identical to a sequential clean run's, and
+number is the named system's.  Each result is journaled as soon as the
+queue commits it, in completion order; the journal is read back by key
+and `cells.json` is sorted by key, so a parallel, fault-ridden run
+writes a `cells.json` byte-identical to a sequential clean run's, and
 `--workers` composes with `--journal`/`--resume` and every fault knob
 below (`tests/test_service.py` drills SIGKILLs, hangs, poison cells,
-and open breakers).
+and open breakers).  Each worker inherits `REPRO_KERNEL_THREADS`, so a
+pool of N workers may run N x that many kernel threads.
 
 ## Environment knobs
 
@@ -255,7 +257,6 @@ carries no stale rows.
 | `REPRO_FAULTS` | unset | Semicolon-separated fault specs `site:kind[:transient][:nth=N][:times=N]` injected at the kernel/alloc boundaries. |
 | `REPRO_FAULTS_RATE` | `0` | Per-trip probability of a seeded random transient fault. |
 | `REPRO_FAULTS_SEED` | `0` | Seed for the random fault channel. |
-| `REPRO_CELL_RETRIES` | `3` | Total attempts per cell for transient faults (first try included; `1` disables retries). |
 | `REPRO_CELL_WALL_BUDGET` | unset | Real-seconds watchdog per cell attempt; a blown budget lands the cell in `ERR`. |
 | `REPRO_SERVICE_HEARTBEAT` | `0.25` | Seconds between worker heartbeats under `--workers N`. |
 | `REPRO_SERVICE_HEARTBEAT_TIMEOUT` | `30` | Seconds of heartbeat silence before a worker counts as hung. |
@@ -287,7 +288,6 @@ carries no stale rows.
 | `REPRO_ARTIFACT_DIR` | unset | Directory of the mmap-backed graph artifact store (see `repro-graphs`).  When set, datasets publish on first build and every later process mmaps the same immutable shard files instead of regenerating. |
 | `REPRO_SHARD_ROWS` | `65536` | Rows per shard of the blocked CSR layout used by the artifact store and `BlockedCSR.from_csr`.  The default keeps every study graph single-shard; smaller values bound per-shard working memory for out-of-core sweeps. |
 | `REPRO_KERNEL_THREADS` | `1` | Threads each blocked kernel fans its shard tasks across (`repro.sparse.parallel`).  Partials merge in fixed shard order, so values, counters, and event streams are byte-identical at every width; `1` = the sequential shard loop. |
-| `REPRO_CORES_BUDGET` | `0` | Total cores a supervised run may claim across both parallelism levels: the pool is sized so workers x kernel threads never exceeds the budget (kernel threads keep their width, workers yield).  `0` = budgeting off. |
 """
 
 

@@ -16,12 +16,13 @@ uninterrupted run's.  Fault injection for drills is configured through the
 With ``--workers N`` (N > 1) the grid cells are submitted as jobs to a
 queue and drained by a supervised pool of N worker processes
 (``repro.service.run_grid``): crashed or hung workers are respawned and
-their cells retried with backoff, and the journal still commits in
-canonical order, so ``cells.json`` stays byte-identical to a sequential
-run's.  The queue is ephemeral unless ``--queue PATH`` keeps it on disk,
-in which case a killed run re-invoked against the same queue resumes
-exactly once per job.  ``--workers`` composes with ``--resume`` and the
-fault knobs.
+their cells retried with backoff.  The journal records cells as they
+finish and ``cells.json`` is sorted by key, so it stays byte-identical
+to a sequential run's.  The queue is ephemeral unless ``--queue PATH``
+keeps it on disk, in which case a killed run re-invoked against the same
+queue resumes exactly once per job.  ``--workers`` composes with
+``--resume`` and the fault knobs; a malformed fault or watchdog knob
+exits 2 before the first cell.
 """
 
 import argparse
@@ -29,7 +30,7 @@ import pathlib
 import sys
 import time
 
-from repro import faults
+from repro import errors, faults
 from repro.core import checkpoint, experiments, figures, tables
 from repro.core.experiments import GRAPH_ORDER, STATUSES
 from repro.core.systems import APPLICATIONS
@@ -75,12 +76,16 @@ def main(argv=None) -> int:
 
     from repro.service.config import validate_env_knobs
 
-    validate_env_knobs()
-    experiments.validate_selection(graphs=args.graphs, apps=args.apps)
+    try:
+        validate_env_knobs()
+        experiments.validate_selection(graphs=args.graphs, apps=args.apps)
+        faults.install_from_env()
+    except errors.InvalidValue as exc:
+        print(f"repro-study: {exc}", file=sys.stderr)
+        return 2
     graphs = list(args.graphs or GRAPH_ORDER)
     apps = list(args.apps or APPLICATIONS)
 
-    faults.install_from_env()
     if args.workers < 1:
         print(f"--workers wants a positive worker count; got "
               f"{args.workers}", file=sys.stderr)

@@ -17,7 +17,9 @@ The last line of a journal from a killed run may be torn (the process died
 mid-write); :meth:`CellJournal.load` tolerates exactly that — a corrupt
 *interior* line is real corruption and raises.  Within one journal the last
 record for a key wins, so re-running a cell (e.g. to add a thread sweep)
-simply supersedes the earlier record.
+simply supersedes the earlier record.  Lines are in completion order — a
+worker pool lands cells in whatever order they finish — and nothing reads
+that order: replay is by key.
 
 The journal is the write-ahead log; the human-facing snapshot
 (``cells.json``) is still written by
@@ -125,77 +127,6 @@ def resume(path) -> int:
     recovered = experiments.seed_results(journal.load().values())
     experiments.set_journal(journal)
     return recovered
-
-
-class OrderedCommitter:
-    """Commit out-of-order cell results in canonical task order.
-
-    The supervised worker pool finishes cells in whatever order the
-    workers land them, but the journal must stay an in-order prefix of the
-    canonical task list — that is what makes a killed *parallel* run
-    resumable by the same replay logic as a killed sequential one, and
-    what keeps ``cells.json`` byte-identical across worker counts.  This
-    is a reorder buffer: results are offered by task index, held until
-    every earlier index has committed, then retired in order into the
-    experiment memo and (when attached) the journal.
-
-    ``total`` is the canonical task count; indexes of tasks already
-    satisfied (e.g. recalled from a resumed journal) should be marked
-    with :meth:`skip` so they do not block later commits.
-    """
-
-    def __init__(self, total: int, journal=None):
-        self.total = total
-        self.journal = journal
-        self._buffer: Dict[int, experiments.CellResult] = {}
-        self._skipped = set()
-        self._next = 0
-        self.committed = 0
-
-    def skip(self, index: int) -> None:
-        """Mark a task index as already satisfied (no result to commit)."""
-        if index < self._next:
-            return  # already retired — skip and offer are idempotent
-        self._skipped.add(index)
-        self._drain()
-
-    def offer(self, index: int, result: experiments.CellResult) -> None:
-        """Hand over one finished cell; commits every newly in-order one.
-
-        Offers are idempotent: re-offering an index that has already
-        retired (or was skipped) is a no-op, so at-least-once callers —
-        a queue drain replaying a result blob its killed predecessor
-        committed to the queue but not the journal — cannot double-append
-        a cell.  Only the *first* offer of a still-pending index wins.
-        """
-        if index < self._next or index in self._skipped \
-                or index in self._buffer:
-            return
-        self._buffer[index] = result
-        self._drain()
-
-    def _drain(self) -> None:
-        while self._next < self.total:
-            if self._next in self._skipped:
-                self._next += 1
-                continue
-            result = self._buffer.pop(self._next, None)
-            if result is None:
-                return
-            experiments.seed_results([result])
-            if self.journal is not None:
-                self.journal.append(result)
-            self.committed += 1
-            self._next += 1
-
-    @property
-    def done(self) -> bool:
-        """True once every non-skipped task has committed."""
-        return self._next >= self.total
-
-    def pending(self) -> int:
-        """Finished-but-unretired results (waiting on an earlier index)."""
-        return len(self._buffer)
 
 
 def atomic_write_json(path, payload, **json_kwargs) -> None:

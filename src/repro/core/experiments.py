@@ -60,9 +60,8 @@ GRAPH_ORDER = (
 #: Version of the persisted cells snapshot (``cells.json``).
 SCHEMA_VERSION = 2
 
-#: Default retry policy for cells failing with transient injected faults
-#: (overridable via the ``REPRO_CELL_RETRIES`` knob; see
-#: :func:`repro.faults.retry_policy_from_env`).
+#: Retry policy for cells failing with transient injected faults: 3
+#: attempts in total.
 DEFAULT_RETRY = faults.RetryPolicy()
 
 
@@ -123,11 +122,6 @@ def get_journal():
     return _JOURNAL
 
 
-def _default_wall_budget() -> Optional[float]:
-    raw = os.environ.get("REPRO_CELL_WALL_BUDGET", "").strip()
-    return float(raw) if raw else None
-
-
 def _error_info(exc: BaseException) -> Dict[str, str]:
     """Compact, JSON-able record of an exception for an ERR cell."""
     frames = traceback.extract_tb(exc.__traceback__)
@@ -158,7 +152,8 @@ def run_cell(system: str, app: str, graph: str,
     ``wall_budget`` caps the *real* seconds one attempt may take (default:
     the ``REPRO_CELL_WALL_BUDGET`` env knob, unset = no watchdog); a blown
     budget becomes ``ERR`` with ``error.type == "WallClockExceeded"``.
-    ``retry`` bounds re-attempts after transient injected faults.
+    ``retry`` bounds re-attempts after transient injected faults
+    (default: :data:`DEFAULT_RETRY`).
     """
     key = (system, app, graph)
     if use_cache and key in _MEMO:
@@ -167,9 +162,8 @@ def run_cell(system: str, app: str, graph: str,
             return cached
 
     if wall_budget is None:
-        wall_budget = _default_wall_budget()
-    policy = retry if retry is not None else \
-        faults.retry_policy_from_env(default=DEFAULT_RETRY)
+        wall_budget = faults.wall_budget_from_env()
+    policy = retry if retry is not None else DEFAULT_RETRY
 
     dataset = get_dataset(graph)
     t0 = time.time()

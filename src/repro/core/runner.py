@@ -66,6 +66,7 @@ def main(argv=None) -> int:
 
         validate_env_knobs()
         experiments.validate_selection(graphs=args.graphs, apps=args.apps)
+        faults.install_from_env()
     except errors.InvalidValue as exc:
         print(f"repro-study: {exc}", file=sys.stderr)
         return 2
@@ -78,7 +79,6 @@ def main(argv=None) -> int:
               f"{args.workers}", file=sys.stderr)
         return 2
 
-    faults.install_from_env()
     if args.load:
         n = experiments.load_results(args.load)
         print(f"(loaded {n} cached cells from {args.load})", file=sys.stderr)
@@ -132,8 +132,8 @@ def _prewarm_grid(target: str, graphs, apps, workers: int) -> None:
     (:func:`repro.service.run_grid`: the cells drain through an
     ephemeral job queue).
 
-    Fills the experiment memo (and the attached journal, in canonical
-    order) so the in-process renderers afterwards only hit cache.  Targets
+    Fills the experiment memo (and the attached journal, as cells finish)
+    so the in-process renderers afterwards only hit cache.  Targets
     that run no grid cells (table1, table5, figure3 — the latter two use
     the separate problem-variant memo) are left to the sequential path.
     """

@@ -28,8 +28,12 @@ Environment knobs (read by the CLI and ``scripts/run_full_study.py`` via
   ``fatal`` (escapes the per-cell handler — simulates a killed run).
 * ``REPRO_FAULTS_RATE`` / ``REPRO_FAULTS_SEED`` — probabilistic transient
   faults at the given per-trip rate, from a seeded (deterministic) RNG.
-* ``REPRO_CELL_RETRIES`` — total attempts per cell for transient faults
-  (first try included; validated at install time like the specs above).
+* ``REPRO_CELL_WALL_BUDGET`` — real-seconds watchdog per cell attempt
+  (:func:`wall_budget_from_env`).
+
+All four are validated by :func:`install_from_env`, so a malformed value
+fails the run before its first cell.  Transient faults are retried by
+``run_cell`` under a fixed :class:`RetryPolicy` (3 attempts in total).
 """
 
 from repro.faults.plan import (
@@ -45,8 +49,9 @@ from repro.faults.plan import (
     install_from_env,
     plan_from_env,
     trip,
+    wall_budget_from_env,
 )
-from repro.faults.policy import NO_RETRY, RetryPolicy, retry_policy_from_env
+from repro.faults.policy import NO_RETRY, RetryPolicy
 
 __all__ = [
     "FaultPlan",
@@ -62,6 +67,6 @@ __all__ = [
     "install",
     "install_from_env",
     "plan_from_env",
-    "retry_policy_from_env",
     "trip",
+    "wall_budget_from_env",
 ]

@@ -258,16 +258,36 @@ def parse_spec(text: str) -> FaultSpec:
     return FaultSpec(**kwargs)
 
 
+def _env_value(env, name: str, parse, default):
+    """``parse`` of knob ``name``, or ``default`` when unset; a malformed
+    value raises :class:`~repro.errors.InvalidValue` naming the knob."""
+    raw = env.get(name, "").strip()
+    if not raw:
+        return default
+    try:
+        return parse(raw)
+    except ValueError:
+        raise errors.InvalidValue(
+            f"{name} must parse as {parse.__name__}; got {raw!r}") from None
+
+
 def plan_from_env(environ=None) -> Optional[FaultPlan]:
     """Build a plan from ``REPRO_FAULTS``/``_RATE``/``_SEED``, or ``None``."""
     env = os.environ if environ is None else environ
     raw = env.get("REPRO_FAULTS", "").strip()
-    rate = float(env.get("REPRO_FAULTS_RATE", "0") or 0)
-    seed = int(env.get("REPRO_FAULTS_SEED", "0") or 0)
+    rate = _env_value(env, "REPRO_FAULTS_RATE", float, 0.0)
+    seed = _env_value(env, "REPRO_FAULTS_SEED", int, 0)
     specs = [parse_spec(p) for p in raw.split(";") if p.strip()]
     if not specs and rate == 0.0:
         return None
     return FaultPlan(specs, rate=rate, seed=seed)
+
+
+def wall_budget_from_env(environ=None) -> Optional[float]:
+    """The ``REPRO_CELL_WALL_BUDGET`` watchdog: real seconds per cell
+    attempt, or ``None`` (unset) for no watchdog."""
+    env = os.environ if environ is None else environ
+    return _env_value(env, "REPRO_CELL_WALL_BUDGET", float, None)
 
 
 def install_from_env(environ=None) -> Optional[FaultPlan]:
@@ -275,12 +295,10 @@ def install_from_env(environ=None) -> Optional[FaultPlan]:
 
     A no-op (keeping any programmatically installed plan) when the
     environment requests nothing.  Also validates the companion
-    ``REPRO_CELL_RETRIES`` knob so a malformed retry setting fails the
-    run here, up front, like a malformed fault spec.
+    ``REPRO_CELL_WALL_BUDGET`` knob, so a malformed fault or watchdog
+    setting fails the run here, up front, before its first cell.
     """
-    from repro.faults.policy import retry_policy_from_env
-
-    retry_policy_from_env(environ)  # validate-only; run_cell reads it live
+    wall_budget_from_env(environ)  # validate-only; run_cell reads it live
     plan = plan_from_env(environ)
     if plan is not None:
         install(plan)

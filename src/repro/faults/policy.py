@@ -2,10 +2,9 @@
 
 from __future__ import annotations
 
-import os
 import time
 from dataclasses import dataclass, field
-from typing import Callable, Optional
+from typing import Callable
 
 from repro import errors
 
@@ -49,29 +48,3 @@ class RetryPolicy:
 
 #: Retries disabled: one attempt, no sleeping.
 NO_RETRY = RetryPolicy(max_attempts=1, backoff_base=0.0)
-
-
-def retry_policy_from_env(environ: Optional[dict] = None,
-                          default: Optional[RetryPolicy] = None
-                          ) -> RetryPolicy:
-    """The cell retry policy, honoring the ``REPRO_CELL_RETRIES`` knob.
-
-    ``REPRO_CELL_RETRIES`` is the total number of attempts per cell (first
-    try included, so ``1`` disables retries); unset/empty keeps
-    ``default`` (the built-in :class:`RetryPolicy` when None).  A
-    malformed value raises :class:`~repro.errors.InvalidValue` — the knob
-    is also validated at install time by
-    :func:`repro.faults.install_from_env`, like the fault knobs, so bad
-    settings fail a run before its first cell.
-    """
-    env = os.environ if environ is None else environ
-    raw = env.get("REPRO_CELL_RETRIES", "").strip()
-    if not raw:
-        return default if default is not None else RetryPolicy()
-    try:
-        attempts = int(raw)
-    except ValueError:
-        raise errors.InvalidValue(
-            "REPRO_CELL_RETRIES wants an integer number of attempts "
-            f"(first try included); got {raw!r}") from None
-    return RetryPolicy(max_attempts=attempts)

@@ -33,9 +33,9 @@ through such deaths by running cells *out of process* under supervision:
   cells become jobs on a queue (ephemeral unless a path is given), and
   a cell whose workers keep dying dead-letters as ``ERR``/``DeadLetter``
   after ``REPRO_JOB_MAX_ATTEMPTS`` leases.  Results mirror into the
-  checkpoint cell journal in canonical task order, so a parallel,
-  fault-ridden run produces a ``cells.json`` byte-identical to a
-  sequential clean run.
+  checkpoint cell journal as each job settles; ``cells.json`` is sorted
+  by key, so a parallel, fault-ridden run produces one byte-identical to
+  a sequential clean run's.
 * :mod:`repro.service.api` / :mod:`repro.service.serve` — the service
   front-end: a stdlib HTTP JSON API and the ``repro-serve`` CLI
   (``submit``/``status``/``result``/``drain``/``api``).

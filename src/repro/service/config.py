@@ -7,7 +7,7 @@ mid-grid stall.  The full knob table lives in EXPERIMENTS.md ("Environment
 knobs"); a lint-style test asserts the two stay in sync.
 
 On top of per-knob parsing, :func:`validate_env_knobs` catches the typo
-class parsing cannot: a *misspelled knob name* (RETRIES typed RETIRES) is
+class parsing cannot: a *misspelled knob name* (ATTEMPTS typed ATTEMTPS) is
 simply an unread variable, silently reverting the run to defaults.  The
 CLIs call the validator at startup; any ``REPRO_``-prefixed variable not
 in :data:`KNOWN_KNOBS` fails fast with a did-you-mean suggestion unless
@@ -23,7 +23,6 @@ from dataclasses import dataclass
 from typing import Optional, Tuple
 
 from repro import errors
-from repro.sparse.parallel import kernel_threads_from_env
 
 #: Default seconds between worker heartbeats.
 DEFAULT_HEARTBEAT_INTERVAL = 0.25
@@ -82,14 +81,6 @@ DEFAULT_CANCEL_GRACE = 5.0
 #: finish before failing them back to the queue.
 DEFAULT_DRAIN_GRACE = 30.0
 
-#: Default total-cores budget split between cell workers and kernel
-#: threads; 0 = budgeting off (workers and threads taken as requested).
-DEFAULT_CORES_BUDGET = 0
-
-#: Default kernel threads per worker (``REPRO_KERNEL_THREADS``); 1 = the
-#: sequential shard loop.
-DEFAULT_KERNEL_THREADS = 1
-
 #: Every complete REPRO_* knob name any part of the harness reads — the
 #: source of truth for :func:`validate_env_knobs`.  A lint-style test
 #: (tests/test_env_knobs_doc.py) asserts this set matches the knobs the
@@ -98,7 +89,6 @@ KNOWN_KNOBS = frozenset({
     "REPRO_FAULTS",
     "REPRO_FAULTS_RATE",
     "REPRO_FAULTS_SEED",
-    "REPRO_CELL_RETRIES",
     "REPRO_CELL_WALL_BUDGET",
     "REPRO_SERVICE_HEARTBEAT",
     "REPRO_SERVICE_HEARTBEAT_TIMEOUT",
@@ -130,7 +120,6 @@ KNOWN_KNOBS = frozenset({
     "REPRO_CANCEL_GRACE",
     "REPRO_DRAIN_GRACE",
     "REPRO_KERNEL_THREADS",
-    "REPRO_CORES_BUDGET",
 })
 
 
@@ -138,8 +127,8 @@ def validate_env_knobs(environ: Optional[dict] = None) -> Tuple[str, ...]:
     """Reject (or warn about) unrecognized ``REPRO_*`` environment knobs.
 
     A typo'd knob name is otherwise *silently ignored* — the most
-    dangerous failure mode a knob can have (RETRIES typed RETIRES
-    quietly keeps the default retry policy).  Called by the CLIs before
+    dangerous failure mode a knob can have (ATTEMPTS typed ATTEMTPS
+    quietly keeps the default attempt budget).  Called by the CLIs before
     any work starts.  Returns the tuple of unknown names (empty when the
     environment is clean); raises :class:`repro.errors.InvalidValue`
     naming each offender with a did-you-mean suggestion, unless
@@ -240,12 +229,6 @@ class ServiceConfig:
     #: Seconds a draining supervisor waits for in-flight jobs before
     #: failing them back to the queue.
     drain_grace: float = DEFAULT_DRAIN_GRACE
-    #: Total cores split between cell workers and per-worker kernel
-    #: threads (``REPRO_CORES_BUDGET``); 0 = budgeting off.
-    cores_budget: int = DEFAULT_CORES_BUDGET
-    #: Kernel threads each worker fans shard tasks over
-    #: (``REPRO_KERNEL_THREADS``); 1 = the sequential shard loop.
-    kernel_threads: int = DEFAULT_KERNEL_THREADS
 
     @property
     def mem_budget_bytes(self) -> int:
@@ -269,13 +252,6 @@ class ServiceConfig:
                 f"{self.mem_budget_mb}")
         if self.cancel_grace <= 0 or self.drain_grace <= 0:
             raise errors.InvalidValue("cancel/drain grace must be > 0")
-        if self.cores_budget < 0:
-            raise errors.InvalidValue(
-                "cores budget must be >= 0 (0 = off); got "
-                f"{self.cores_budget}")
-        if self.kernel_threads < 1:
-            raise errors.InvalidValue(
-                f"kernel threads must be >= 1; got {self.kernel_threads}")
 
     @classmethod
     def from_env(cls, environ: Optional[dict] = None) -> "ServiceConfig":
@@ -304,9 +280,6 @@ class ServiceConfig:
                 env, "REPRO_CANCEL_GRACE", DEFAULT_CANCEL_GRACE),
             drain_grace=_positive_float(
                 env, "REPRO_DRAIN_GRACE", DEFAULT_DRAIN_GRACE),
-            cores_budget=_nonnegative_int(
-                env, "REPRO_CORES_BUDGET", DEFAULT_CORES_BUDGET),
-            kernel_threads=kernel_threads_from_env(env),
         )
 
 

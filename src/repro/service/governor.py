@@ -21,10 +21,6 @@ mechanisms live where the resources do:
   work with 503 + Retry-After before the queue drowns
   (``REPRO_QUEUE_HIGH_WATER`` depth / ``REPRO_QUEUE_MAX_WAIT`` latency
   watermarks).
-* The worker pool asks :func:`split_cores` how to divide a
-  ``REPRO_CORES_BUDGET`` between cell-parallelism (``--workers``) and
-  per-worker kernel threads (``REPRO_KERNEL_THREADS``) so the two levels
-  of parallelism never oversubscribe the machine.
 
 Everything here is either a pure function of its inputs or reads a
 ``/proc`` snapshot, so each policy is unit-testable without spawning a
@@ -136,30 +132,6 @@ def fit_verdict(manifest: Optional[dict], budget_bytes: int,
     if max_shard <= available:
         return "sharded"
     return "no"
-
-
-def split_cores(workers: int, kernel_threads: int,
-                budget: int) -> Tuple[int, int]:
-    """Clamp a ``(workers, kernel_threads)`` request to a cores budget.
-
-    The invariant the supervisor enforces: ``workers * kernel_threads <=
-    budget`` — an N-worker pool whose workers each fan kernels over K
-    threads claims N*K cores, and claiming more than the budget just
-    makes every core slower (oversubscription thrashes caches and
-    defeats both levels of parallelism).  Kernel threads win the tie:
-    the per-worker thread count is clamped to the budget first, then the
-    worker count takes whatever whole multiple still fits (floor 1 — a
-    pool always keeps one worker).  ``budget <= 0`` disables budgeting
-    and passes the request through unchanged.
-    """
-    workers = max(1, int(workers))
-    kernel_threads = max(1, int(kernel_threads))
-    if budget <= 0:
-        return workers, kernel_threads
-    budget = int(budget)
-    kernel_threads = min(kernel_threads, max(1, budget))
-    workers = min(workers, max(1, budget // kernel_threads))
-    return workers, kernel_threads
 
 
 def shed_decision(counts: Dict[str, int], oldest_wait: float,

@@ -21,12 +21,13 @@ and drains them.  The robustness contract, layer by layer:
 * **Exactly-once commit** — a result lands in the queue via
   :meth:`~repro.service.queue.JobQueue.complete` exactly once (state +
   owner + attempts guard); when the drain mirrors results into the
-  experiment layer (``mirror_jobs``), the mirror goes through an
-  :class:`~repro.core.checkpoint.OrderedCommitter` in submission order,
-  so the journal stays an in-order prefix and ``cells.json`` is
-  byte-identical to a sequential clean run — the queue commit happens
-  *first*, and a crash between the two replays the stored result blob
-  into the journal on restart (offers are idempotent).
+  experiment layer (``mirror_jobs``), each job's cell is seeded into the
+  memo and appended to the journal right after that fenced commit (or
+  its dead-letter), in completion order.  ``cells.json`` is sorted by
+  key, so it is byte-identical to a sequential clean run's.  The queue
+  commit happens *first*; a crash between the two is repaired on
+  restart by replaying the stored result blob of every terminal job
+  whose key the memo lacks.
 * **Admission control** — a job that survives the deadline and memory
   checks consults its system's circuit breaker via
   :meth:`~repro.service.breaker.BreakerBoard.admit`: an open breaker
@@ -42,9 +43,9 @@ from __future__ import annotations
 import contextlib
 import os
 import tempfile
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, Iterable, Optional, Sequence, Set, Tuple
 
-from repro.core import checkpoint, experiments
+from repro.core import experiments
 from repro.core.experiments import CANCELLED, ERR, OK, OOM, CellResult
 from repro.service import governor
 from repro.service.breaker import BreakerBoard
@@ -70,18 +71,17 @@ MAX_MEM_DEFERRALS = 3
 class QueueSupervisor(WorkerPool):
     """Lease-execute-commit loop over a :class:`JobQueue`.
 
-    ``mirror_jobs`` (a list of job ids, in the order their cells should
-    commit) additionally mirrors those jobs' results into the experiment
-    memo/journal through an :class:`OrderedCommitter` — the mode
-    :func:`run_grid` uses so a queue-driven study still renders tables
-    and writes a canonical ``cells.json``.  ``owner``
+    ``mirror_jobs`` (job ids) additionally mirrors those jobs' cells into
+    the experiment memo and ``journal`` (default: the attached one) as
+    each one settles — the mode :func:`run_grid` uses so a queue-driven
+    study still renders tables and writes ``cells.json``.  ``owner``
     names this supervisor on its leases; it defaults to the pid and only
     needs overriding in tests.
     """
 
     def __init__(self, queue: JobQueue, workers: int,
                  config: Optional[ServiceConfig] = None,
-                 mirror_jobs: Optional[List[int]] = None,
+                 mirror_jobs: Iterable[int] = (),
                  journal=None, owner: Optional[str] = None):
         super().__init__(workers, config)
         self.queue = queue
@@ -103,11 +103,9 @@ class QueueSupervisor(WorkerPool):
         self._mem_deferrals: Dict[int, int] = {}
         #: graph -> artifact manifest (or None), memoized per drain.
         self._manifests: Dict[str, Optional[dict]] = {}
-        self._mirror_index: Dict[int, int] = {
-            job_id: index
-            for index, job_id in enumerate(mirror_jobs or [])}
-        self._committer: Optional[checkpoint.OrderedCommitter] = None
-        self._journal = journal
+        self._mirror_index: Set[int] = set(mirror_jobs)
+        self._journal = journal if journal is not None else \
+            experiments.get_journal()
         self._ticks = 0
 
     # ------------------------------------------------------------------
@@ -128,12 +126,7 @@ class QueueSupervisor(WorkerPool):
         reclaimed = self.queue.requeue_orphans()
         self.stats["reclaimed"] = len(reclaimed)
 
-        if self._mirror_index:
-            journal = self._journal if self._journal is not None else \
-                experiments.get_journal()
-            self._committer = checkpoint.OrderedCommitter(
-                len(self._mirror_index), journal=journal)
-            self._seed_mirror()
+        self._seed_mirror()
 
         open_count = sum(
             1 for job in self.queue.jobs(limit=1_000_000)
@@ -157,37 +150,38 @@ class QueueSupervisor(WorkerPool):
         return "queue: " + ", ".join(parts)
 
     # ------------------------------------------------------------------
-    # Result mirroring (the OrderedCommitter discipline)
+    # Result mirroring
     # ------------------------------------------------------------------
     def _seed_mirror(self):
-        """Settle already-terminal mirrored jobs before the loop starts.
+        """Mirror already-terminal jobs before the loop starts.
 
         A restarted drain finds jobs a predecessor committed to the queue
         but maybe not to the journal (the crash window between the two
-        commits): replaying the stored result blob here is idempotent —
-        the committer skips cells the resumed journal already seeded, and
-        a re-offer of the same row is byte-identical by construction.
+        commits).  Each terminal job whose key the memo lacks is replayed
+        from its stored result blob; a key the memo already holds (a
+        resumed journal recalled it) is not journaled twice.
         """
         memo = experiments.all_results()
-        for job_id, index in self._mirror_index.items():
+        for job_id in sorted(self._mirror_index):
             job = self.queue.get(job_id)
-            if job is None or job.state not in ("done", "err", "dead"):
+            if job is None or job.state not in ("done", "err", "dead") \
+                    or job.key in memo:
                 continue
             if job.result is not None:
-                result = experiments.cell_from_row(job.result)
-                if memo.get(result.key) is not None:
-                    self._committer.skip(index)
-                else:
-                    self._committer.offer(index, result)
+                self._mirror(job_id, experiments.cell_from_row(job.result))
             else:  # dead-lettered without ever producing a row
-                self._committer.offer(index, _dead_letter_cell(job))
+                self._mirror(job_id, _dead_letter_cell(job))
 
     def _mirror(self, job_id: int, result: CellResult):
-        if self._committer is None:
-            return
-        index = self._mirror_index.get(job_id)
-        if index is not None:
-            self._committer.offer(index, result)
+        """Seed the memo and journal with one settled job's cell.
+
+        Called only once the queue has settled the job (a fenced
+        ``complete`` or its dead-letter), so each job mirrors once.
+        """
+        if job_id in self._mirror_index:
+            experiments.seed_results([result])
+            if self._journal is not None:
+                self._journal.append(result)
 
     # ------------------------------------------------------------------
     # Work-source hooks
@@ -405,7 +399,6 @@ class QueueSupervisor(WorkerPool):
             for h in self._workers.values()])
         if self._breakers is not None:
             self.queue.set_meta("breakers", self._breakers.states())
-        self.queue.set_meta("cores", self.cores_split)
         self.queue.set_meta("supervisor", {
             "owner": self.owner, "draining": self._draining,
             "stats": {k: v for k, v in self.stats.items() if v}})
@@ -438,12 +431,12 @@ def run_grid(tasks: Sequence[CellTask], workers: int,
     submitted in canonical order as idempotent
     ``study:<system>:<app>:<graph>`` jobs to ``JobQueue(queue_path)`` — a
     durable queue a killed run can be re-invoked against — or, with no
-    path, to a queue in a temporary directory removed on return.  Jobs
-    dispatch in submission order (``peek_ready`` orders by priority, then
-    id) and mirror into the memo and ``journal`` (default: the attached
-    one) in that order, so ``cells.json`` is byte-identical to a
-    sequential run's.  Never raises for worker-level failures: a cell
-    whose workers keep dying commits as an ``ERR``/``DeadLetter`` cell.
+    path, to a queue in a temporary directory removed on return.  Each
+    cell mirrors into the memo and ``journal`` (default: the attached
+    one) as its job settles; ``cells.json`` is sorted by key, so it is
+    byte-identical to a sequential run's.  Never raises for worker-level
+    failures: a cell whose workers keep dying commits as an
+    ``ERR``/``DeadLetter`` cell.
     """
     tasks = list(tasks)
     memo = experiments.all_results()

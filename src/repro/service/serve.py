@@ -14,8 +14,8 @@ restart independently::
 
 ``drain`` installs a SIGTERM handler that *drains* instead of dying:
 leasing stops, in-flight cells finish (or fail back to the queue after
-``REPRO_DRAIN_GRACE`` seconds), the committer flushes, and the process
-exits 0 — ``kill -TERM`` is the graceful-shutdown path, not an outage.
+``REPRO_DRAIN_GRACE`` seconds), and the process exits 0 —
+``kill -TERM`` is the graceful-shutdown path, not an outage.
 ``status --json`` adds the governor's live view (per-worker RSS, breaker
 states, supervisor stats) published through the queue's meta table.
 
@@ -132,7 +132,6 @@ def _dispatch(args) -> int:
                          queue.jobs(tenant=args.tenant, state=DEAD)],
                 "workers": queue.get_meta("workers", default=[]),
                 "breakers": queue.get_meta("breakers", default={}),
-                "cores": queue.get_meta("cores", default={}),
                 "supervisor": queue.get_meta("supervisor", default={}),
             }
             print(json.dumps(status, sort_keys=True))
@@ -196,7 +195,7 @@ def _dispatch(args) -> int:
                                      config=ServiceConfig.from_env())
         # SIGTERM means "finish what you started, then leave": stop
         # leasing, let in-flight cells land (or fail back after the drain
-        # grace), flush the committer, exit 0.  The handler only flips
+        # grace), exit 0.  The handler only flips
         # flags — everything async-signal-unsafe happens in the event
         # loop.  Registration fails off the main thread (tests drive
         # _dispatch from threads); those callers drain without the hook.

@@ -45,7 +45,7 @@ _SILENT_DEATHS = ("worker died (pipe closed)", "worker died (torn message)",
 class CellTask:
     """One schedulable unit: a (system, app, graph) cell and its options."""
 
-    #: Position in the canonical task list (the commit order).
+    #: Position in the canonical task list (the submission order).
     index: int
     system: str
     app: str
@@ -66,8 +66,8 @@ def grid_tasks(graphs: Sequence[str], apps: Sequence[str],
     """The canonical task list for a grid: app-major, then system, graph.
 
     The main grid iterates exactly the order the sequential Table II loop
-    first touches cells in, so the parallel journal commits in the same
-    canonical order a sequential run computes in.  The ``sweep_apps`` ×
+    first touches cells in, and jobs are submitted (so dispatched) in
+    that order.  The ``sweep_apps`` ×
     ``sweep_graphs`` corner (Figure 2's panel) is marked ``sweep=True``
     for the GB/LS systems so thread sweeps land in the same run; sweep
     cells outside the main grid (Figure 2 renders its default apps even
@@ -130,19 +130,7 @@ class WorkerPool:
                  config: Optional[ServiceConfig] = None):
         self.config = config if config is not None else \
             ServiceConfig.from_env()
-        # Cores-aware sizing: under REPRO_CORES_BUDGET the pool never
-        # claims more than budget cores across both parallelism levels
-        # (workers x kernel threads); without one, the request stands.
-        requested = max(1, int(workers))
-        self.pool_size, self.kernel_threads = governor.split_cores(
-            requested, self.config.kernel_threads, self.config.cores_budget)
-        #: The live cores split, published by ``repro-serve status``.
-        self.cores_split = {
-            "budget": int(self.config.cores_budget),
-            "requested_workers": requested,
-            "workers": self.pool_size,
-            "kernel_threads": self.kernel_threads,
-        }
+        self.pool_size = max(1, int(workers))
         # Parsed in the supervisor purely to fail fast on malformed specs;
         # the plan itself strikes inside the workers (who re-read the env).
         ChaosPlan.from_env()
@@ -413,11 +401,6 @@ class WorkerPool:
             self._reap(handle, "worker died (send failed)")
 
     def _send_run(self, handle: _WorkerHandle, payload: dict):
-        # Stamp the (possibly budget-clamped) kernel-thread count onto
-        # every task when it differs from the default, so workers fan
-        # shard kernels out at exactly the width the split allows.
-        if self.kernel_threads != 1 and "kernel_threads" not in payload:
-            payload = dict(payload, kernel_threads=self.kernel_threads)
         # A job-propagated deadline becomes the hard-kill backstop:
         # cooperative cancellation gets the budget plus the grace window
         # to exit cleanly before the watchdog falls back to SIGKILL.

@@ -56,7 +56,7 @@ def worker_main(conn, worker_id: int) -> None:
     """Worker process entry point (the spawn target).
 
     ``conn`` is the worker's end of the duplex pipe; everything else —
-    fault plan, chaos schedule, retry policy — comes from the inherited
+    fault plan, chaos schedule, kernel threads — comes from the inherited
     environment, so a worker behaves exactly like a sequential run of the
     same cell under the same knobs.
     """
@@ -131,10 +131,6 @@ def _task_scope(task: dict):
       ``REPRO_SHARD_ROWS`` at the requested geometry and drops this
       process's dataset cache so the cell rebuilds against O(shard)
       mmapped loads instead of the monolithic CSR.
-    * ``kernel_threads`` — the supervisor's cores-budget split: points
-      ``REPRO_KERNEL_THREADS`` at the clamped per-worker width for this
-      task (:func:`repro.sparse.parallel.kernel_threads` reads the
-      environment per fan-out, so no cache needs dropping).
     """
     from repro.graphs import datasets
 
@@ -162,15 +158,4 @@ def _task_scope(task: dict):
                 datasets.clear_cache()
 
             stack.callback(_restore)
-        if task.get("kernel_threads") is not None:
-            previous = os.environ.get("REPRO_KERNEL_THREADS")
-            os.environ["REPRO_KERNEL_THREADS"] = str(task["kernel_threads"])
-
-            def _restore_threads(prev=previous):
-                if prev is None:
-                    os.environ.pop("REPRO_KERNEL_THREADS", None)
-                else:
-                    os.environ["REPRO_KERNEL_THREADS"] = prev
-
-            stack.callback(_restore_threads)
         yield

@@ -71,8 +71,7 @@ def kernel_threads_from_env(environ: Optional[dict] = None) -> int:
     return value
 
 
-#: Runtime override (tests, benchmarks); None defers to the environment,
-#: so a worker's per-task ``REPRO_KERNEL_THREADS`` env scope just works.
+#: Runtime override (tests, benchmarks); None defers to the environment.
 _FORCED: Optional[int] = None
 
 

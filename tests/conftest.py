@@ -50,6 +50,39 @@ def isolated_grid():
         _experiments.seed_results(saved.values())
 
 
+def ok_row(system, app, graph, seconds=1.0):
+    """A committed ``ok`` cell row, as a worker would send it."""
+    return {"system": system, "app": app, "graph": graph, "status": "ok",
+            "seconds": seconds, "mrss_gb": 0.25, "counters": {},
+            "answer": None, "thread_sweep": {}, "attempts": 1,
+            "error": None}
+
+
+@pytest.fixture
+def inline_pool(monkeypatch):
+    """``QueueSupervisor.drain`` without worker processes.
+
+    The pool becomes an in-process loop: lease the next ready job and
+    complete it with :func:`ok_row`.  Returns a log of ``(job_id, memo
+    keys right after that job's commit)``.
+    """
+    from repro.service.queue_supervisor import QueueSupervisor
+
+    log = []
+
+    def run_pool(self, _initial_workers):
+        while True:
+            payload = self._next_assignment(0)
+            if payload is None:
+                return
+            self._task_done(payload["id"], ok_row(
+                payload["system"], payload["app"], payload["graph"]))
+            log.append((payload["id"], set(_experiments.all_results())))
+
+    monkeypatch.setattr(QueueSupervisor, "_run_pool", run_pool)
+    return log
+
+
 @pytest.fixture
 def digraph():
     return random_digraph()[0]

@@ -9,6 +9,11 @@ from repro import errors, faults
 from repro.core import checkpoint, experiments
 from repro.core.checkpoint import CellJournal
 from repro.core.experiments import CellResult, run_cell
+from repro.service import JobQueue, QueueSupervisor, ServiceConfig
+
+#: Supervisor timings for drains that spawn no workers.
+FAST = ServiceConfig(heartbeat_interval=0.05, heartbeat_timeout=10.0,
+                     cell_deadline=8.0)
 
 GRAPHS = ["road-USA-W", "rmat22"]
 APPS = ["bfs"]
@@ -216,86 +221,120 @@ class TestKillAndResume:
 
 @pytest.mark.usefixtures("isolated_grid")
 class TestOrderedCommitterIdempotence:
-    """The at-least-once queue drain must not double-commit a cell.
+    """The at-least-once queue drain must not double-journal a cell.
 
-    A drain supervisor replays result blobs its killed predecessor
-    committed to the queue but maybe not to the journal, so the committer
-    sees duplicate offers, offers for skipped cells, and offers arriving
-    out of order after a lease was requeued — none may append twice.
+    A drain mirrors a job only after the queue's fenced commit, and a
+    restarted drain replays the result blobs its killed predecessor
+    committed to the queue but maybe not to the journal — so duplicate
+    results, zombie results and replays must each append a key once.
     """
 
     def _journal_apps(self, path):
         return [json.loads(line)["cell"]["app"]
                 for line in path.read_text().splitlines()]
 
-    def test_duplicate_offer_is_noop_and_byte_identical(self, tmp_path):
-        path = tmp_path / "j.jsonl"
-        committer = checkpoint.OrderedCommitter(
-            2, journal=CellJournal(path))
-        first = fake_cell(app="bfs", seconds=1.0)
-        committer.offer(0, first)
-        before = path.read_bytes()
-        committer.offer(0, fake_cell(app="bfs", seconds=99.0))
-        committer.offer(0, first)
-        assert path.read_bytes() == before
-        assert committer.committed == 1
-        # The memo kept the first commit, not the late duplicate.
-        assert experiments.all_results()[first.key].seconds == 1.0
+    def _row(self, app, seconds=1.0):
+        return experiments.cell_to_row(fake_cell(app=app, seconds=seconds))
 
-    def test_offer_after_skip_is_noop(self, tmp_path):
+    def _supervisor(self, queue, job_ids, journal=None):
+        return QueueSupervisor(queue, 1, FAST, mirror_jobs=job_ids,
+                               journal=journal, owner="mirror")
+
+    def test_duplicate_offer_is_noop_and_byte_identical(self, tmp_path,
+                                                        monkeypatch):
         path = tmp_path / "j.jsonl"
-        committer = checkpoint.OrderedCommitter(
-            2, journal=CellJournal(path))
-        committer.skip(0)
-        committer.skip(0)  # skip is idempotent too
-        committer.offer(0, fake_cell(app="bfs"))
-        committer.offer(1, fake_cell(app="cc"))
-        assert committer.done and committer.committed == 1
-        assert self._journal_apps(path) == ["cc"]
+        queue = JobQueue(tmp_path / "q.db")
+        job_id = queue.submit("SS", "bfs", "rmat22").id
+        first, late = self._row("bfs", 1.0), self._row("bfs", 99.0)
+        seen = []
+
+        def run_pool(supervisor, _initial_workers):
+            payload = supervisor._next_assignment(0)
+            supervisor._task_done(payload["id"], first)
+            seen.append(path.read_bytes())
+            # The same RESULT delivered again, with other bytes.
+            supervisor._task_done(payload["id"], late)
+
+        monkeypatch.setattr(QueueSupervisor, "_run_pool", run_pool)
+        self._supervisor(queue, [job_id], CellJournal(path)).drain()
+        queue.close()
+        assert path.read_bytes() == seen[0]
+        assert len(self._journal_apps(path)) == 1
+        # The memo kept the first commit, not the late duplicate.
+        key = ("SS", "bfs", "rmat22")
+        assert experiments.all_results()[key].seconds == 1.0
+
+    def test_offer_after_skip_is_noop(self, tmp_path, inline_pool):
+        # The predecessor committed bfs to the queue and the journal;
+        # the resumed memo holds it, so the restart journals only cc.
+        path = tmp_path / "j.jsonl"
+        CellJournal(path).append(fake_cell(app="bfs"))
+        queue = JobQueue(tmp_path / "q.db")
+        done = queue.submit("SS", "bfs", "rmat22").id
+        lease = queue.lease(done, "dead")
+        assert queue.complete(done, "dead", lease.attempts,
+                              self._row("bfs"))
+        pending = queue.submit("SS", "cc", "rmat22").id
+        assert checkpoint.resume(path) == 1
+        self._supervisor(queue, [done, pending]).drain()
+        experiments.set_journal(None)
+        queue.close()
+        assert self._journal_apps(path) == ["bfs", "cc"]
 
     def test_out_of_order_offers_after_requeue_commit_in_order(
-            self, tmp_path):
-        # A requeued cell's second attempt can land before an earlier
-        # index commits — and a zombie first attempt can land after it.
+            self, tmp_path, monkeypatch):
+        # Our lease is reclaimed and another supervisor commits the job;
+        # our zombie attempt's result is fenced out.  A later mirroring
+        # drain journals the winner's row, once.
         path = tmp_path / "j.jsonl"
-        committer = checkpoint.OrderedCommitter(
-            2, journal=CellJournal(path))
-        committer.offer(1, fake_cell(app="cc", seconds=2.0))
-        committer.offer(1, fake_cell(app="cc", seconds=77.0))  # zombie
-        assert committer.committed == 0 and committer.pending() == 1
-        committer.offer(0, fake_cell(app="bfs"))
-        assert committer.done and committer.committed == 2
-        assert self._journal_apps(path) == ["bfs", "cc"]
+        now = [1000.0]
+        queue = JobQueue(tmp_path / "q.db", clock=lambda: now[0])
+        job_id = queue.submit("SS", "cc", "rmat22").id
+        winner, stale = self._row("cc", 2.0), self._row("cc", 77.0)
+
+        def run_pool(supervisor, _initial_workers):
+            payload = supervisor._next_assignment(0)
+            queue.requeue_orphans()
+            now[0] += 1000.0  # past the retry backoff
+            other = queue.lease(job_id, "other")
+            assert queue.complete(job_id, "other", other.attempts, winner)
+            supervisor._task_done(payload["id"], stale)
+
+        monkeypatch.setattr(QueueSupervisor, "_run_pool", run_pool)
+        zombie = self._supervisor(queue, [job_id], CellJournal(path))
+        zombie.drain()
+        assert zombie.stats["stale"] == 1
+        assert not path.exists()  # the zombie journaled nothing
+        self._supervisor(queue, [job_id], CellJournal(path)).drain()
+        assert self._journal_apps(path) == ["cc"]
         key = ("SS", "cc", "rmat22")
         assert experiments.all_results()[key].seconds == 2.0
+        assert [e["kind"] for e in queue.events(job_id)].count("done") == 1
+        queue.close()
 
     def test_commit_after_supervisor_restart_does_not_duplicate(
-            self, tmp_path):
-        # First supervisor commits two cells, then dies.
+            self, tmp_path, inline_pool):
+        # The dead drain committed bfs to queue and journal, cc to the
+        # queue only (the crash window), and never reached pr.
         path = tmp_path / "j.jsonl"
-        cells = [fake_cell(app=app) for app in ("bfs", "cc", "pr")]
-        committer = checkpoint.OrderedCommitter(
-            3, journal=CellJournal(path))
-        committer.offer(0, cells[0])
-        committer.offer(1, cells[1])
+        queue = JobQueue(tmp_path / "q.db")
+        ids = [queue.submit("SS", app, "rmat22").id
+               for app in ("bfs", "cc", "pr")]
+        for job_id, app in zip(ids[:2], ("bfs", "cc")):
+            lease = queue.lease(job_id, "dead")
+            assert queue.complete(job_id, "dead", lease.attempts,
+                                  self._row(app))
+        CellJournal(path).append(fake_cell(app="bfs"))
 
-        # Restart: resume the journal, then settle already-known cells
-        # the way QueueSupervisor._seed_mirror does — skip what the memo
-        # holds, re-offer the rest — and finish the grid.
+        # Restart against the same queue: resume the journal and drain.
         experiments.clear_cache()
-        assert checkpoint.resume(path) == 2
-        memo = experiments.all_results()
-        restarted = checkpoint.OrderedCommitter(
-            3, journal=experiments.get_journal())
-        for index, cell in enumerate(cells[:2]):
-            if memo.get(cell.key) is not None:
-                restarted.skip(index)
-            else:
-                restarted.offer(index, cell)
-        restarted.offer(2, cells[2])
+        assert checkpoint.resume(path) == 1
+        self._supervisor(queue, ids).drain()
         experiments.set_journal(None)
-        assert restarted.done
+        queue.close()
         assert self._journal_apps(path) == ["bfs", "cc", "pr"]
+        assert {key[1] for key in experiments.all_results()} == \
+            {"bfs", "cc", "pr"}
 
 
 class TestAtomicWriteJson:

@@ -79,6 +79,6 @@ class TestEnvKnobTable:
 
     def test_table_is_nonempty_and_has_service_knobs(self):
         documented = documented_knobs((ROOT / "EXPERIMENTS.md").read_text())
-        assert {"REPRO_FAULTS", "REPRO_CELL_RETRIES",
+        assert {"REPRO_FAULTS", "REPRO_CELL_WALL_BUDGET",
                 "REPRO_CELL_DEADLINE",
                 "REPRO_CHAOS_KILL_CELLS"} <= documented

@@ -1,5 +1,8 @@
 """Fault injection (repro.faults) and graceful per-cell failure."""
 
+import pathlib
+import runpy
+
 import pytest
 
 from repro import errors, faults
@@ -158,6 +161,37 @@ class TestRunCellFailurePaths:
         assert run().status == ERR
         monkeypatch.delenv("REPRO_CELL_WALL_BUDGET")
         assert run().status == OK
+
+
+#: The malformed fault/watchdog knobs both study CLIs must refuse up front.
+BAD_KNOBS = [("REPRO_CELL_WALL_BUDGET", "abc"), ("REPRO_FAULTS_RATE", "lots"),
+             ("REPRO_FAULTS_SEED", "x")]
+
+
+@pytest.mark.usefixtures("isolated_grid")
+class TestMalformedKnobsAtStartup:
+    @pytest.mark.parametrize("name,bad", BAD_KNOBS)
+    def test_repro_study_exits_2(self, monkeypatch, capsys, name, bad):
+        from repro.core.runner import main
+
+        monkeypatch.setenv(name, bad)
+        # With --workers the cells would otherwise crash every worker.
+        assert main(["table2", "--graphs", "road-USA-W", "--apps", "bfs",
+                     "--workers", "2"]) == 2
+        assert capsys.readouterr().err.startswith(f"repro-study: {name}")
+        assert experiments.all_results() == {}
+
+    @pytest.mark.parametrize("name,bad", BAD_KNOBS)
+    def test_run_full_study_exits_2(self, monkeypatch, capsys, tmp_path,
+                                    name, bad):
+        script = pathlib.Path(__file__).resolve().parent.parent \
+            / "scripts" / "run_full_study.py"
+        main = runpy.run_path(str(script))["main"]
+        monkeypatch.setenv(name, bad)
+        assert main(["--out", str(tmp_path), "--graphs", "road-USA-W",
+                     "--apps", "bfs"]) == 2
+        assert capsys.readouterr().err.startswith(f"repro-study: {name}")
+        assert not (tmp_path / "journal.jsonl").exists()
 
 
 @pytest.mark.usefixtures("isolated_grid")

@@ -16,6 +16,7 @@ finished grid byte-identical to a sequential clean run with the governor
 enabled.
 """
 
+import dataclasses
 import json
 import os
 import pathlib
@@ -27,6 +28,7 @@ import threading
 import time
 import urllib.error
 import urllib.request
+from types import SimpleNamespace
 
 import pytest
 
@@ -35,10 +37,12 @@ from repro.faults import plan
 from repro.core import experiments
 from repro.engine import cancel
 from repro.engine.registry import system_codes
-from repro.service import governor
+from repro.service import governor, heartbeat
 from repro.service.api import make_server
 from repro.service.breaker import BreakerBoard
-from repro.service.config import QueueConfig, ServiceConfig
+from repro.service.config import (QueueConfig, ServiceConfig,
+                                  validate_env_knobs)
+from repro.service.heartbeat import WorkerHealth
 from repro.service.queue import DEAD, DONE, QUEUED, JobQueue
 from repro.service.queue_supervisor import (MAX_MEM_DEFERRALS,
                                             QueueSupervisor)
@@ -214,84 +218,87 @@ class TestGovernorPolicy:
 
 
 # ----------------------------------------------------------------------
-# Cores budgeting: workers x kernel threads <= REPRO_CORES_BUDGET
+# One pool size: --workers processes, each inheriting REPRO_KERNEL_THREADS
 # ----------------------------------------------------------------------
 class TestCoresBudget:
-    def test_split_cores_passthrough_without_budget(self):
-        assert governor.split_cores(8, 4, 0) == (8, 4)
-        assert governor.split_cores(8, 4, -1) == (8, 4)
+    def _pool(self, tmp_path, workers):
+        queue = JobQueue(tmp_path / "q.db", QueueConfig())
+        return QueueSupervisor(queue, workers=workers, config=FAST,
+                               owner="pool")
 
-    def test_split_cores_kernel_threads_win_the_tie(self):
-        # Budget 8, request 4x4: threads keep their width, workers yield.
-        assert governor.split_cores(4, 4, 8) == (2, 4)
-        assert governor.split_cores(8, 2, 8) == (4, 2)
-        # Threads alone exceed the budget: clamp them, one worker.
-        assert governor.split_cores(4, 16, 8) == (1, 8)
-        assert governor.split_cores(1, 1, 1) == (1, 1)
+    def test_split_cores_passthrough_without_budget(self, tmp_path,
+                                                    monkeypatch):
+        # The pool is exactly --workers, whatever the kernel width.
+        for threads in ("1", "4", "16"):
+            monkeypatch.setenv("REPRO_KERNEL_THREADS", threads)
+            for workers in (1, 2, 3, 8):
+                supervisor = self._pool(tmp_path, workers)
+                assert supervisor.pool_size == workers
+                supervisor.queue.close()
 
-    def test_split_cores_never_oversubscribes(self):
-        # The acceptance invariant: under any budget > 0 the product of
-        # the two parallelism levels never exceeds it, and neither level
-        # collapses below 1 or above its request.
-        for workers in (1, 2, 3, 8):
-            for threads in (1, 2, 5, 16):
-                for budget in (1, 2, 4, 7, 12):
-                    w, t = governor.split_cores(workers, threads, budget)
-                    assert w * t <= budget, (workers, threads, budget)
-                    assert 1 <= w <= workers
-                    assert 1 <= t <= max(threads, budget)
+    def test_split_cores_kernel_threads_win_the_tie(self, tmp_path,
+                                                    monkeypatch):
+        # A dispatched RUN payload goes to the worker as the queue built
+        # it: no kernel width is stamped on it.
+        monkeypatch.setenv("REPRO_KERNEL_THREADS", "4")
+        supervisor = self._pool(tmp_path, 4)
+        sent = []
+
+        class Conn:
+            def send(self, message):
+                sent.append(message)
+
+        handle = SimpleNamespace(conn=Conn(), health=WorkerHealth(0))
+        payload = {"id": 1, "system": "GB", "app": "bfs", "graph": GRAPH,
+                   "sweep": False, "attempt": 1}
+        supervisor._send_run(handle, payload)
+        assert sent == [(heartbeat.RUN, payload)]
+        supervisor.queue.close()
+
+    def test_split_cores_never_oversubscribes(self, monkeypatch):
+        # Service knobs do not read the kernel width at all.
+        monkeypatch.setenv("REPRO_KERNEL_THREADS", "4")
+        assert ServiceConfig.from_env() == ServiceConfig()
+        assert {f.name for f in dataclasses.fields(ServiceConfig)}.isdisjoint(
+            {"cores_budget", "kernel_threads"})
 
     def test_worker_pool_clamps_and_records_split(self, tmp_path):
-        queue = JobQueue(tmp_path / "q.db", QueueConfig())
-        config = ServiceConfig(cores_budget=4, kernel_threads=2)
-        supervisor = QueueSupervisor(queue, workers=8, config=config,
-                                     owner="cores")
-        assert (supervisor.pool_size, supervisor.kernel_threads) == (2, 2)
-        assert supervisor.pool_size * supervisor.kernel_threads <= 4
-        assert supervisor.cores_split == {
-            "budget": 4, "requested_workers": 8,
-            "workers": 2, "kernel_threads": 2}
-        queue.close()
+        supervisor = self._pool(tmp_path, 8)
+        assert supervisor.pool_size == 8
+        assert not hasattr(supervisor, "cores_split")
+        supervisor.queue.close()
 
     def test_worker_pool_without_budget_keeps_request(self, tmp_path):
-        queue = JobQueue(tmp_path / "q.db", QueueConfig())
-        supervisor = QueueSupervisor(queue, workers=3, config=FAST,
-                                     owner="cores")
-        assert (supervisor.pool_size, supervisor.kernel_threads) == (3, 1)
-        queue.close()
+        supervisor = self._pool(tmp_path, 3)
+        assert supervisor.pool_size == 3
+        assert "3 workers" in supervisor.describe()
+        supervisor.queue.close()
 
     def test_config_reads_both_knobs(self):
-        config = ServiceConfig.from_env({"REPRO_CORES_BUDGET": "8",
-                                         "REPRO_KERNEL_THREADS": "4"})
-        assert config.cores_budget == 8
-        assert config.kernel_threads == 4
-        with pytest.raises(errors.InvalidValue):
-            ServiceConfig.from_env({"REPRO_CORES_BUDGET": "-1"})
-        with pytest.raises(errors.InvalidValue):
-            ServiceConfig.from_env({"REPRO_KERNEL_THREADS": "0"})
+        with pytest.raises(errors.InvalidValue, match="REPRO_CORES_BUDGET"):
+            validate_env_knobs({"REPRO_CORES_BUDGET": "8"})
+        assert validate_env_knobs({"REPRO_KERNEL_THREADS": "4"}) == ()
 
     def test_task_scope_sets_and_restores_kernel_threads_env(
             self, monkeypatch):
+        # A worker keeps the width it inherited, even if a payload
+        # carries a kernel_threads key.
         from repro.service.worker import _task_scope
 
-        monkeypatch.delenv("REPRO_KERNEL_THREADS", raising=False)
+        monkeypatch.setenv("REPRO_KERNEL_THREADS", "2")
         with _task_scope({"kernel_threads": 4}):
-            assert os.environ["REPRO_KERNEL_THREADS"] == "4"
-        assert "REPRO_KERNEL_THREADS" not in os.environ
+            assert os.environ["REPRO_KERNEL_THREADS"] == "2"
+        assert os.environ["REPRO_KERNEL_THREADS"] == "2"
 
     def test_publish_status_exposes_cores_split(self, tmp_path, capsys):
-        q = tmp_path / "q.db"
-        queue = JobQueue(q, QueueConfig())
-        config = ServiceConfig(cores_budget=4, kernel_threads=2)
-        supervisor = QueueSupervisor(queue, workers=8, config=config,
-                                     owner="cores")
+        supervisor = self._pool(tmp_path, 8)
         supervisor._publish_status()
-        queue.close()
-        assert serve_main(["status", "--queue", str(q), "--json"]) == 0
+        supervisor.queue.close()
+        assert serve_main(["status", "--queue", str(tmp_path / "q.db"),
+                           "--json"]) == 0
         status = json.loads(capsys.readouterr().out)
-        assert status["cores"] == {
-            "budget": 4, "requested_workers": 8,
-            "workers": 2, "kernel_threads": 2}
+        assert "cores" not in status
+        assert status["supervisor"]["owner"] == "pool"
 
 
 # ----------------------------------------------------------------------
@@ -580,7 +587,7 @@ class TestGovernorCLI:
         # Nobody has drained yet: the published snapshot is empty but
         # present, so dashboards need no schema special-casing.
         assert status["workers"] == [] and status["breakers"] == {}
-        assert status["cores"] == {}
+        assert "cores" not in status
         assert status["dead"] == []
 
 
@@ -694,7 +701,6 @@ class TestSigtermDrainDrill:
             job_ids.append(queue.submit(
                 system, app, GRAPH, priority=priority, params=params,
                 deadline_ms=600_000).id)
-        job_ids.reverse()  # committer order == cells order
 
         script = tmp_path / "drain_child.py"
         script.write_text(DRAIN_CHILD)

@@ -327,8 +327,8 @@ class TestKnobValidator:
 
     def test_typo_fails_fast_with_suggestion(self):
         with pytest.raises(errors.InvalidValue,
-                           match="REPRO_CELL_RETRIES"):
-            validate_env_knobs({"REPRO_CELL_RETIRES": "1"})
+                           match="REPRO_JOB_MAX_ATTEMPTS"):
+            validate_env_knobs({"REPRO_JOB_MAX_ATTEMTPS": "1"})
 
     def test_every_known_knob_is_accepted(self):
         assert validate_env_knobs({k: "1" for k in KNOWN_KNOBS

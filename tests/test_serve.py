@@ -94,9 +94,9 @@ class TestServeCLI:
     def test_unknown_knob_fails_every_subcommand(self, tmp_path, capsys,
                                                  monkeypatch):
         q = str(tmp_path / "q.db")
-        monkeypatch.setenv("REPRO_CELL_RETIRES", "1")
+        monkeypatch.setenv("REPRO_JOB_MAX_ATTEMTPS", "1")
         assert serve_main(["status", "--queue", q]) == 2
-        assert "REPRO_CELL_RETRIES" in capsys.readouterr().err
+        assert "REPRO_JOB_MAX_ATTEMPTS" in capsys.readouterr().err
         monkeypatch.setenv("REPRO_ALLOW_UNKNOWN_KNOBS", "1")
         assert serve_main(["status", "--queue", q]) == 0
 

@@ -36,7 +36,9 @@ from repro.service import CellTask, ChaosPlan, CircuitBreaker, \
 from repro.service.breaker import BreakerBoard, CLOSED, HALF_OPEN, OPEN
 from repro.service.chaos import ChaosSpec
 from repro.service.chaos import parse_spec as parse_chaos_spec
+from repro.service.config import validate_env_knobs
 from repro.service.heartbeat import WorkerHealth
+from repro.service.queue import JobQueue
 from repro.service.worker import json_clean_row
 
 GRAPH = "road-USA-W"
@@ -93,37 +95,57 @@ class TestGridTasks:
 
 
 class TestOrderedCommitter:
-    def _cell(self, app):
-        return CellResult(system="GB", app=app, graph=GRAPH, status=OK,
-                          seconds=1.0, mrss_gb=0.1, counters={},
-                          answer=None)
+    """A drain mirrors each job into the memo and journal the moment the
+    queue commits it: completion order, once per job (no workers here —
+    ``inline_pool`` completes leased jobs in-process)."""
 
-    def test_commits_in_index_order(self, isolated_grid):
-        committer = checkpoint.OrderedCommitter(3)
-        committer.offer(2, self._cell("pr"))
-        committer.offer(1, self._cell("cc"))
-        assert committer.committed == 0 and committer.pending() == 2
-        committer.offer(0, self._cell("bfs"))
-        assert committer.committed == 3 and committer.done
-        assert ("GB", "pr", GRAPH) in experiments.all_results()
+    def test_commits_in_index_order(self, isolated_grid, tmp_path,
+                                    inline_pool):
+        # The later job dispatches (priority) and commits first; it
+        # reaches the memo at once instead of waiting behind the earlier.
+        queue = JobQueue(tmp_path / "q.db")
+        earlier = queue.submit("GB", "bfs", GRAPH).id
+        later = queue.submit("GB", "cc", GRAPH, priority=1).id
+        QueueSupervisor(queue, 1, FAST, mirror_jobs=[earlier, later],
+                        owner="t").drain()
+        queue.close()
+        assert inline_pool == [
+            (later, {("GB", "cc", GRAPH)}),
+            (earlier, {("GB", "cc", GRAPH), ("GB", "bfs", GRAPH)})]
 
-    def test_skip_unblocks_later_indexes(self, isolated_grid):
-        committer = checkpoint.OrderedCommitter(2)
-        committer.offer(1, self._cell("bfs"))
-        assert not committer.done
-        committer.skip(0)
-        assert committer.done and committer.committed == 1
+    def test_skip_unblocks_later_indexes(self, isolated_grid, tmp_path,
+                                         inline_pool):
+        # A memo-satisfied task (a resumed journal holds it) is recalled,
+        # never submitted; the rest run.
+        tasks = grid_tasks([GRAPH], ["bfs"])
+        recalled = CellResult(system="GB", app="bfs", graph=GRAPH,
+                              status=OK, seconds=424242.0, mrss_gb=0.1,
+                              counters={}, answer=None)
+        experiments.seed_results([recalled])
+        results, line = run_grid(tasks, workers=2, config=FAST,
+                                 queue_path=tmp_path / "grid.db")
+        queue = JobQueue(tmp_path / "grid.db")
+        submitted = sorted(job.key for job in queue.jobs())
+        queue.close()
+        assert submitted == sorted(t.key for t in tasks
+                                   if t.key != recalled.key)
+        assert results[recalled.key].seconds == 424242.0
+        assert line.endswith(", 1 recalled")
+        assert all(r.status == OK for r in results.values())
 
     def test_journal_receives_cells_in_order(self, isolated_grid,
-                                             tmp_path):
+                                             tmp_path, inline_pool):
+        # Priorities reverse the dispatch order; the journal follows
+        # completion, one line per job.
+        queue = JobQueue(tmp_path / "q.db")
+        ids = [queue.submit("GB", app, GRAPH, priority=priority).id
+               for priority, app in enumerate(("bfs", "cc", "pr"))]
         journal = checkpoint.CellJournal(str(tmp_path / "j.jsonl"))
-        committer = checkpoint.OrderedCommitter(2, journal=journal)
-        committer.offer(1, self._cell("cc"))
-        committer.offer(0, self._cell("bfs"))
-        apps = [record["cell"]["app"] for record in
-                (json.loads(line) for line in
-                 (tmp_path / "j.jsonl").read_text().splitlines())]
-        assert apps == ["bfs", "cc"]
+        QueueSupervisor(queue, 1, FAST, mirror_jobs=ids, journal=journal,
+                        owner="t").drain()
+        queue.close()
+        assert [key[1] for key in journal_keys(tmp_path / "j.jsonl")] \
+            == ["pr", "cc", "bfs"]
 
 
 class TestCircuitBreaker:
@@ -338,37 +360,47 @@ class TestWorkerHealth:
 
 
 class TestRetryKnob:
-    def test_env_overrides_attempts(self, monkeypatch):
-        monkeypatch.setenv("REPRO_CELL_RETRIES", "7")
-        assert faults.retry_policy_from_env().max_attempts == 7
+    """``run_cell`` retries transients under one fixed budget (3 attempts
+    in total); tests inject another through ``retry=``."""
 
-    def test_unset_keeps_default(self, monkeypatch):
-        monkeypatch.delenv("REPRO_CELL_RETRIES", raising=False)
-        default = faults.RetryPolicy(max_attempts=4)
-        assert faults.retry_policy_from_env(default=default) is default
+    def test_env_overrides_attempts(self):
+        # No environment knob sets the budget: the old name is unknown.
+        with pytest.raises(errors.InvalidValue, match="REPRO_CELL_RETRIES"):
+            validate_env_knobs({"REPRO_CELL_RETRIES": "7"})
+
+    def test_unset_keeps_default(self, isolated_grid, monkeypatch):
+        monkeypatch.setenv("REPRO_CELL_RETRIES", "1")  # not read
+        plan = faults.FaultPlan([faults.FaultSpec("kernel", "fault",
+                                                  times=0, transient=True)])
+        with faults.injected(plan):
+            result = experiments.run_cell("GB", "bfs", GRAPH,
+                                          use_cache=False)
+        assert experiments.DEFAULT_RETRY.max_attempts == 3
+        assert result.status == ERR and result.attempts == 3
 
     def test_malformed_value_fails_at_install(self, monkeypatch):
-        monkeypatch.setenv("REPRO_CELL_RETRIES", "two")
-        with pytest.raises(errors.InvalidValue):
-            faults.install_from_env()
-        monkeypatch.setenv("REPRO_CELL_RETRIES", "0")
-        with pytest.raises(errors.InvalidValue):
-            faults.install_from_env()
+        for name, bad in [("REPRO_CELL_WALL_BUDGET", "abc"),
+                          ("REPRO_FAULTS_RATE", "lots"),
+                          ("REPRO_FAULTS_SEED", "1.5")]:
+            monkeypatch.setenv(name, bad)
+            with pytest.raises(errors.InvalidValue, match=name):
+                faults.install_from_env()
+            monkeypatch.delenv(name)
 
-    def test_run_cell_honors_the_knob(self, isolated_grid, monkeypatch):
-        monkeypatch.setenv("REPRO_CELL_RETRIES", "1")
+    def test_run_cell_honors_the_knob(self, isolated_grid):
         plan = faults.FaultPlan([faults.FaultSpec("kernel", "fault",
                                                   transient=True)])
         with faults.injected(plan):
             result = experiments.run_cell("GB", "bfs", GRAPH,
-                                          use_cache=False)
+                                          use_cache=False,
+                                          retry=faults.NO_RETRY)
         assert result.status == ERR  # one attempt: the transient sticks
-        monkeypatch.setenv("REPRO_CELL_RETRIES", "3")
         plan = faults.FaultPlan([faults.FaultSpec("kernel", "fault",
                                                   nth=1, transient=True)])
         with faults.injected(plan):
-            result = experiments.run_cell("GB", "bfs", GRAPH,
-                                          use_cache=False)
+            result = experiments.run_cell(
+                "GB", "bfs", GRAPH, use_cache=False,
+                retry=faults.RetryPolicy(max_attempts=2, backoff_base=0.0))
         assert result.status == OK and result.attempts == 2
 
 
@@ -426,9 +458,9 @@ class TestSupervisorDrills:
         assert all(r.status == OK for r in results.values())
         assert snapshot_bytes() == baseline
 
-        # The journal committed in canonical task order despite the chaos.
-        assert journal_keys(tmp_path / "par.jsonl") == \
-            [t.key for t in grid_tasks([GRAPH], ["bfs"])]
+        # The journal holds each task's key exactly once despite the chaos.
+        assert sorted(journal_keys(tmp_path / "par.jsonl")) == \
+            sorted(t.key for t in grid_tasks([GRAPH], ["bfs"]))
 
     def test_poison_cell_is_quarantined(self, isolated_grid, monkeypatch,
                                         drained):
@@ -526,7 +558,9 @@ class TestSupervisorDrills:
 
         supervisor, = drained
         assert supervisor.stats["jobs"] == len(tasks) - k
-        assert journal_keys(journal) == [t.key for t in tasks]
+        keys = journal_keys(journal)
+        assert keys[:k] == [t.key for t in tasks[:k]]
+        assert sorted(keys) == sorted(t.key for t in tasks)
         assert (tmp_path / "par.json").read_bytes() == \
             (tmp_path / "seq.json").read_bytes()
         # The ephemeral queue lived under the temp dir and is gone.
