@@ -21,8 +21,8 @@ finish and ``cells.json`` is sorted by key, so it stays byte-identical
 to a sequential run's.  The queue is ephemeral unless ``--queue PATH``
 keeps it on disk, in which case a killed run re-invoked against the same
 queue resumes exactly once per job.  ``--workers`` composes with
-``--resume`` and the fault knobs; a malformed fault or watchdog knob
-exits 2 before the first cell.
+``--resume`` and the fault knobs; a malformed fault, watchdog or
+``REPRO_KERNEL_THREADS`` knob exits 2 before the first cell.
 """
 
 import argparse
@@ -34,6 +34,7 @@ from repro import errors, faults
 from repro.core import checkpoint, experiments, figures, tables
 from repro.core.experiments import GRAPH_ORDER, STATUSES
 from repro.core.systems import APPLICATIONS
+from repro.sparse import parallel
 
 DEFAULT_OUT = (pathlib.Path(__file__).resolve().parent.parent
                / "benchmarks" / "results")
@@ -80,6 +81,7 @@ def main(argv=None) -> int:
         validate_env_knobs()
         experiments.validate_selection(graphs=args.graphs, apps=args.apps)
         faults.install_from_env()
+        parallel.kernel_threads_from_env()
     except errors.InvalidValue as exc:
         print(f"repro-study: {exc}", file=sys.stderr)
         return 2

@@ -20,6 +20,7 @@ from repro import errors, faults
 from repro.core import checkpoint, experiments, figures, tables
 from repro.core.experiments import GRAPH_ORDER, STATUSES
 from repro.core.systems import APPLICATIONS
+from repro.sparse import parallel
 
 
 def main(argv=None) -> int:
@@ -67,6 +68,7 @@ def main(argv=None) -> int:
         validate_env_knobs()
         experiments.validate_selection(graphs=args.graphs, apps=args.apps)
         faults.install_from_env()
+        parallel.kernel_threads_from_env()
     except errors.InvalidValue as exc:
         print(f"repro-study: {exc}", file=sys.stderr)
         return 2

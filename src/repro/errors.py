@@ -1,4 +1,5 @@
-"""Exception hierarchy shared across the repro package."""
+"""Exception hierarchy shared across the repro package, and the one parser
+for ``REPRO_*`` environment knobs (:func:`env_value`)."""
 
 
 class ReproError(Exception):
@@ -93,3 +94,25 @@ class AdmissionDenied(ReproError):
     HTTP 429 by the service front-end — the multi-tenant backpressure
     signal, distinct from a malformed request (:class:`InvalidValue`).
     """
+
+
+def env_value(env, name: str, parse, default, low=None, strict=False):
+    """``parse`` of environment knob ``name``, or ``default`` when unset.
+
+    ``low`` bounds the parsed value from below (exclusively when
+    ``strict``).  A malformed or out-of-range value raises
+    :class:`InvalidValue` naming the knob, so a CLI can refuse it before
+    any work starts.
+    """
+    raw = env.get(name, "").strip()
+    if not raw:
+        return default
+    try:
+        value = parse(raw)
+    except ValueError:
+        raise InvalidValue(
+            f"{name} must parse as {parse.__name__}; got {raw!r}") from None
+    if low is not None and (value <= low if strict else value < low):
+        raise InvalidValue(
+            f"{name} must be {'>' if strict else '>='} {low}; got {value}")
+    return value

@@ -258,25 +258,12 @@ def parse_spec(text: str) -> FaultSpec:
     return FaultSpec(**kwargs)
 
 
-def _env_value(env, name: str, parse, default):
-    """``parse`` of knob ``name``, or ``default`` when unset; a malformed
-    value raises :class:`~repro.errors.InvalidValue` naming the knob."""
-    raw = env.get(name, "").strip()
-    if not raw:
-        return default
-    try:
-        return parse(raw)
-    except ValueError:
-        raise errors.InvalidValue(
-            f"{name} must parse as {parse.__name__}; got {raw!r}") from None
-
-
 def plan_from_env(environ=None) -> Optional[FaultPlan]:
     """Build a plan from ``REPRO_FAULTS``/``_RATE``/``_SEED``, or ``None``."""
     env = os.environ if environ is None else environ
     raw = env.get("REPRO_FAULTS", "").strip()
-    rate = _env_value(env, "REPRO_FAULTS_RATE", float, 0.0)
-    seed = _env_value(env, "REPRO_FAULTS_SEED", int, 0)
+    rate = errors.env_value(env, "REPRO_FAULTS_RATE", float, 0.0)
+    seed = errors.env_value(env, "REPRO_FAULTS_SEED", int, 0)
     specs = [parse_spec(p) for p in raw.split(";") if p.strip()]
     if not specs and rate == 0.0:
         return None
@@ -287,7 +274,7 @@ def wall_budget_from_env(environ=None) -> Optional[float]:
     """The ``REPRO_CELL_WALL_BUDGET`` watchdog: real seconds per cell
     attempt, or ``None`` (unset) for no watchdog."""
     env = os.environ if environ is None else environ
-    return _env_value(env, "REPRO_CELL_WALL_BUDGET", float, None)
+    return errors.env_value(env, "REPRO_CELL_WALL_BUDGET", float, None)
 
 
 def install_from_env(environ=None) -> Optional[FaultPlan]:

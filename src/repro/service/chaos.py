@@ -117,12 +117,8 @@ class ChaosPlan:
             raw = env.get(name, "").strip()
             specs += [parse_spec(p, action)
                       for p in raw.split(";") if p.strip()]
-        try:
-            rate = float(env.get("REPRO_CHAOS_KILL_RATE", "0") or 0)
-            seed = int(env.get("REPRO_CHAOS_KILL_SEED", "0") or 0)
-        except ValueError as exc:
-            raise errors.InvalidValue(
-                f"bad REPRO_CHAOS_KILL_RATE/SEED: {exc}") from None
+        rate = errors.env_value(env, "REPRO_CHAOS_KILL_RATE", float, 0.0)
+        seed = errors.env_value(env, "REPRO_CHAOS_KILL_SEED", int, 0)
         return cls(tuple(specs), kill_rate=rate, seed=seed)
 
     def action_for(self, system: str, app: str, graph: str,

@@ -160,45 +160,15 @@ def validate_env_knobs(environ: Optional[dict] = None) -> Tuple[str, ...]:
 
 
 def _positive_float(env: dict, name: str, default: float) -> float:
-    raw = env.get(name, "").strip()
-    if not raw:
-        return default
-    try:
-        value = float(raw)
-    except ValueError:
-        raise errors.InvalidValue(
-            f"{name} wants a number of seconds, got {raw!r}") from None
-    if value <= 0:
-        raise errors.InvalidValue(f"{name} must be > 0; got {value}")
-    return value
+    return errors.env_value(env, name, float, default, low=0, strict=True)
 
 
 def _nonnegative_float(env: dict, name: str, default: float) -> float:
-    raw = env.get(name, "").strip()
-    if not raw:
-        return default
-    try:
-        value = float(raw)
-    except ValueError:
-        raise errors.InvalidValue(
-            f"{name} wants a number, got {raw!r}") from None
-    if value < 0:
-        raise errors.InvalidValue(f"{name} must be >= 0; got {value}")
-    return value
+    return errors.env_value(env, name, float, default, low=0)
 
 
 def _nonnegative_int(env: dict, name: str, default: int) -> int:
-    raw = env.get(name, "").strip()
-    if not raw:
-        return default
-    try:
-        value = int(raw)
-    except ValueError:
-        raise errors.InvalidValue(
-            f"{name} wants an integer, got {raw!r}") from None
-    if value < 0:
-        raise errors.InvalidValue(f"{name} must be >= 0; got {value}")
-    return value
+    return errors.env_value(env, name, int, default, low=0)
 
 
 @dataclass(frozen=True)

@@ -36,6 +36,7 @@ from repro import errors, faults
 from repro.service.config import (QueueConfig, ServiceConfig,
                                   validate_env_knobs)
 from repro.service.queue import DEAD, QUEUED, JobQueue
+from repro.sparse.parallel import kernel_threads_from_env
 
 
 def _add_queue_arg(parser):
@@ -190,6 +191,9 @@ def _dispatch(args) -> int:
                   f"got {args.workers}", file=sys.stderr)
             return 2
         faults.install_from_env()
+        # Workers inherit REPRO_KERNEL_THREADS; refuse a bad one here,
+        # not as an ERR in every sharded cell.
+        kernel_threads_from_env()
         queue = JobQueue(args.queue)
         supervisor = QueueSupervisor(queue, workers=args.workers,
                                      config=ServiceConfig.from_env())

@@ -56,7 +56,7 @@ import numpy as np
 import repro.sparse.spgemm as _spgemm
 import repro.sparse.spmv as _spmv
 from repro.engine import cancel
-from repro.errors import DimensionMismatch, InvalidValue
+from repro.errors import DimensionMismatch, InvalidValue, env_value
 from repro.sparse import parallel
 from repro.sparse.csr import CSRMatrix, INDEX_DTYPE, PTR_DTYPE
 from repro.sparse.segreduce import group_reduce, segment_reduce
@@ -70,17 +70,7 @@ DEFAULT_SHARD_ROWS = 1 << 16
 def shard_rows_from_env(environ: Optional[dict] = None) -> int:
     """The ``REPRO_SHARD_ROWS`` knob, validated (positive int)."""
     env = os.environ if environ is None else environ
-    raw = env.get("REPRO_SHARD_ROWS", "").strip()
-    if not raw:
-        return DEFAULT_SHARD_ROWS
-    try:
-        value = int(raw)
-    except ValueError:
-        raise InvalidValue(
-            f"REPRO_SHARD_ROWS wants a row count, got {raw!r}") from None
-    if value < 1:
-        raise InvalidValue(f"REPRO_SHARD_ROWS must be >= 1; got {value}")
-    return value
+    return env_value(env, "REPRO_SHARD_ROWS", int, DEFAULT_SHARD_ROWS, low=1)
 
 
 def shard_bounds(nrows: int, shard_rows: int) -> List[Tuple[int, int]]:

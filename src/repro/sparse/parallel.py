@@ -40,7 +40,7 @@ import threading
 from concurrent.futures import ThreadPoolExecutor
 from typing import Callable, List, Optional, Sequence, Tuple
 
-from repro.errors import InvalidValue
+from repro.errors import InvalidValue, env_value
 
 __all__ = [
     "DEFAULT_KERNEL_THREADS", "kernel_threads_from_env", "kernel_threads",
@@ -56,19 +56,8 @@ DEFAULT_KERNEL_THREADS = 1
 def kernel_threads_from_env(environ: Optional[dict] = None) -> int:
     """The ``REPRO_KERNEL_THREADS`` knob, validated (positive int)."""
     env = os.environ if environ is None else environ
-    raw = env.get("REPRO_KERNEL_THREADS", "").strip()
-    if not raw:
-        return DEFAULT_KERNEL_THREADS
-    try:
-        value = int(raw)
-    except ValueError:
-        raise InvalidValue(
-            f"REPRO_KERNEL_THREADS wants a thread count, got {raw!r}"
-        ) from None
-    if value < 1:
-        raise InvalidValue(
-            f"REPRO_KERNEL_THREADS must be >= 1; got {value}")
-    return value
+    return env_value(env, "REPRO_KERNEL_THREADS", int,
+                     DEFAULT_KERNEL_THREADS, low=1)
 
 
 #: Runtime override (tests, benchmarks); None defers to the environment.

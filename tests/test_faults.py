@@ -163,9 +163,10 @@ class TestRunCellFailurePaths:
         assert run().status == OK
 
 
-#: The malformed fault/watchdog knobs both study CLIs must refuse up front.
+#: The malformed fault/watchdog/kernel-width knobs both study CLIs must
+#: refuse up front.
 BAD_KNOBS = [("REPRO_CELL_WALL_BUDGET", "abc"), ("REPRO_FAULTS_RATE", "lots"),
-             ("REPRO_FAULTS_SEED", "x")]
+             ("REPRO_FAULTS_SEED", "x"), ("REPRO_KERNEL_THREADS", "0")]
 
 
 @pytest.mark.usefixtures("isolated_grid")

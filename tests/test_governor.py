@@ -47,6 +47,7 @@ from repro.service.queue import DEAD, DONE, QUEUED, JobQueue
 from repro.service.queue_supervisor import (MAX_MEM_DEFERRALS,
                                             QueueSupervisor)
 from repro.service.serve import main as serve_main
+from repro.sparse.parallel import kernel_threads_from_env
 
 GRAPH = "road-USA-W"
 
@@ -278,6 +279,8 @@ class TestCoresBudget:
         with pytest.raises(errors.InvalidValue, match="REPRO_CORES_BUDGET"):
             validate_env_knobs({"REPRO_CORES_BUDGET": "8"})
         assert validate_env_knobs({"REPRO_KERNEL_THREADS": "4"}) == ()
+        with pytest.raises(errors.InvalidValue, match="REPRO_KERNEL_THREADS"):
+            kernel_threads_from_env({"REPRO_KERNEL_THREADS": "0"})
 
     def test_task_scope_sets_and_restores_kernel_threads_env(
             self, monkeypatch):
@@ -618,7 +621,10 @@ class TestDeadlineDrill:
             self, tmp_path, isolated_grid):
         queue = JobQueue(tmp_path / "q.db",
                          QueueConfig(lease_seconds=30.0))
-        job = queue.submit("GB", "pr", GRAPH, deadline_ms=500,
+        # The deadline runs from submission and a worker spawn takes
+        # ~0.25 s of it, so leave room for a loaded host to still
+        # dispatch before expiry.
+        job = queue.submit("GB", "pr", GRAPH, deadline_ms=1500,
                            params={"faults": "kernel:slow:ms=200:times=0"})
         supervisor = QueueSupervisor(queue, workers=1, config=FAST,
                                      owner="drill")

@@ -105,6 +105,17 @@ class TestServeCLI:
                          "--workers", "0"])
         assert rc == 2
 
+    def test_drain_rejects_malformed_kernel_threads(self, tmp_path, capsys,
+                                                    monkeypatch):
+        q = str(tmp_path / "q.db")
+        serve_main(["submit", "--queue", q, "GB", "bfs", GRAPH])
+        monkeypatch.setenv("REPRO_KERNEL_THREADS", "abc")
+        assert serve_main(["drain", "--queue", q, "--workers", "2"]) == 2
+        assert "REPRO_KERNEL_THREADS" in capsys.readouterr().err
+        queue = JobQueue(q)
+        assert queue.counts()["queued"] == 1  # nothing leased or run
+        queue.close()
+
     def test_admission_denied_exit_code(self, tmp_path, capsys,
                                         monkeypatch):
         monkeypatch.setenv("REPRO_TENANT_MAX_ACTIVE", "1")
