@@ -238,7 +238,6 @@ def main(argv=None):
     if args.quick:
         REPEATS = 2
     # The bench controls its own store; ambient knobs must not leak in.
-    os.environ.pop("REPRO_ARTIFACTS", None)
     os.environ.pop("REPRO_ARTIFACT_DIR", None)
     os.environ.pop("REPRO_SHARD_ROWS", None)
     warm_floor = 2.0 if args.quick else 5.0

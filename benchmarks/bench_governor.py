@@ -173,9 +173,7 @@ def bench_drain(tmp, inflight):
         setup.submit("GB", apps[i % len(apps)], GRAPH,
                      params={"faults": "kernel:slow:ms=100:times=20"})
     setup.close()
-    config = ServiceConfig(heartbeat_interval=0.05,
-                           heartbeat_timeout=10.0, cell_deadline=60.0,
-                           drain_grace=120.0)
+    config = ServiceConfig(heartbeat_interval=0.05, cell_deadline=60.0)
     done = {}
 
     def _drain():

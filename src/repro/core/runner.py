@@ -13,7 +13,6 @@ Examples::
 from __future__ import annotations
 
 import argparse
-import os
 import sys
 
 from repro import errors, faults
@@ -119,9 +118,6 @@ def main(argv=None) -> int:
     if args.target != "explain":
         line = " ".join(f"{s}={counts[s]}" for s in STATUSES)
         print(f"(cells: {line})", file=sys.stderr)
-    if os.environ.get("REPRO_PLAN_CACHE_STATS") == "1":
-        from repro.sparse import plancache
-        print(f"({plancache.summary_line()})", file=sys.stderr)
     if args.strict and counts["ERR"]:
         print(f"repro-study: --strict: {counts['ERR']} cell(s) ended in "
               "ERR", file=sys.stderr)

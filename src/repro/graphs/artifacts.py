@@ -40,7 +40,8 @@ bit-flipped shard costs a rebuild, never a crash and never a wrong answer.
 
 The store only changes where graph bytes live.  What any kernel computes,
 and what the machine model charges, is byte-identical with the store on,
-off (``REPRO_ARTIFACTS=0``), or resharded — CI proves it on the study grid.
+off (``REPRO_ARTIFACT_DIR`` unset), or resharded — CI proves it on the
+study grid.
 """
 
 from __future__ import annotations
@@ -94,13 +95,9 @@ class ArtifactCorrupt(ArtifactError):
 def enabled(environ: Optional[dict] = None) -> bool:
     """Whether dataset resolution should go through the store.
 
-    Opt-in by pointing ``REPRO_ARTIFACT_DIR`` at a directory;
-    ``REPRO_ARTIFACTS=0`` force-disables even when the directory is set
-    (the reproducibility-invariant toggle CI exercises).
+    On exactly when ``REPRO_ARTIFACT_DIR`` points at a directory.
     """
     env = os.environ if environ is None else environ
-    if env.get("REPRO_ARTIFACTS", "").strip() == "0":
-        return False
     return bool(env.get("REPRO_ARTIFACT_DIR", "").strip())
 
 

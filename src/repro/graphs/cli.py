@@ -75,8 +75,7 @@ def main(argv=None) -> int:
         store = artifacts.store_from_env()
         if store is None:
             print("repro-graphs: no store configured; pass --root or set "
-                  "REPRO_ARTIFACT_DIR (and REPRO_ARTIFACTS != 0)",
-                  file=sys.stderr)
+                  "REPRO_ARTIFACT_DIR", file=sys.stderr)
             return 2
         return _dispatch(args, store)
     except errors.InvalidValue as exc:

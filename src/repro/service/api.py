@@ -26,13 +26,12 @@ paths and ids are **404**.  ``POST /jobs`` answers **200** when the
 idempotency key matched an existing job and **201** when it created one —
 clients can tell a dedup from a fresh accept.
 
-Load shedding: when ``REPRO_QUEUE_HIGH_WATER`` / ``REPRO_QUEUE_MAX_WAIT``
-watermarks are configured and the queue is past them (depth, or how long
-the oldest ready job has waited), ``POST /jobs`` answers **503** with a
-``Retry-After`` header instead of accepting work it cannot serve in time
-— shed at the door, not after the deadline has already burned in the
-queue.  ``GET /health`` reports the same decision as ``shedding`` so
-clients can back off before submitting.
+Load shedding: when the ``REPRO_QUEUE_HIGH_WATER`` depth watermark is
+configured and the queue's open jobs reach it, ``POST /jobs`` answers
+**503** with a ``Retry-After`` header instead of accepting work it cannot
+serve in time — shed at the door, not after the deadline has already
+burned in the queue.  ``GET /health`` reports the same decision as
+``shedding`` so clients can back off before submitting.
 
 Progress streaming is poll-based rather than chunked: ``/events?since=N``
 returns every event after sequence ``N`` (heartbeats the drain supervisor
@@ -84,11 +83,14 @@ class _Handler(BaseHTTPRequestHandler):
         self.wfile.write(body)
 
     def _shed(self, queue: JobQueue):
-        """The admission-control decision for this request (None = admit)."""
-        config = queue.config
-        return governor.shed_decision(
-            queue.counts(), queue.oldest_ready_wait(),
-            config.high_water, config.max_wait)
+        """The admission-control decision for this request (None = admit).
+
+        With shedding off (no high-water mark) this never touches SQLite.
+        """
+        high_water = queue.config.high_water
+        if not high_water:
+            return None
+        return governor.shed_decision(queue.counts(), high_water)
 
     def _with_queue(self, fn) -> None:
         queue = JobQueue(self.queue_path, config=self.queue_config)

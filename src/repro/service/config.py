@@ -27,8 +27,8 @@ from repro import errors
 #: Default seconds between worker heartbeats.
 DEFAULT_HEARTBEAT_INTERVAL = 0.25
 
-#: Default seconds of heartbeat silence before a worker counts as hung.
-DEFAULT_HEARTBEAT_TIMEOUT = 30.0
+#: Seconds of heartbeat silence before a worker counts as hung.
+HEARTBEAT_TIMEOUT = 30.0
 
 #: Default wall-clock seconds one cell may occupy a worker.
 DEFAULT_CELL_DEADLINE = 600.0
@@ -59,9 +59,6 @@ DEFAULT_LEASE_SECONDS = 120.0
 #: Default per-tenant cap on open (queued + leased) jobs; 0 = unlimited.
 DEFAULT_TENANT_MAX_ACTIVE = 0
 
-#: Default job wall-clock budget in milliseconds; 0 = no deadline.
-DEFAULT_JOB_DEADLINE_MS = 0.0
-
 #: Default per-worker RSS budget in MiB; 0 = memory governor off.
 DEFAULT_WORKER_MEM_BUDGET_MB = 0.0
 
@@ -69,17 +66,13 @@ DEFAULT_WORKER_MEM_BUDGET_MB = 0.0
 #: 0 = load shedding off.
 DEFAULT_QUEUE_HIGH_WATER = 0
 
-#: Default seconds the oldest dispatchable job may wait before the API
-#: sheds on lease latency; 0 = latency watermark off.
-DEFAULT_QUEUE_MAX_WAIT = 0.0
+#: Grace seconds past a propagated deadline before the supervisor
+#: hard-kills a worker that failed to cancel cooperatively.
+CANCEL_GRACE = 5.0
 
-#: Default grace seconds past a propagated deadline before the
-#: supervisor hard-kills a worker that failed to cancel cooperatively.
-DEFAULT_CANCEL_GRACE = 5.0
-
-#: Default seconds a draining supervisor waits for in-flight jobs to
-#: finish before failing them back to the queue.
-DEFAULT_DRAIN_GRACE = 30.0
+#: Seconds a draining supervisor waits for in-flight jobs to finish
+#: before failing them back to the queue.
+DRAIN_GRACE = 30.0
 
 #: Every complete REPRO_* knob name any part of the harness reads — the
 #: source of truth for :func:`validate_env_knobs`.  A lint-style test
@@ -91,7 +84,6 @@ KNOWN_KNOBS = frozenset({
     "REPRO_FAULTS_SEED",
     "REPRO_CELL_WALL_BUDGET",
     "REPRO_SERVICE_HEARTBEAT",
-    "REPRO_SERVICE_HEARTBEAT_TIMEOUT",
     "REPRO_CELL_DEADLINE",
     "REPRO_BREAKER_THRESHOLD",
     "REPRO_BREAKER_COOLDOWN",
@@ -100,7 +92,6 @@ KNOWN_KNOBS = frozenset({
     "REPRO_CHAOS_KILL_RATE",
     "REPRO_CHAOS_KILL_SEED",
     "REPRO_PLAN_CACHE",
-    "REPRO_PLAN_CACHE_STATS",
     "REPRO_JOB_MAX_ATTEMPTS",
     "REPRO_JOB_BACKOFF",
     "REPRO_JOB_BACKOFF_CAP",
@@ -110,15 +101,10 @@ KNOWN_KNOBS = frozenset({
     "REPRO_ALLOW_UNKNOWN_KNOBS",
     "REPRO_BENCH_GRAPHS",
     "REPRO_BENCH_APPS",
-    "REPRO_ARTIFACTS",
     "REPRO_ARTIFACT_DIR",
     "REPRO_SHARD_ROWS",
-    "REPRO_JOB_DEADLINE",
     "REPRO_WORKER_MEM_BUDGET",
     "REPRO_QUEUE_HIGH_WATER",
-    "REPRO_QUEUE_MAX_WAIT",
-    "REPRO_CANCEL_GRACE",
-    "REPRO_DRAIN_GRACE",
     "REPRO_KERNEL_THREADS",
 })
 
@@ -180,8 +166,6 @@ class ServiceConfig:
 
     #: Seconds between worker heartbeats.
     heartbeat_interval: float = DEFAULT_HEARTBEAT_INTERVAL
-    #: Seconds of heartbeat silence before a busy worker counts as hung.
-    heartbeat_timeout: float = DEFAULT_HEARTBEAT_TIMEOUT
     #: Wall-clock seconds one cell may occupy a worker before it is killed
     #: and the cell requeued.
     cell_deadline: float = DEFAULT_CELL_DEADLINE
@@ -193,12 +177,6 @@ class ServiceConfig:
     #: Per-worker RSS budget in MiB; a worker exceeding it is reaped and
     #: the memory governor classifies the loss as an OOM kill.  0 = off.
     mem_budget_mb: float = DEFAULT_WORKER_MEM_BUDGET_MB
-    #: Grace seconds past a propagated deadline before a worker that
-    #: failed to cancel cooperatively is hard-killed.
-    cancel_grace: float = DEFAULT_CANCEL_GRACE
-    #: Seconds a draining supervisor waits for in-flight jobs before
-    #: failing them back to the queue.
-    drain_grace: float = DEFAULT_DRAIN_GRACE
 
     @property
     def mem_budget_bytes(self) -> int:
@@ -206,22 +184,17 @@ class ServiceConfig:
         return int(self.mem_budget_mb * 2**20)
 
     def __post_init__(self):
-        if self.heartbeat_interval <= 0 or self.heartbeat_timeout <= 0:
-            raise errors.InvalidValue("heartbeat interval/timeout must be "
-                                      "> 0")
-        if self.heartbeat_timeout <= self.heartbeat_interval:
+        if not 0 < self.heartbeat_interval < HEARTBEAT_TIMEOUT:
             raise errors.InvalidValue(
-                "heartbeat timeout must exceed the heartbeat interval "
-                f"(got timeout={self.heartbeat_timeout}, "
-                f"interval={self.heartbeat_interval})")
+                "heartbeat interval must be > 0 and below the "
+                f"{HEARTBEAT_TIMEOUT:g} s heartbeat timeout; got "
+                f"{self.heartbeat_interval}")
         if self.cell_deadline <= 0:
             raise errors.InvalidValue("cell deadline must be > 0")
         if self.mem_budget_mb < 0:
             raise errors.InvalidValue(
                 "worker memory budget must be >= 0 (0 = off); got "
                 f"{self.mem_budget_mb}")
-        if self.cancel_grace <= 0 or self.drain_grace <= 0:
-            raise errors.InvalidValue("cancel/drain grace must be > 0")
 
     @classmethod
     def from_env(cls, environ: Optional[dict] = None) -> "ServiceConfig":
@@ -234,9 +207,6 @@ class ServiceConfig:
         return cls(
             heartbeat_interval=_positive_float(
                 env, "REPRO_SERVICE_HEARTBEAT", DEFAULT_HEARTBEAT_INTERVAL),
-            heartbeat_timeout=_positive_float(
-                env, "REPRO_SERVICE_HEARTBEAT_TIMEOUT",
-                DEFAULT_HEARTBEAT_TIMEOUT),
             cell_deadline=_positive_float(
                 env, "REPRO_CELL_DEADLINE", DEFAULT_CELL_DEADLINE),
             breaker_threshold=_nonnegative_int(
@@ -246,10 +216,6 @@ class ServiceConfig:
             mem_budget_mb=_nonnegative_float(
                 env, "REPRO_WORKER_MEM_BUDGET",
                 DEFAULT_WORKER_MEM_BUDGET_MB),
-            cancel_grace=_positive_float(
-                env, "REPRO_CANCEL_GRACE", DEFAULT_CANCEL_GRACE),
-            drain_grace=_positive_float(
-                env, "REPRO_DRAIN_GRACE", DEFAULT_DRAIN_GRACE),
         )
 
 
@@ -274,15 +240,9 @@ class QueueConfig:
     lease_seconds: float = DEFAULT_LEASE_SECONDS
     #: Per-tenant cap on open (queued + leased) jobs; 0 = unlimited.
     tenant_max_active: int = DEFAULT_TENANT_MAX_ACTIVE
-    #: Default wall-clock budget (milliseconds) stamped on submissions
-    #: that do not pass ``deadline_ms`` explicitly; 0 = no deadline.
-    job_deadline_ms: float = DEFAULT_JOB_DEADLINE_MS
     #: Open-job count (queued + leased) above which the API sheds new
     #: submissions with 503 + Retry-After; 0 = shedding off.
     high_water: int = DEFAULT_QUEUE_HIGH_WATER
-    #: Seconds the oldest dispatchable job may wait before the API sheds
-    #: on lease latency; 0 = latency watermark off.
-    max_wait: float = DEFAULT_QUEUE_MAX_WAIT
 
     def __post_init__(self):
         if self.max_attempts < 1:
@@ -300,13 +260,10 @@ class QueueConfig:
             raise errors.InvalidValue(
                 "tenant max active must be >= 0 (0 = unlimited); got "
                 f"{self.tenant_max_active}")
-        if self.job_deadline_ms < 0:
+        if self.high_water < 0:
             raise errors.InvalidValue(
-                "job deadline must be >= 0 ms (0 = no deadline); got "
-                f"{self.job_deadline_ms}")
-        if self.high_water < 0 or self.max_wait < 0:
-            raise errors.InvalidValue(
-                "queue high-water/max-wait must be >= 0 (0 = off)")
+                "queue high-water must be >= 0 (0 = off); got "
+                f"{self.high_water}")
 
     @classmethod
     def from_env(cls, environ: Optional[dict] = None) -> "QueueConfig":
@@ -325,10 +282,6 @@ class QueueConfig:
                 env, "REPRO_LEASE_SECONDS", DEFAULT_LEASE_SECONDS),
             tenant_max_active=_nonnegative_int(
                 env, "REPRO_TENANT_MAX_ACTIVE", DEFAULT_TENANT_MAX_ACTIVE),
-            job_deadline_ms=_nonnegative_float(
-                env, "REPRO_JOB_DEADLINE", DEFAULT_JOB_DEADLINE_MS),
             high_water=_nonnegative_int(
                 env, "REPRO_QUEUE_HIGH_WATER", DEFAULT_QUEUE_HIGH_WATER),
-            max_wait=_nonnegative_float(
-                env, "REPRO_QUEUE_MAX_WAIT", DEFAULT_QUEUE_MAX_WAIT),
         )

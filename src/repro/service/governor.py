@@ -19,8 +19,7 @@ mechanisms live where the resources do:
   budget monolithically, sharded, or not at all.
 * The HTTP front-end asks :func:`shed_decision` whether to refuse new
   work with 503 + Retry-After before the queue drowns
-  (``REPRO_QUEUE_HIGH_WATER`` depth / ``REPRO_QUEUE_MAX_WAIT`` latency
-  watermarks).
+  (the ``REPRO_QUEUE_HIGH_WATER`` depth watermark).
 
 Everything here is either a pure function of its inputs or reads a
 ``/proc`` snapshot, so each policy is unit-testable without spawning a
@@ -134,30 +133,20 @@ def fit_verdict(manifest: Optional[dict], budget_bytes: int,
     return "no"
 
 
-def shed_decision(counts: Dict[str, int], oldest_wait: float,
-                  high_water: int, max_wait: float) -> Optional[dict]:
+def shed_decision(counts: Dict[str, int],
+                  high_water: int) -> Optional[dict]:
     """Whether the API should refuse new work right now.
 
-    Returns None to admit, or a JSON-able dict naming the tripped
-    watermark plus a bounded Retry-After hint.  Two watermarks, either
-    sheds: *depth* (open jobs ≥ ``high_water``) and *latency* (oldest
-    dispatchable job has waited past ``max_wait`` seconds — a shallow
-    queue that is not draining is just as overloaded as a deep one).
+    Returns None to admit, or a JSON-able dict naming the tripped depth
+    watermark (open jobs ≥ ``high_water``; 0 = never shed) plus a bounded
+    Retry-After hint.
     """
     depth = counts.get("queued", 0) + counts.get("leased", 0)
-    if high_water and depth >= high_water:
-        # Hint scales with overshoot: a queue twice over its watermark
-        # asks callers to stay away longer.
-        retry = _bound_retry(2 * depth / high_water)
-        return {"reason": "queue depth", "depth": depth,
-                "high_water": high_water, "retry_after": retry}
-    if max_wait and oldest_wait > max_wait:
-        retry = _bound_retry(oldest_wait - max_wait)
-        return {"reason": "lease latency", "depth": depth,
-                "oldest_wait": round(oldest_wait, 3),
-                "max_wait": max_wait, "retry_after": retry}
-    return None
-
-
-def _bound_retry(seconds: float) -> int:
-    return int(min(RETRY_AFTER_MAX, max(RETRY_AFTER_MIN, seconds)))
+    if not high_water or depth < high_water:
+        return None
+    # Hint scales with overshoot: a queue twice over its watermark asks
+    # callers to stay away longer.
+    retry = int(min(RETRY_AFTER_MAX,
+                    max(RETRY_AFTER_MIN, 2 * depth / high_water)))
+    return {"reason": "queue depth", "depth": depth,
+            "high_water": high_water, "retry_after": retry}

@@ -6,17 +6,19 @@ picklable tuples whose first element is a tag:
 
 Worker → pool::
 
-    (READY,    worker_id)                # spawn finished, imports done
-    (HB,       worker_id, rss_bytes)     # periodic liveness beat + RSS
-    (START,    worker_id, task_id)       # task accepted, about to run
-    (RESULT,   worker_id, task_id, row)  # cell finished; row is JSON-clean
-    (PREBUILT, worker_id, task_id)       # dataset prewarm finished
+    (READY,    worker_id)                       # spawn finished, imports done
+    (HB,       worker_id, rss_bytes)            # periodic liveness beat + RSS
+    (START,    worker_id, task_id)              # task accepted, about to run
+    (RESULT,   worker_id, task_id, row)         # cell finished; JSON-clean row
+    (PREBUILT, worker_id, task_id, generated)   # dataset prewarm finished;
+                                                # generated = a generator ran
+                                                # (False: store satisfied it)
 
 Pool → worker::
 
-    (RUN,      task_dict)                # run one cell
-    (PREBUILD, task_dict)                # warm one graph's dataset cache
-    (STOP,)                              # drain and exit
+    (RUN,      task_dict)                       # run one cell
+    (PREBUILD, task_dict)                       # warm one graph's datasets
+    (STOP,)                                     # drain and exit
 
 Prebuild tasks carry negative ids (job ids are >= 1), so a worker
 dying mid-prewarm requeues nothing — the replacement worker restarts its

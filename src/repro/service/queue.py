@@ -268,8 +268,8 @@ class JobQueue:
 
         ``deadline_ms`` is the job's wall-clock budget from *submission*,
         persisted as an absolute instant in the queue-clock domain (so
-        the whole deadline path replays under an injected clock); omitted
-        it falls back to the ``REPRO_JOB_DEADLINE`` default (0 = none).
+        the whole deadline path replays under an injected clock); omitted,
+        the job has no deadline.
         """
         from repro.core.experiments import validate_selection
         from repro.engine.registry import get_application, get_system
@@ -283,9 +283,6 @@ class JobQueue:
         params = dict(params or {})
         now = self.clock()
 
-        if deadline_ms is None:
-            default_ms = self.config.job_deadline_ms
-            deadline_ms = default_ms if default_ms > 0 else None
         if deadline_ms is not None:
             try:
                 deadline_ms = float(deadline_ms)
@@ -399,21 +396,6 @@ class JobQueue:
                 "GROUP BY tenant, state"):
             tenants.setdefault(row["tenant"], {})[row["state"]] = row["n"]
         return tenants
-
-    def oldest_ready_wait(self) -> float:
-        """Seconds the oldest dispatchable queued job has been waiting.
-
-        0.0 when nothing is dispatchable — the lease-latency signal the
-        load shedder (``REPRO_QUEUE_MAX_WAIT``) watches: a deep-but-fast
-        queue is healthy, a shallow-but-stuck one is not.
-        """
-        now = self.clock()
-        row = self._conn.execute(
-            "SELECT MIN(created) AS oldest FROM jobs "
-            "WHERE state=? AND not_before<=?", (QUEUED, now)).fetchone()
-        if row is None or row["oldest"] is None:
-            return 0.0
-        return max(0.0, now - row["oldest"])
 
     def has_open_jobs(self) -> bool:
         """True while any job is queued or leased."""

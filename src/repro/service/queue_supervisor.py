@@ -311,14 +311,21 @@ class QueueSupervisor(WorkerPool):
             return True
         leased = self.queue.lease(job.id, self.owner)
         if leased is not None:
-            state = self.queue.fail(job.id, self.owner, leased.attempts,
-                                    "exceeds worker memory budget")
-            if state == DEAD:
-                self.stats["dead"] += 1
-                dead = self.queue.get(job.id)
-                if dead is not None:
-                    self._mirror(job.id, _dead_letter_cell(dead))
+            self._fail_back(job.id, leased.attempts,
+                            "exceeds worker memory budget")
         return False
+
+    def _fail_back(self, job_id: int, attempts: int, reason: str) -> bool:
+        """Fail one leased job back to the queue; when that spends its
+        attempt budget, count and mirror the dead letter.  Returns True
+        when the job was dead-lettered."""
+        if self.queue.fail(job_id, self.owner, attempts, reason) != DEAD:
+            return False
+        self.stats["dead"] += 1
+        dead = self.queue.get(job_id)
+        if dead is not None:
+            self._mirror(job_id, _dead_letter_cell(dead))
+        return True
 
     def _task_done(self, job_id: int, row: dict):
         job = self._inflight.pop(job_id, None)
@@ -344,18 +351,12 @@ class QueueSupervisor(WorkerPool):
             self._oom_kills[job_id] = kills
             if kills == 1:
                 # First OOM kill buys one sharded retry: the requeued
-                # job redispatches with an O(shard) working set.
+                # job redispatches with an O(shard) working set (unless
+                # its attempt budget ran out first).
                 from repro.sparse.blocked import shard_rows_from_env
 
                 self._shard_retry[job_id] = shard_rows_from_env()
-                state = self.queue.fail(job_id, self.owner, job.attempts,
-                                        reason)
-                if state == DEAD:  # attempt budget ran out first
-                    self.stats["dead"] += 1
-                    dead = self.queue.get(job_id)
-                    if dead is not None:
-                        self._mirror(job_id, _dead_letter_cell(dead))
-                else:
+                if not self._fail_back(job_id, job.attempts, reason):
                     self.stats["oom_retried"] += 1
                 return
             # Sharded retry OOMed too: quarantine as an ``OOM`` cell —
@@ -369,13 +370,7 @@ class QueueSupervisor(WorkerPool):
             else:
                 self.stats["stale"] += 1
             return
-        state = self.queue.fail(job_id, self.owner, job.attempts, reason)
-        if state == DEAD:
-            self.stats["dead"] += 1
-            dead = self.queue.get(job_id)
-            if dead is not None:
-                self._mirror(job_id, _dead_letter_cell(dead))
-        else:
+        if not self._fail_back(job_id, job.attempts, reason):
             self.stats["requeued"] += 1
 
     def _tick(self):
@@ -409,14 +404,8 @@ class QueueSupervisor(WorkerPool):
         dangling when the process exits."""
         for job_id in list(self._inflight):
             job = self._inflight.pop(job_id)
-            state = self.queue.fail(job_id, self.owner, job.attempts,
-                                    "drain grace expired")
+            self._fail_back(job_id, job.attempts, "drain grace expired")
             self.stats["failed_back"] += 1
-            if state == DEAD:
-                self.stats["dead"] += 1
-                dead = self.queue.get(job_id)
-                if dead is not None:
-                    self._mirror(job_id, _dead_letter_cell(dead))
 
 
 def run_grid(tasks: Sequence[CellTask], workers: int,

@@ -14,8 +14,8 @@ restart independently::
 
 ``drain`` installs a SIGTERM handler that *drains* instead of dying:
 leasing stops, in-flight cells finish (or fail back to the queue after
-``REPRO_DRAIN_GRACE`` seconds), and the process exits 0 —
-``kill -TERM`` is the graceful-shutdown path, not an outage.
+the 30 s :data:`~repro.service.config.DRAIN_GRACE`), and the process exits
+0 — ``kill -TERM`` is the graceful-shutdown path, not an outage.
 ``status --json`` adds the governor's live view (per-worker RSS, breaker
 states, supervisor stats) published through the queue's meta table.
 
@@ -215,10 +215,11 @@ def _dispatch(args) -> int:
     if args.command == "api":
         from repro.service.api import make_server
 
+        config = QueueConfig.from_env()
         # Fail fast on a malformed queue path / schema before binding.
-        JobQueue(args.queue, config=QueueConfig.from_env()).close()
+        JobQueue(args.queue, config=config).close()
         server = make_server(args.queue, host=args.host, port=args.port,
-                             config=QueueConfig.from_env())
+                             config=config)
         host, port = server.server_address[:2]
         print(f"repro-serve: API on http://{host}:{port} over "
               f"{args.queue}", file=sys.stderr)

@@ -32,7 +32,8 @@ from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 from repro import errors
 from repro.service import governor, heartbeat
 from repro.service.chaos import ChaosPlan
-from repro.service.config import ServiceConfig
+from repro.service.config import (CANCEL_GRACE, DRAIN_GRACE,
+                                  HEARTBEAT_TIMEOUT, ServiceConfig)
 from repro.service.worker import worker_main
 
 #: Reap reasons that mean "the worker vanished without a verdict" — the
@@ -210,14 +211,13 @@ class WorkerPool:
         Safe to call from a signal handler (it only sets flags): the
         event loop notices on its next pass, stops dispatching, and exits
         once the last in-flight task settles — or, after
-        ``config.drain_grace`` seconds, fails the stragglers back via
-        :meth:`_drain_timeout`.  Idempotent; the first call starts the
-        grace clock.
+        :data:`~repro.service.config.DRAIN_GRACE` seconds, fails the
+        stragglers back via :meth:`_drain_timeout`.  Idempotent; the first
+        call starts the grace clock.
         """
         if not self._draining:
             self._draining = True
-            self._drain_deadline = time.monotonic() \
-                + self.config.drain_grace
+            self._drain_deadline = time.monotonic() + DRAIN_GRACE
 
     @property
     def draining(self) -> bool:
@@ -366,12 +366,10 @@ class WorkerPool:
             handle.health.finished()
             self.stats["prewarmed"] += 1
             # 4th element: did the worker actually run a generator, or did
-            # the artifact store satisfy the warm?  Absent (older worker)
-            # counts as generated — the conservative reading.
-            generated = message[3] if len(message) > 3 else True
-            if generated:
+            # the artifact store satisfy the warm?
+            if message[3]:
                 self.stats["prewarm_generated"] += 1
-        elif tag == heartbeat.HB and len(message) > 2:
+        elif tag == heartbeat.HB:
             handle.health.sample_rss(message[2])
         # START carries no state beyond proof of life.
 
@@ -406,8 +404,7 @@ class WorkerPool:
         # to exit cleanly before the watchdog falls back to SIGKILL.
         deadline = None
         if payload.get("deadline_seconds") is not None:
-            deadline = payload["deadline_seconds"] \
-                + self.config.cancel_grace
+            deadline = payload["deadline_seconds"] + CANCEL_GRACE
         handle.health.started(payload["id"], deadline=deadline)
         try:
             handle.conn.send((heartbeat.RUN, payload))
@@ -425,7 +422,7 @@ class WorkerPool:
                            oom=True)
             elif handle.health.over_deadline(self.config.cell_deadline):
                 self._reap(handle, "cell deadline exceeded")
-            elif handle.health.stale(self.config.heartbeat_timeout):
+            elif handle.health.stale(HEARTBEAT_TIMEOUT):
                 self._reap(handle, "heartbeat lost")
             elif not handle.process.is_alive():
                 self._reap(handle, "worker died (process exited)")

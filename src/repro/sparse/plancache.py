@@ -35,11 +35,9 @@ entry.  One module lock serializes every cache/stats mutation; lookups
 and stores are per-kernel-call (never per-element), so the uncontended
 lock costs nanoseconds against kernels that run milliseconds.
 
-Knobs:
-
-* ``REPRO_PLAN_CACHE=0`` disables all lookups (plans re-derived per call);
-* ``REPRO_PLAN_CACHE_STATS=1`` makes ``repro-study`` print the per-kernel
-  hit/miss summary (:func:`summary_line`) to stderr.
+``REPRO_PLAN_CACHE=0`` disables all lookups (plans re-derived per call);
+:func:`plan_cache_stats` / :func:`hit_rate` report the per-kernel
+hit/miss bookkeeping the benches read.
 """
 
 from __future__ import annotations
@@ -50,7 +48,7 @@ from typing import Callable, Dict, Optional
 
 __all__ = [
     "cached", "get", "put", "drop", "enabled", "set_enabled",
-    "plan_cache_stats", "reset_stats", "hit_rate", "summary_line",
+    "plan_cache_stats", "reset_stats", "hit_rate",
 ]
 
 _ENABLED = os.environ.get("REPRO_PLAN_CACHE", "1") != "0"
@@ -171,17 +169,3 @@ def hit_rate() -> Optional[float]:
     if lookups == 0:
         return None
     return hits / lookups
-
-
-def summary_line() -> str:
-    """One-line per-kernel summary for the REPRO_PLAN_CACHE_STATS report."""
-    if not _ENABLED:
-        return "plan-cache: disabled (REPRO_PLAN_CACHE=0)"
-    if not _STATS:
-        return "plan-cache: no lookups"
-    parts = []
-    for kernel, bucket in sorted(_STATS.items()):
-        lookups = bucket["hits"] + bucket["misses"]
-        parts.append(f"{kernel} {bucket['hits']}/{lookups} hits, "
-                     f"{bucket['entries']} entries")
-    return "plan-cache: " + "; ".join(parts)

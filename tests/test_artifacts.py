@@ -50,7 +50,6 @@ def env_store(tmp_path, monkeypatch):
     """A store wired into the environment, dataset cache isolated."""
     root = tmp_path / "store"
     monkeypatch.setenv("REPRO_ARTIFACT_DIR", str(root))
-    monkeypatch.delenv("REPRO_ARTIFACTS", raising=False)
     monkeypatch.delenv("REPRO_SHARD_ROWS", raising=False)
     datasets.clear_cache()
     yield root
@@ -177,20 +176,20 @@ class TestDatasetResolution:
         with_store = snapshot()
         monkeypatch.setenv("REPRO_SHARD_ROWS", "1024")  # multi-shard
         sharded = snapshot()
-        monkeypatch.setenv("REPRO_ARTIFACTS", "0")
+        monkeypatch.delenv("REPRO_ARTIFACT_DIR")
         without = snapshot()
         assert with_store == without == sharded
 
     def test_disabled_store_never_touches_disk(self, tmp_path,
                                                monkeypatch):
-        monkeypatch.setenv("REPRO_ARTIFACT_DIR", str(tmp_path / "s"))
-        monkeypatch.setenv("REPRO_ARTIFACTS", "0")
+        monkeypatch.delenv("REPRO_ARTIFACT_DIR", raising=False)
+        monkeypatch.chdir(tmp_path)
         assert not artifacts.enabled()
         assert artifacts.store_from_env() is None
         datasets.clear_cache()
         datasets.get_dataset(GRAPH).build()
         datasets.clear_cache()
-        assert not (tmp_path / "s").exists()
+        assert not any(tmp_path.iterdir())
 
     def test_file_datasets_bypass_the_store(self, env_store, tmp_path):
         path = tmp_path / "toy.el"
@@ -213,9 +212,7 @@ class TestDatasetResolution:
     def test_modeled_cell_is_identical_with_store(self, env_store,
                                                   isolated_grid,
                                                   monkeypatch):
-        def row(**env):
-            for key, value in env.items():
-                monkeypatch.setenv(key, value)
+        def row():
             datasets.clear_cache()
             experiments.clear_cache()
             result = experiments.run_cell("GB", "bfs", GRAPH,
@@ -227,7 +224,8 @@ class TestDatasetResolution:
 
         warm = row()                      # cold: generate + publish
         hot = row()                       # warm: pure mmap
-        off = row(REPRO_ARTIFACTS="0")    # store disabled
+        monkeypatch.delenv("REPRO_ARTIFACT_DIR")
+        off = row()                       # store disabled
         assert warm == hot == off
 
 
@@ -256,7 +254,6 @@ class TestCli:
         # The CLI writes its flags into os.environ (so the dataset
         # machinery sees one store); monkeypatch restores the originals.
         monkeypatch.delenv("REPRO_ARTIFACT_DIR", raising=False)
-        monkeypatch.delenv("REPRO_ARTIFACTS", raising=False)
         monkeypatch.delenv("REPRO_SHARD_ROWS", raising=False)
         datasets.clear_cache()
         yield
@@ -313,10 +310,8 @@ class TestPrewarmThroughStore:
         from repro.service import ServiceConfig, grid_tasks, run_grid
 
         monkeypatch.setenv("REPRO_ARTIFACT_DIR", str(tmp_path / "store"))
-        monkeypatch.delenv("REPRO_ARTIFACTS", raising=False)
         datasets.clear_cache()
-        config = ServiceConfig(heartbeat_interval=0.05,
-                               heartbeat_timeout=10.0, cell_deadline=8.0)
+        config = ServiceConfig(heartbeat_interval=0.05, cell_deadline=8.0)
 
         results, line = run_grid(grid_tasks([GRAPH], ["bfs"]), workers=2,
                                  config=config)

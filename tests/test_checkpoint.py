@@ -12,8 +12,7 @@ from repro.core.experiments import CellResult, run_cell
 from repro.service import JobQueue, QueueSupervisor, ServiceConfig
 
 #: Supervisor timings for drains that spawn no workers.
-FAST = ServiceConfig(heartbeat_interval=0.05, heartbeat_timeout=10.0,
-                     cell_deadline=8.0)
+FAST = ServiceConfig(heartbeat_interval=0.05, cell_deadline=8.0)
 
 GRAPHS = ["road-USA-W", "rmat22"]
 APPS = ["bfs"]

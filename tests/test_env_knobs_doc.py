@@ -77,6 +77,25 @@ class TestEnvKnobTable:
             "mentioned under src/repro have drifted apart; edit them "
             "together")
 
+    def test_every_known_knob_is_exercised(self):
+        # A knob nothing ever sets is a constant in disguise: every name
+        # the validator accepts must be set or read by a test, bench or
+        # the benchmark harness, or set on a live (non-comment) CI line.
+        from repro.service.config import KNOWN_KNOBS
+
+        texts = [path.read_text()
+                 for top in ("tests", "benchmarks", "perfbench")
+                 for path in sorted((ROOT / top).rglob("*.py"))
+                 if path != pathlib.Path(__file__).resolve()]
+        ci = (ROOT / ".github" / "workflows" / "ci.yml").read_text()
+        texts.append("\n".join(line for line in ci.splitlines()
+                               if not line.lstrip().startswith("#")))
+        exercised = {name for text in texts for name in KNOB.findall(text)}
+        unexercised = set(KNOWN_KNOBS) - exercised
+        assert not unexercised, (
+            "knob(s) no test, bench, perfbench workload or CI step sets: "
+            f"{sorted(unexercised)}; make them constants or exercise them")
+
     def test_table_is_nonempty_and_has_service_knobs(self):
         documented = documented_knobs((ROOT / "EXPERIMENTS.md").read_text())
         assert {"REPRO_FAULTS", "REPRO_CELL_WALL_BUDGET",

@@ -51,8 +51,7 @@ from repro.sparse.parallel import kernel_threads_from_env
 
 GRAPH = "road-USA-W"
 
-FAST = ServiceConfig(heartbeat_interval=0.05, heartbeat_timeout=10.0,
-                     cell_deadline=8.0, cancel_grace=5.0)
+FAST = ServiceConfig(heartbeat_interval=0.05, cell_deadline=8.0)
 
 
 class FakeClock:
@@ -191,17 +190,17 @@ class TestGovernorPolicy:
                                     headroom=2) != "fits"
 
     def test_shed_decision_depth_and_latency(self):
+        # Depth is the one watermark: open (queued + leased) jobs >= it.
         counts = {"queued": 3, "leased": 1}
-        shed = governor.shed_decision(counts, 0.0, 4, 0.0)
+        shed = governor.shed_decision(counts, 4)
         assert shed["reason"] == "queue depth" and shed["depth"] == 4
         assert 1 <= shed["retry_after"] <= 60
-        shed = governor.shed_decision(counts, 12.0, 0, 5.0)
-        assert shed["reason"] == "lease latency"
-        assert governor.shed_decision(counts, 12.0, 0, 0.0) is None
-        assert governor.shed_decision({"queued": 0}, 0.0, 4, 5.0) is None
+        assert governor.shed_decision(counts, 5) is None
+        assert governor.shed_decision(counts, 0) is None  # shedding off
+        assert governor.shed_decision({"queued": 0}, 4) is None
 
     def test_retry_after_is_bounded(self):
-        shed = governor.shed_decision({"queued": 10_000}, 0.0, 1, 0.0)
+        shed = governor.shed_decision({"queued": 10_000}, 1)
         assert shed["retry_after"] == 60
 
     def test_looks_like_oom_forensics(self):
@@ -381,10 +380,14 @@ class TestQueueDeadline:
         queue.close()
 
     def test_default_deadline_comes_from_config(self, tmp_path):
+        # No queue-wide default exists: only the submitter sets a deadline.
         clock = FakeClock(now=1000.0)
-        queue = JobQueue(tmp_path / "q.db",
-                         QueueConfig(job_deadline_ms=4000.0), clock=clock)
-        assert queue.submit("GB", "bfs", GRAPH).deadline == 1004.0
+        queue = JobQueue(tmp_path / "q.db", QueueConfig(), clock=clock)
+        job = queue.submit("GB", "bfs", GRAPH)
+        assert job.deadline is None
+        assert "deadline_ms" not in queue.events(job.id)[0]["detail"]
+        clock.advance(10_000.0)
+        assert queue.peek_ready().id == job.id  # never expires while queued
         queue.close()
 
     def test_bad_deadline_rejected(self, tmp_path):
@@ -395,12 +398,19 @@ class TestQueueDeadline:
         queue.close()
 
     def test_oldest_ready_wait_tracks_fake_clock(self, tmp_path):
+        # Readiness and the deferred count follow the injected clock.
         clock = FakeClock(now=1000.0)
-        queue = JobQueue(tmp_path / "q.db", QueueConfig(), clock=clock)
-        assert queue.oldest_ready_wait() == 0.0
-        queue.submit("GB", "bfs", GRAPH)
+        queue = JobQueue(tmp_path / "q.db", QueueConfig(defer_seconds=5.0),
+                         clock=clock)
+        assert queue.peek_ready() is None
+        job = queue.submit("GB", "bfs", GRAPH)
+        assert queue.peek_ready().id == job.id
+        queue.defer(job.id, note="test")
+        assert queue.peek_ready() is None
+        assert queue.counts()["deferred"] == 1
         clock.advance(7.5)
-        assert queue.oldest_ready_wait() == 7.5
+        assert queue.peek_ready().id == job.id
+        assert queue.counts()["deferred"] == 0
         queue.close()
 
     def test_meta_roundtrip_and_reserved_key(self, tmp_path):
@@ -460,8 +470,7 @@ class TestGovernorAdmission:
     def test_over_budget_job_dispatched_sharded_up_front(self, tmp_path):
         queue = JobQueue(tmp_path / "q.db", QueueConfig())
         queue.submit("GB", "pr", GRAPH)
-        config = ServiceConfig(heartbeat_interval=0.05,
-                               heartbeat_timeout=10.0, cell_deadline=8.0,
+        config = ServiceConfig(heartbeat_interval=0.05, cell_deadline=8.0,
                                mem_budget_mb=1.0)
         supervisor = self._supervisor(queue, config=config)
         # Monolithic estimate over the 1 MB budget; shards fit.
@@ -477,8 +486,7 @@ class TestGovernorAdmission:
         queue = JobQueue(tmp_path / "q.db",
                          QueueConfig(defer_seconds=5.0), clock=clock)
         job = queue.submit("GB", "pr", GRAPH, max_attempts=1)
-        config = ServiceConfig(heartbeat_interval=0.05,
-                               heartbeat_timeout=10.0, cell_deadline=8.0,
+        config = ServiceConfig(heartbeat_interval=0.05, cell_deadline=8.0,
                                mem_budget_mb=1.0)
         supervisor = self._supervisor(queue, config=config)
         supervisor._manifests[GRAPH] = {
@@ -648,9 +656,8 @@ class TestOOMDrill:
                          QueueConfig(lease_seconds=30.0))
         job = queue.submit("GB", "pr", GRAPH,
                            params={"faults": "kernel:memhog:mb=192:times=0"})
-        config = ServiceConfig(heartbeat_interval=0.05,
-                               heartbeat_timeout=10.0, cell_deadline=30.0,
-                               cancel_grace=5.0, mem_budget_mb=128.0)
+        config = ServiceConfig(heartbeat_interval=0.05, cell_deadline=30.0,
+                               mem_budget_mb=128.0)
         supervisor = QueueSupervisor(queue, workers=1, config=config,
                                      owner="drill")
         counts = supervisor.drain()
@@ -742,9 +749,8 @@ class TestSigtermDrainDrill:
 
         # Finish the drain with the governor fully enabled: generous
         # budgets must not perturb a healthy run's bytes.
-        config = ServiceConfig(heartbeat_interval=0.05,
-                               heartbeat_timeout=10.0, cell_deadline=30.0,
-                               cancel_grace=5.0, mem_budget_mb=8192.0)
+        config = ServiceConfig(heartbeat_interval=0.05, cell_deadline=30.0,
+                               mem_budget_mb=8192.0)
         supervisor = QueueSupervisor(
             JobQueue(path, QueueConfig(lease_seconds=30.0)), workers=1,
             config=config, mirror_jobs=job_ids, owner="finisher")

@@ -303,11 +303,12 @@ class TestQueueConfig:
         cfg = QueueConfig.from_env({
             "REPRO_JOB_MAX_ATTEMPTS": "5", "REPRO_JOB_BACKOFF": "0.5",
             "REPRO_JOB_BACKOFF_CAP": "60", "REPRO_JOB_DEFER": "2",
-            "REPRO_LEASE_SECONDS": "7", "REPRO_TENANT_MAX_ACTIVE": "9"})
+            "REPRO_LEASE_SECONDS": "7", "REPRO_TENANT_MAX_ACTIVE": "9",
+            "REPRO_QUEUE_HIGH_WATER": "11"})
         assert cfg.max_attempts == 5
         assert cfg.backoff_base == 0.5 and cfg.backoff_cap == 60.0
         assert cfg.defer_seconds == 2.0 and cfg.lease_seconds == 7.0
-        assert cfg.tenant_max_active == 9
+        assert cfg.tenant_max_active == 9 and cfg.high_water == 11
 
     def test_invalid_values_fail_fast(self):
         with pytest.raises(errors.InvalidValue):
@@ -329,6 +330,23 @@ class TestKnobValidator:
         with pytest.raises(errors.InvalidValue,
                            match="REPRO_JOB_MAX_ATTEMPTS"):
             validate_env_knobs({"REPRO_JOB_MAX_ATTEMTPS": "1"})
+
+    def test_removed_knobs_fail_fast(self, tmp_path, monkeypatch, capsys):
+        # Knobs that became constants (or whose behaviour went away) must
+        # not be silently ignored by a stale environment.
+        removed = ("REPRO_SERVICE_HEARTBEAT_TIMEOUT", "REPRO_CANCEL_GRACE",
+                   "REPRO_DRAIN_GRACE", "REPRO_JOB_DEADLINE",
+                   "REPRO_QUEUE_MAX_WAIT", "REPRO_PLAN_CACHE_STATS",
+                   "REPRO_ARTIFACTS")
+        for name in removed:
+            assert name not in KNOWN_KNOBS
+            with pytest.raises(errors.InvalidValue, match=name):
+                validate_env_knobs({name: "1"})
+        from repro.service.serve import main as serve_main
+
+        monkeypatch.setenv("REPRO_DRAIN_GRACE", "60")
+        assert serve_main(["drain", "--queue", str(tmp_path / "q.db")]) == 2
+        assert "REPRO_DRAIN_GRACE" in capsys.readouterr().err
 
     def test_every_known_knob_is_accepted(self):
         assert validate_env_knobs({k: "1" for k in KNOWN_KNOBS

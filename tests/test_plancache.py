@@ -76,8 +76,9 @@ class TestBookkeeping:
         csr = _matrix()
         plancache.cached(csr, "segreduce", (), lambda: "p")
         plancache.cached(csr, "segreduce", (), lambda: "p")
-        line = plancache.summary_line()
-        assert "segreduce" in line and "1/2 hits" in line
+        assert plancache.plan_cache_stats() == {
+            "segreduce": {"hits": 1, "misses": 1, "entries": 1}}
+        assert plancache.hit_rate() == 0.5
 
 
 class TestDisabledMode:
@@ -89,7 +90,8 @@ class TestDisabledMode:
             plancache.cached(csr, "k", (), lambda: derived.append(1) or "v")
         assert len(derived) == 2
         assert csr._plan_cache is None
-        assert plancache.summary_line().startswith("plan-cache: disabled")
+        assert plancache.plan_cache_stats() == {}
+        assert plancache.hit_rate() is None
 
     def test_segment_reduce_identical_with_cache_toggled(self):
         csr = _matrix()

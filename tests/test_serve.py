@@ -34,8 +34,7 @@ from repro.service.serve import main as serve_main
 
 GRAPH = "road-USA-W"
 
-FAST = ServiceConfig(heartbeat_interval=0.05, heartbeat_timeout=10.0,
-                     cell_deadline=8.0)
+FAST = ServiceConfig(heartbeat_interval=0.05, cell_deadline=8.0)
 
 
 def snapshot_bytes() -> str:
@@ -397,8 +396,7 @@ from repro.service.queue_supervisor import QueueSupervisor
 
 if __name__ == "__main__":
     queue = JobQueue(sys.argv[1], QueueConfig(lease_seconds=5.0))
-    config = ServiceConfig(heartbeat_interval=0.05,
-                           heartbeat_timeout=10.0, cell_deadline=8.0)
+    config = ServiceConfig(heartbeat_interval=0.05, cell_deadline=8.0)
     QueueSupervisor(queue, workers=2, config=config,
                     owner="child").drain()
 """

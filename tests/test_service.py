@@ -36,7 +36,7 @@ from repro.service import CellTask, ChaosPlan, CircuitBreaker, \
 from repro.service.breaker import BreakerBoard, CLOSED, HALF_OPEN, OPEN
 from repro.service.chaos import ChaosSpec
 from repro.service.chaos import parse_spec as parse_chaos_spec
-from repro.service.config import validate_env_knobs
+from repro.service.config import HEARTBEAT_TIMEOUT, validate_env_knobs
 from repro.service.heartbeat import WorkerHealth
 from repro.service.queue import JobQueue
 from repro.service.worker import json_clean_row
@@ -44,8 +44,7 @@ from repro.service.worker import json_clean_row
 GRAPH = "road-USA-W"
 
 #: A ServiceConfig tuned for tests: fast beats, short hang deadline.
-FAST = ServiceConfig(heartbeat_interval=0.05, heartbeat_timeout=10.0,
-                     cell_deadline=8.0)
+FAST = ServiceConfig(heartbeat_interval=0.05, cell_deadline=8.0)
 
 
 def snapshot_bytes() -> str:
@@ -339,8 +338,10 @@ class TestServiceConfig:
         assert config.breaker_cooldown == 3
 
     def test_heartbeat_timeout_must_exceed_interval(self):
-        with pytest.raises(errors.InvalidValue):
-            ServiceConfig(heartbeat_interval=5.0, heartbeat_timeout=1.0)
+        for interval in (HEARTBEAT_TIMEOUT, HEARTBEAT_TIMEOUT + 1, 0.0):
+            with pytest.raises(errors.InvalidValue):
+                ServiceConfig(heartbeat_interval=interval)
+        ServiceConfig(heartbeat_interval=HEARTBEAT_TIMEOUT / 2)
 
 
 class TestWorkerHealth:
