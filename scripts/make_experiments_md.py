@@ -188,23 +188,27 @@ write their artifacts next to the tables:
 ## Interrupted and resumed runs
 
 The full grid takes minutes at twin scale (and would take days at paper
-scale), so `scripts/run_full_study.py` journals every completed cell as it
-finishes and can pick up where a killed run left off:
+scale), so every grid runs as jobs on a durable queue that records each
+cell as it settles, and a killed run can pick up where it left off:
 
-* **Journal** — each completed cell is appended to
-  `benchmarks/results/journal.jsonl` (one versioned JSON record per line,
-  flushed and fsynced before the run proceeds).  A torn final line from a
-  hard kill is ignored on load; corruption anywhere earlier is an error.
-  The snapshot `cells.json` is written atomically (temp file +
-  `os.replace`) and is versioned; loaders reject unknown schemas instead
-  of mis-parsing them.
+* **Queue** — `scripts/run_full_study.py` submits the grid's cells to
+  `benchmarks/results/queue.db` (or `--queue PATH`), a SQLite database in
+  WAL mode, and drains it (`repro.service.run_grid`; in-process at the
+  default `--workers 1`).  A process kill loses at most the cell in
+  flight, whose lease stays behind; a power loss may also drop the last
+  few commits, which then simply run again.  A run without `--resume`
+  deletes any old queue file first.  The snapshot `cells.json` is
+  written atomically (temp file + `os.replace`) and is versioned;
+  loaders reject unknown schemas instead of mis-parsing them.
 * **Resume** — `python scripts/run_full_study.py --resume` (and
-  `repro-study <target> --journal PATH --resume`) seeds the in-process
-  memo from the journal and recomputes only the missing cells.  Because
-  the machine model is deterministic and wall-clock timings are excluded
-  from persistence, a resumed run writes a `cells.json` byte-identical to
-  an uninterrupted one (`tests/test_checkpoint.py` asserts this by
-  killing a run mid-grid with an injected fatal fault).
+  `repro-study <target> --queue PATH --resume`) drains the same queue
+  again: settled cells are recalled from their stored rows ("N cells
+  recalled"), the leased one is reclaimed, and only the missing cells
+  run.  Because the machine model is deterministic and wall-clock
+  timings are excluded from persistence, a resumed run writes a
+  `cells.json` byte-identical to an uninterrupted one
+  (`tests/test_checkpoint.py` asserts this by killing a run mid-grid with
+  an injected fatal fault).  A file that is not a job queue exits 2.
 * **Per-cell failure** — a cell that raises unexpectedly is recorded with
   status `ERR` (exception type + condensed traceback) and rendered like
   `TO`/`OOM`; one broken cell no longer aborts the study.  A per-cell
@@ -223,9 +227,9 @@ finishes and can pick up where a killed run left off:
 ## Supervised parallel runs
 
 `repro-study <target> --workers N` and `scripts/run_full_study.py
---workers N` submit the grid cells as jobs to a job queue (a temporary
-SQLite file, or `run_full_study.py --queue PATH`) and drain it on a
-supervised pool of N spawn-started worker processes
+--workers N` drain the same job queue (for `repro-study` a temporary
+SQLite file unless `--queue PATH`) on a supervised pool of N
+spawn-started worker processes instead of in-process
 (`repro.service.run_grid`).  The supervisor heartbeats every worker,
 SIGKILLs and respawns dead or hung ones (blown per-cell deadline,
 heartbeat silence), and requeues the in-flight cell after the queue's
@@ -235,11 +239,10 @@ retry backoff; a cell whose workers keep dying is dead-lettered after
 cells of a repeatedly failing system until a half-open probe on that
 same system succeeds; a cell always runs on the system it names, so a
 system that keeps failing dead-letters its own cells and every Table II
-number is the named system's.  Each result is journaled as soon as the
-queue commits it, in completion order; the journal is read back by key
-and `cells.json` is sorted by key, so a parallel, fault-ridden run
-writes a `cells.json` byte-identical to a sequential clean run's, and
-`--workers` composes with `--journal`/`--resume` and every fault knob
+number is the named system's.  Workers finish in any order and
+`cells.json` is sorted by key, so a parallel, fault-ridden run writes a
+`cells.json` byte-identical to a sequential clean run's, and
+`--workers` composes with `--queue`/`--resume` and every fault knob
 below (`tests/test_service.py` drills SIGKILLs, hangs, poison cells,
 and open breakers).  Each worker inherits `REPRO_KERNEL_THREADS`, so a
 pool of N workers may run N x that many kernel threads.

@@ -6,23 +6,15 @@ the rendered text to ``benchmarks/results/`` and the raw cells to
 ``benchmarks/results/cells.json``.  This is the long-form equivalent of
 ``repro-study all --save ...`` with progress output.
 
-The run is resilient: every completed cell is checkpointed to a JSONL
-journal (``--journal``, default ``<out>/journal.jsonl``), so a killed run
-can be continued with ``--resume`` — already-journaled cells are recalled
-instead of re-run, and the final ``cells.json`` is byte-identical to an
-uninterrupted run's.  Fault injection for drills is configured through the
-``REPRO_FAULTS`` environment knobs (see ``repro.faults``).
-
-With ``--workers N`` (N > 1) the grid cells are submitted as jobs to a
-queue and drained by a supervised pool of N worker processes
-(``repro.service.run_grid``): crashed or hung workers are respawned and
-their cells retried with backoff.  The journal records cells as they
-finish and ``cells.json`` is sorted by key, so it stays byte-identical
-to a sequential run's.  The queue is ephemeral unless ``--queue PATH``
-keeps it on disk, in which case a killed run re-invoked against the same
-queue resumes exactly once per job.  ``--workers`` composes with
-``--resume`` and the fault knobs; a malformed fault, watchdog or
-``REPRO_KERNEL_THREADS`` knob exits 2 before the first cell.
+The grid cells are jobs on a durable SQLite queue (``--queue``, default
+``<out>/queue.db``) drained by ``repro.service.run_grid``: in-process by
+default, or with ``--workers N`` on a supervised pool that respawns
+crashed or hung workers and retries their cells.  A killed run continues
+with ``--resume`` (without it the queue file is discarded first): settled
+cells are recalled, and ``cells.json`` is byte-identical to an
+uninterrupted run's at any worker count.  Drills inject faults through
+``REPRO_FAULTS`` (see ``repro.faults``); a malformed knob, or a queue
+file that is not a job queue, exits 2 before the first cell.
 """
 
 import argparse
@@ -31,7 +23,7 @@ import sys
 import time
 
 from repro import errors, faults
-from repro.core import checkpoint, experiments, figures, tables
+from repro.core import experiments, figures, tables
 from repro.core.experiments import GRAPH_ORDER, STATUSES
 from repro.core.systems import APPLICATIONS
 from repro.sparse import parallel
@@ -47,12 +39,9 @@ def parse_args(argv=None):
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--out", type=pathlib.Path, default=DEFAULT_OUT,
                         help="artifact directory (created if missing)")
-    parser.add_argument("--journal", type=pathlib.Path, default=None,
-                        help="cell checkpoint journal "
-                             "(default: <out>/journal.jsonl)")
     parser.add_argument("--resume", action="store_true",
-                        help="recall cells already in the journal instead "
-                             "of re-running them")
+                        help="re-drain the queue: cells it already settled "
+                             "are recalled instead of re-run")
     parser.add_argument("--graphs", nargs="*", default=None,
                         help=f"graph subset (default: all of {GRAPH_ORDER})")
     parser.add_argument("--apps", nargs="*", default=None,
@@ -62,10 +51,10 @@ def parse_args(argv=None):
                              "processes (default: 1 = in-process)")
     parser.add_argument("--queue", type=pathlib.Path, default=None,
                         metavar="PATH",
-                        help="keep the grid's job queue at PATH (created "
-                             "if missing) instead of a temporary file: a "
-                             "killed run re-invoked against the same queue "
-                             "resumes exactly once per job")
+                        help="the grid's job queue (default: "
+                             "<out>/queue.db); a killed run re-invoked "
+                             "with --resume against it runs each cell "
+                             "exactly once")
     return parser.parse_args(argv)
 
 
@@ -73,9 +62,11 @@ def main(argv=None) -> int:
     args = parse_args(argv)
     out = args.out
     out.mkdir(parents=True, exist_ok=True)
-    journal_path = args.journal or (out / "journal.jsonl")
+    queue_path = args.queue or (out / "queue.db")
 
+    from repro.service import grid_tasks, run_grid
     from repro.service.config import validate_env_knobs
+    from repro.service.queue import discard
 
     try:
         validate_env_knobs()
@@ -92,24 +83,22 @@ def main(argv=None) -> int:
         print(f"--workers wants a positive worker count; got "
               f"{args.workers}", file=sys.stderr)
         return 2
-    if args.resume:
-        n = checkpoint.resume(journal_path)
-        print(f"resuming: {n} cells recalled from {journal_path}",
-              flush=True)
-    else:
-        checkpoint.attach(journal_path, fresh=True)
+    if not args.resume:
+        discard(queue_path)
 
-    if args.queue is not None or args.workers > 1:
-        from repro.service import grid_tasks, run_grid
-
-        tasks = grid_tasks(
-            graphs, apps,
-            sweep_apps=[a for a in apps if a in figures.FIGURE2_APPS]
-            or figures.FIGURE2_APPS,
-            sweep_graphs=[g for g in graphs if g in LARGEST] or LARGEST)
-        _results, line = run_grid(tasks, args.workers,
-                                  queue_path=args.queue)
-        print(line, flush=True)
+    t0 = time.time()
+    tasks = grid_tasks(
+        graphs, apps,
+        sweep_apps=[a for a in apps if a in figures.FIGURE2_APPS]
+        or figures.FIGURE2_APPS,
+        sweep_graphs=[g for g in graphs if g in LARGEST] or LARGEST)
+    try:
+        _results, line = run_grid(tasks, args.workers, queue_path=queue_path)
+    except errors.InvalidValue as exc:  # the queue file is not a queue
+        print(f"repro-study: {exc}", file=sys.stderr)
+        return 2
+    print(line, flush=True)
+    print(f"[{time.time() - t0:7.0f}s] grid done", flush=True)
 
     targets = (
         ("table1", lambda: tables.table1(graphs)),
@@ -123,29 +112,15 @@ def main(argv=None) -> int:
         ("figure3", lambda: figures.figure3(graphs=graphs)),
         ("table5", lambda: tables.table5(graphs)),
     )
-    t0 = time.time()
-    summary = []
     for name, fn in targets:
         t = time.time()
-        before = set(experiments.all_results())
-        rendered = fn()
-        fresh = [r for k, r in experiments.all_results().items()
-                 if k not in before]
-        summary.append((name, experiments.status_counts(fresh)))
-        (out / f"{name}.txt").write_text(str(rendered) + "\n")
+        (out / f"{name}.txt").write_text(str(fn()) + "\n")
         print(f"[{time.time() - t0:7.0f}s] {name} done "
               f"({time.time() - t:.0f}s)", flush=True)
-    experiments.set_journal(None)
     experiments.save_results(str(out / "cells.json"))
 
-    print("cell summary (new cells per target):")
-    for name, counts in summary:
-        line = " ".join(f"{s}={counts[s]}" for s in STATUSES)
-        print(f"  {name:<8s} {line}")
     total = experiments.status_counts()
-    print("  " + "-" * 40)
-    print(f"  {'grid':<8s} "
-          + " ".join(f"{s}={total[s]}" for s in STATUSES))
+    print("grid: " + " ".join(f"{s}={total[s]}" for s in STATUSES))
     if total["ERR"]:
         print(f"warning: {total['ERR']} cell(s) ended in ERR; inspect "
               "cells.json error fields", file=sys.stderr)

@@ -20,8 +20,9 @@ bounded backoff policy and the attempt count is recorded.
 
 Results are memoized in-process and optionally persisted as versioned JSON
 (written atomically) so the table/figure/benchmark layers can share one
-grid run; a :class:`repro.core.checkpoint.CellJournal` can additionally be
-attached so every fresh cell is checkpointed the moment it completes.
+grid run.  Crash recovery is the job queue's: the study CLIs run every
+grid through :func:`repro.service.run_grid`, whose queue records each
+cell as it settles.
 """
 
 from __future__ import annotations
@@ -101,25 +102,6 @@ class CellResult:
 
 
 _MEMO: Dict[Tuple[str, str, str], CellResult] = {}
-
-#: When set (see :func:`set_journal`), every freshly computed cell is
-#: appended here the moment it completes — the checkpoint for --resume.
-_JOURNAL = None
-
-
-def set_journal(journal) -> None:
-    """Attach (or with ``None`` detach) a per-cell checkpoint journal.
-
-    ``journal`` is anything with an ``append(CellResult)`` method, normally
-    a :class:`repro.core.checkpoint.CellJournal`.
-    """
-    global _JOURNAL
-    _JOURNAL = journal
-
-
-def get_journal():
-    """The attached checkpoint journal, if any."""
-    return _JOURNAL
 
 
 def _error_info(exc: BaseException) -> Dict[str, str]:
@@ -205,8 +187,6 @@ def run_cell(system: str, app: str, graph: str,
     )
     if use_cache:
         _MEMO[key] = result
-    if _JOURNAL is not None:
-        _JOURNAL.append(result)
     return result
 
 
@@ -244,7 +224,7 @@ def all_results() -> Dict[Tuple[str, str, str], CellResult]:
 
 
 def seed_results(results: Iterable[CellResult]) -> int:
-    """Pre-populate the memo (e.g. from a checkpoint journal on resume)."""
+    """Pre-populate the memo (e.g. with a queue's settled jobs)."""
     n = 0
     for result in results:
         _MEMO[result.key] = result

@@ -6,7 +6,7 @@ Examples::
     repro-study table2 --graphs rmat22 road-USA-W --apps bfs cc
     repro-study figure2
     repro-study all --save results.json
-    repro-study all --journal run.jsonl --resume   # continue a killed run
+    repro-study all --queue run.db --resume        # continue a killed run
     repro-study all --workers 4 --strict           # supervised worker pool
 """
 
@@ -16,7 +16,7 @@ import argparse
 import sys
 
 from repro import errors, faults
-from repro.core import checkpoint, experiments, figures, tables
+from repro.core import experiments, figures, tables
 from repro.core.experiments import GRAPH_ORDER, STATUSES
 from repro.core.systems import APPLICATIONS
 from repro.sparse import parallel
@@ -41,18 +41,18 @@ def main(argv=None) -> int:
                         help="persist cell results as JSON (atomic write)")
     parser.add_argument("--load", default=None,
                         help="preload cell results from JSON")
-    parser.add_argument("--journal", default=None,
-                        help="checkpoint each completed cell to this JSONL "
-                             "journal")
+    parser.add_argument("--queue", default=None, metavar="PATH",
+                        help="keep the grid's job queue at PATH instead of "
+                             "a temporary file (replaced unless --resume)")
     parser.add_argument("--resume", action="store_true",
-                        help="skip cells already present in --journal "
-                             "(implies journaling)")
+                        help="re-drain --queue: cells it already settled "
+                             "are recalled, the rest run")
     parser.add_argument("--workers", type=int, default=1, metavar="N",
-                        help="run grid cells as jobs on an ephemeral "
-                             "queue drained by N supervised worker "
-                             "processes (default: 1 = in-process); crashed "
-                             "or hung workers are respawned and their "
-                             "cells retried under REPRO_JOB_MAX_ATTEMPTS")
+                        help="drain the grid's job queue on N supervised "
+                             "worker processes (default: 1 = in this "
+                             "process); crashed or hung workers are "
+                             "respawned and their cells retried under "
+                             "REPRO_JOB_MAX_ATTEMPTS")
     parser.add_argument("--strict", action="store_true",
                         help="exit nonzero when any cell ends in ERR")
     args = parser.parse_args(argv)
@@ -71,8 +71,8 @@ def main(argv=None) -> int:
     except errors.InvalidValue as exc:
         print(f"repro-study: {exc}", file=sys.stderr)
         return 2
-    if args.resume and not args.journal:
-        print("repro-study: --resume requires --journal PATH",
+    if args.resume and not args.queue:
+        print("repro-study: --resume requires --queue PATH",
               file=sys.stderr)
         return 2
     if args.workers < 1:
@@ -83,34 +83,29 @@ def main(argv=None) -> int:
     if args.load:
         n = experiments.load_results(args.load)
         print(f"(loaded {n} cached cells from {args.load})", file=sys.stderr)
-    if args.journal:
-        if args.resume:
-            n = checkpoint.resume(args.journal)
-            print(f"(resumed {n} journaled cells from {args.journal})",
-                  file=sys.stderr)
-        else:
-            checkpoint.attach(args.journal, fresh=True)
-            print(f"(journaling cells to {args.journal})", file=sys.stderr)
+    if args.queue and not args.resume:
+        from repro.service.queue import discard
 
-    try:
-        if args.target == "explain":
-            for g in graphs:
-                for app in apps:
-                    print(_explain_cell(args.system, app, g))
-                    print()
-        else:
-            if args.workers > 1:
-                _prewarm_grid(args.target, graphs, apps, args.workers)
-            targets = ([args.target] if args.target != "all" else
-                       ["table1", "table2", "table3", "table4", "table5",
-                        "figure2", "figure3", "validate"])
-            for target in targets:
-                print(_render(target, graphs, apps))
+        discard(args.queue)
+
+    if args.target == "explain":
+        for g in graphs:
+            for app in apps:
+                print(_explain_cell(args.system, app, g))
                 print()
-    finally:
-        # A fatal (injected or real) abort still keeps the journal; the
-        # snapshot below only happens on a clean finish.
-        experiments.set_journal(None)
+    else:
+        try:
+            _prewarm_grid(args.target, graphs, apps, args.workers,
+                          args.queue)
+        except errors.InvalidValue as exc:  # e.g. --queue is not a queue
+            print(f"repro-study: {exc}", file=sys.stderr)
+            return 2
+        targets = ([args.target] if args.target != "all" else
+                   ["table1", "table2", "table3", "table4", "table5",
+                    "figure2", "figure3", "validate"])
+        for target in targets:
+            print(_render(target, graphs, apps))
+            print()
     if args.save:
         experiments.save_results(args.save)
         print(f"(saved cell results to {args.save})", file=sys.stderr)
@@ -125,15 +120,17 @@ def main(argv=None) -> int:
     return 0
 
 
-def _prewarm_grid(target: str, graphs, apps, workers: int) -> None:
-    """Compute the target's grid cells on a supervised worker pool
-    (:func:`repro.service.run_grid`: the cells drain through an
-    ephemeral job queue).
+def _prewarm_grid(target: str, graphs, apps, workers: int,
+                  queue_path=None) -> None:
+    """Compute the target's grid cells through
+    :func:`repro.service.run_grid`: they drain through a job queue (at
+    ``queue_path``, or an ephemeral one), in this process when
+    ``workers`` is 1, else on a supervised worker pool.
 
-    Fills the experiment memo (and the attached journal, as cells finish)
-    so the in-process renderers afterwards only hit cache.  Targets
-    that run no grid cells (table1, table5, figure3 — the latter two use
-    the separate problem-variant memo) are left to the sequential path.
+    Fills the experiment memo so the renderers afterwards only hit
+    cache.  Targets that run no grid cells (table1, table5, figure3 —
+    the latter two use the separate problem-variant memo) compute
+    lazily in the renderers.
     """
     from repro.core.figures import FIGURE2_APPS
     from repro.service import grid_tasks, run_grid
@@ -152,7 +149,7 @@ def _prewarm_grid(target: str, graphs, apps, workers: int) -> None:
                            sweep_graphs=fig2_graphs)
     else:
         return
-    _results, line = run_grid(tasks, workers)
+    _results, line = run_grid(tasks, workers, queue_path=queue_path)
     print(f"({line})", file=sys.stderr)
 
 

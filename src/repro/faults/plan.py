@@ -52,8 +52,8 @@ class FatalFault(BaseException):
 
     Derives from :class:`BaseException` on purpose: it models the process
     being killed mid-run (power loss, OOM-killer), so it must escape
-    ``run_cell``'s ``except Exception`` and abort the study loop — the
-    scenario the checkpoint journal exists to recover from.
+    ``run_cell``'s ``except Exception`` and abort the study run — the
+    scenario resuming from the grid's job queue recovers from.
     """
 
     def __init__(self, message: str, site: str = ""):

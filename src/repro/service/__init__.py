@@ -1,18 +1,21 @@
-"""Supervised multi-worker execution of the study grid (``repro.service``).
+"""The study grid as a durable job queue, drained in or out of process.
 
-The sequential study loop (``repro-study all``, ``run_full_study.py``) runs
-every cell in one process: a worker-level death — a real SIGKILL/OOM-kill
-or an injected :class:`repro.faults.FatalFault` — aborts the whole grid and
-only the checkpoint journal survives.  This package keeps the study alive
-through such deaths by running cells *out of process* under supervision:
+Every study grid (``repro-study``, ``run_full_study.py``) runs through
+:func:`run_grid`: its cells become jobs on a SQLite queue, drained in
+this process by default.  There a process death — a real SIGKILL/OOM-kill
+or an injected :class:`repro.faults.FatalFault` — aborts the grid, and
+the queue is what survives: draining it again resumes the run.  With
+``--workers N`` this package also keeps the study alive through such
+deaths by running cells *out of process* under supervision:
 
 * :mod:`repro.service.supervisor` — the spawn-based worker pool: detects
   dead or hung workers (pipe EOF, missed heartbeats, a blown per-cell
   deadline), respawns them, and hands the in-flight cell back to the work
   source; plus the grid's canonical task list (:func:`grid_tasks`).
-* :mod:`repro.service.worker` — the out-of-process worker loop: runs one
-  cell at a time via :func:`repro.core.experiments.run_cell` with the
-  fault plan installed from the environment, heartbeating throughout.
+* :mod:`repro.service.worker` — :func:`~repro.service.worker.run_task`
+  (one cell, JSON-clean row — what every drain runs) and the
+  out-of-process worker loop around it, with the fault plan installed
+  from the environment, heartbeating throughout.
 * :mod:`repro.service.breaker` — per-system circuit breakers (closed →
   open → half-open) that defer a crash-looping system's cells until a
   half-open probe on that same system succeeds; a cell never runs on a
@@ -28,22 +31,22 @@ through such deaths by running cells *out of process* under supervision:
   (idempotent submission, crash-safe leases, retry with backoff,
   dead-letter state, tenant admission control).
 * :mod:`repro.service.queue_supervisor` — drains the queue through the
-  worker pool, with exactly-once result commit and breaker-driven
-  deferral.  Its :func:`run_grid` runs a study grid: the
+  worker pool (or in-process), with exactly-once result commit and
+  breaker-driven deferral.  Its :func:`run_grid` runs a study grid: the
   cells become jobs on a queue (ephemeral unless a path is given), and
   a cell whose workers keep dying dead-letters as ``ERR``/``DeadLetter``
   after ``REPRO_JOB_MAX_ATTEMPTS`` leases.  Results mirror into the
-  checkpoint cell journal as each job settles; ``cells.json`` is sorted
-  by key, so a parallel, fault-ridden run produces one byte-identical to
-  a sequential clean run's.
+  experiment memo as each job settles; ``cells.json`` is sorted by key,
+  so a parallel, fault-ridden run produces one byte-identical to a
+  sequential clean run's.
 * :mod:`repro.service.api` / :mod:`repro.service.serve` — the service
   front-end: a stdlib HTTP JSON API and the ``repro-serve`` CLI
   (``submit``/``status``/``result``/``drain``/``api``).
 
-Both study CLIs expose the pool via ``--workers N``; the default ``N=1``
-keeps the existing in-process sequential path byte-for-byte unchanged.
-``run_full_study.py --queue PATH`` keeps the grid's queue on disk so a
-killed run can be re-invoked against it.
+Both study CLIs expose the pool via ``--workers N`` (default 1: drain
+in-process).  ``run_full_study.py`` keeps the grid's queue at
+``<out>/queue.db`` (``repro-study`` with ``--queue PATH``), so a killed
+run re-invoked with ``--resume`` recalls every cell the queue settled.
 """
 
 from repro.service.breaker import CircuitBreaker

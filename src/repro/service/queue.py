@@ -1,11 +1,10 @@
 """Durable SQLite-WAL job queue: crash-safe leases, retry/backoff, tenants.
 
-The supervised worker pool (:mod:`repro.service.supervisor`) made cell
-execution survive *worker* deaths, but its task list lived in supervisor
-memory: a supervisor crash lost every queued cell that had not reached the
-journal, and there was no way to submit, deduplicate, or retry work across
-process lifetimes.  :class:`JobQueue` moves the task list into a SQLite
-database so the queue itself is the write-ahead log:
+The supervised worker pool (:mod:`repro.service.supervisor`) survives
+*worker* deaths; :class:`JobQueue` keeps the task list itself in a SQLite
+database, so work can be submitted, deduplicated, and retried across
+process lifetimes.  The queue is the only write-ahead log: every study
+grid drains one, and a killed run resumes by draining it again.
 
 * **Jobs** are ``graph x app x system x params`` payloads with a tenant,
   a priority, and an optional idempotency key — resubmitting the same key
@@ -33,11 +32,11 @@ database so the queue itself is the write-ahead log:
   :class:`repro.errors.AdmissionDenied` (HTTP 429 in the front-end)
   instead of letting one tenant starve the pool.
 * **Torn-tail durability.**  The database opens with ``journal_mode=WAL``
-  and ``synchronous=NORMAL`` — the same discipline the JSONL cell journal
-  applies by hand (:mod:`repro.core.checkpoint` tolerates a torn final
-  line): a process killed mid-append loses at most the uncommitted tail
-  of the WAL, and SQLite's checksummed frames recover the longest valid
-  prefix on the next open (drill-tested in ``tests/test_jobqueue.py``).
+  and ``synchronous=NORMAL``: a process killed mid-append loses at most
+  the uncommitted tail of the WAL, and SQLite's checksummed frames
+  recover the longest valid prefix on the next open (drill-tested in
+  ``tests/test_jobqueue.py``).  A power loss may also drop the last
+  commits; those cells simply run again on resume, deterministically.
 
 Progress is observable: every transition appends to a ``job_events``
 table (``submitted``/``leased``/``deferred``/``requeued``/``heartbeat``/
@@ -48,7 +47,9 @@ HTTP API streams via ``GET /jobs/<id>/events?since=N``.
 
 from __future__ import annotations
 
+import contextlib
 import json
+import os
 import sqlite3
 import time
 import zlib
@@ -73,9 +74,9 @@ OPEN_STATES = (QUEUED, LEASED)
 #: States a job never leaves.
 TERMINAL_STATES = (DONE, ERR, DEAD)
 
-#: Version stamp of the jobs schema (rejected when mismatched, like the
-#: cell journal's ``schema`` field).  v2 added the ``deadline`` column
-#: (absolute wall-clock budget for deadline propagation).
+#: Version stamp of the jobs schema (rejected when mismatched).  v2 added
+#: the ``deadline`` column (absolute wall-clock budget for deadline
+#: propagation).
 QUEUE_SCHEMA = 2
 
 _SCHEMA = """
@@ -130,6 +131,14 @@ def backoff_seconds(job_id: int, attempt: int, base: float,
     delay = min(cap, base * (2.0 ** max(0, attempt - 1)))
     frac = zlib.crc32(f"{job_id}:{attempt}".encode()) / 2.0 ** 32
     return delay * (1.0 + 0.5 * frac)
+
+
+def discard(path) -> None:
+    """Delete a queue database and its ``-wal``/``-shm`` files, if any —
+    how a study run that is not ``--resume`` starts from nothing."""
+    for suffix in ("", "-wal", "-shm"):
+        with contextlib.suppress(FileNotFoundError):
+            os.remove(f"{path}{suffix}")
 
 
 @dataclass(frozen=True)
@@ -220,15 +229,19 @@ class JobQueue:
         self.clock = clock
         self._conn = sqlite3.connect(self.path, timeout=5.0)
         self._conn.row_factory = sqlite3.Row
-        # The torn-tail discipline (see module docstring): WAL keeps
-        # readers unblocked and makes a mid-write kill lose at most the
-        # unsynced tail; NORMAL syncs at WAL checkpoints, matching the
-        # cell journal's per-record fsync durability class without a
-        # full fsync per statement.
-        self._conn.execute("PRAGMA journal_mode=WAL")
-        self._conn.execute("PRAGMA synchronous=NORMAL")
-        self._conn.execute("PRAGMA busy_timeout=5000")
-        self._conn.executescript(_SCHEMA)
+        try:
+            # The torn-tail discipline (see module docstring): WAL keeps
+            # readers unblocked and makes a mid-write kill lose at most
+            # the unsynced tail; NORMAL syncs at WAL checkpoints, not
+            # once per statement.
+            self._conn.execute("PRAGMA journal_mode=WAL")
+            self._conn.execute("PRAGMA synchronous=NORMAL")
+            self._conn.execute("PRAGMA busy_timeout=5000")
+            self._conn.executescript(_SCHEMA)
+        except sqlite3.DatabaseError as exc:
+            self._conn.close()
+            raise errors.InvalidValue(
+                f"{self.path} is not a job queue: {exc}") from None
         with self._conn:
             row = self._conn.execute(
                 "SELECT value FROM queue_meta WHERE key='schema'"

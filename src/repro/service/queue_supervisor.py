@@ -3,9 +3,11 @@
 :class:`QueueSupervisor` is the work source for
 :class:`repro.service.supervisor.WorkerPool`: it owns a
 :class:`repro.service.queue.JobQueue` and keeps leasing ready jobs until
-none remain open.  A study grid runs the same way — :func:`run_grid`
+none remain open.  Every study grid runs this way — :func:`run_grid`
 submits its cells as jobs (to an ephemeral queue unless a path is given)
-and drains them.  The robustness contract, layer by layer:
+and drains them, on worker processes or, with one worker, in this
+process.  The queue is the grid's only durable record: a killed run
+re-drains the same file.  The robustness contract, layer by layer:
 
 * **Worker dies / hangs** — the pool reaps it (pipe EOF, heartbeat
   silence, blown deadline), and the job's lease is *failed back* to the
@@ -22,12 +24,10 @@ and drains them.  The robustness contract, layer by layer:
   :meth:`~repro.service.queue.JobQueue.complete` exactly once (state +
   owner + attempts guard); when the drain mirrors results into the
   experiment layer (``mirror_jobs``), each job's cell is seeded into the
-  memo and appended to the journal right after that fenced commit (or
-  its dead-letter), in completion order.  ``cells.json`` is sorted by
-  key, so it is byte-identical to a sequential clean run's.  The queue
-  commit happens *first*; a crash between the two is repaired on
-  restart by replaying the stored result blob of every terminal job
-  whose key the memo lacks.
+  memo right after that fenced commit (or its dead-letter).
+  ``cells.json`` is sorted by key, so it is byte-identical whatever the
+  completion order.  A restarted drain recalls every job a predecessor
+  already settled by replaying its stored result blob.
 * **Admission control** — a job that survives the deadline and memory
   checks consults its system's circuit breaker via
   :meth:`~repro.service.breaker.BreakerBoard.admit`: an open breaker
@@ -43,6 +43,7 @@ from __future__ import annotations
 import contextlib
 import os
 import tempfile
+import time
 from typing import Dict, Iterable, Optional, Sequence, Set, Tuple
 
 from repro.core import experiments
@@ -52,6 +53,7 @@ from repro.service.breaker import BreakerBoard
 from repro.service.config import ServiceConfig
 from repro.service.queue import DEAD, Job, JobQueue
 from repro.service.supervisor import CellTask, WorkerPool
+from repro.service.worker import run_task
 
 #: Event-loop ticks between per-job "heartbeat" progress events (with the
 #: default 0.25 s heartbeat interval: one event per in-flight job per
@@ -72,17 +74,16 @@ class QueueSupervisor(WorkerPool):
     """Lease-execute-commit loop over a :class:`JobQueue`.
 
     ``mirror_jobs`` (job ids) additionally mirrors those jobs' cells into
-    the experiment memo and ``journal`` (default: the attached one) as
-    each one settles — the mode :func:`run_grid` uses so a queue-driven
-    study still renders tables and writes ``cells.json``.  ``owner``
-    names this supervisor on its leases; it defaults to the pid and only
-    needs overriding in tests.
+    the experiment memo as each one settles — the mode :func:`run_grid`
+    uses so a queue-driven study still renders tables and writes
+    ``cells.json``.  ``owner`` names this supervisor on its leases; it
+    defaults to the pid and only needs overriding in tests.
     """
 
     def __init__(self, queue: JobQueue, workers: int,
                  config: Optional[ServiceConfig] = None,
                  mirror_jobs: Iterable[int] = (),
-                 journal=None, owner: Optional[str] = None):
+                 owner: Optional[str] = None):
         super().__init__(workers, config)
         self.queue = queue
         self.owner = owner if owner is not None else f"pid:{os.getpid()}"
@@ -90,7 +91,7 @@ class QueueSupervisor(WorkerPool):
             "jobs": 0, "reclaimed": 0, "completed": 0, "requeued": 0,
             "deferred": 0, "dead": 0, "stale": 0,
             "cancelled": 0, "oom_retried": 0, "oom_quarantined": 0,
-            "mem_deferred": 0, "failed_back": 0,
+            "mem_deferred": 0, "failed_back": 0, "recalled": 0,
         })
         #: job_id -> leased Job snapshot.
         self._inflight: Dict[int, Job] = {}
@@ -104,19 +105,19 @@ class QueueSupervisor(WorkerPool):
         #: graph -> artifact manifest (or None), memoized per drain.
         self._manifests: Dict[str, Optional[dict]] = {}
         self._mirror_index: Set[int] = set(mirror_jobs)
-        self._journal = journal if journal is not None else \
-            experiments.get_journal()
         self._ticks = 0
 
     # ------------------------------------------------------------------
     # Public API
     # ------------------------------------------------------------------
-    def drain(self) -> Dict[str, int]:
+    def drain(self, inline: bool = False) -> Dict[str, int]:
         """Run until no job is queued or leased; returns queue counts.
 
         Safe to call against a queue a dead supervisor left behind (its
         leases are reclaimed first) and safe to re-run after this process
-        is itself killed — that is the whole point.
+        is itself killed — that is the whole point.  ``inline=True`` runs
+        the jobs in this process instead of on worker processes
+        (:meth:`_run_inline`).
         """
         from repro.engine.registry import system_codes
 
@@ -128,11 +129,11 @@ class QueueSupervisor(WorkerPool):
 
         self._seed_mirror()
 
-        open_count = sum(
-            1 for job in self.queue.jobs(limit=1_000_000)
-            if job.state in ("queued", "leased"))
-        self.stats["jobs"] = open_count
-        if open_count:
+        counts = self.queue.counts()
+        open_count = self.stats["jobs"] = counts["queued"] + counts["leased"]
+        if open_count and inline:
+            self._run_inline()
+        elif open_count:
             self._run_pool(min(self.pool_size, open_count))
         self._publish_status()
         return self.queue.counts()
@@ -147,48 +148,59 @@ class QueueSupervisor(WorkerPool):
                     "oom_quarantined", "mem_deferred", "failed_back"):
             if s[key]:
                 parts.append(f"{s[key]} {key}")
+        if s["recalled"]:
+            parts.append(f"{s['recalled']} cells recalled")
         return "queue: " + ", ".join(parts)
+
+    def _run_inline(self) -> None:
+        """The pool of one, in this process: ``run_grid``'s ``workers=1``.
+
+        Leases and commits exactly like the pool, but runs each cell here
+        through :func:`~repro.service.worker.run_task` — no worker, no
+        heartbeat, no chaos strike.  A :class:`~repro.faults.FatalFault`
+        escapes with its job still leased; the next drain of the same
+        queue reclaims that lease and re-runs the cell.
+        """
+        while self._work_remains():
+            payload = self._next_assignment(0)
+            if payload is None:  # every open job is backing off
+                time.sleep(self.config.heartbeat_interval)
+            else:
+                self._task_done(payload["id"], run_task(payload))
+            self._tick()
 
     # ------------------------------------------------------------------
     # Result mirroring
     # ------------------------------------------------------------------
     def _seed_mirror(self):
-        """Mirror already-terminal jobs before the loop starts.
+        """Recall already-terminal jobs before the loop starts.
 
-        A restarted drain finds jobs a predecessor committed to the queue
-        but maybe not to the journal (the crash window between the two
-        commits).  Each terminal job whose key the memo lacks is replayed
-        from its stored result blob; a key the memo already holds (a
-        resumed journal recalled it) is not journaled twice.
+        A restarted drain finds jobs a predecessor settled; each is
+        replayed from its stored result blob (or its dead-letter) and
+        counted as ``recalled``.
         """
-        memo = experiments.all_results()
         for job_id in sorted(self._mirror_index):
             job = self.queue.get(job_id)
-            if job is None or job.state not in ("done", "err", "dead") \
-                    or job.key in memo:
+            if job is None or job.state not in ("done", "err", "dead"):
                 continue
             if job.result is not None:
                 self._mirror(job_id, experiments.cell_from_row(job.result))
             else:  # dead-lettered without ever producing a row
                 self._mirror(job_id, _dead_letter_cell(job))
+            self.stats["recalled"] += 1
 
     def _mirror(self, job_id: int, result: CellResult):
-        """Seed the memo and journal with one settled job's cell.
+        """Seed the memo with one settled job's cell.
 
         Called only once the queue has settled the job (a fenced
         ``complete`` or its dead-letter), so each job mirrors once.
         """
         if job_id in self._mirror_index:
             experiments.seed_results([result])
-            if self._journal is not None:
-                self._journal.append(result)
 
     # ------------------------------------------------------------------
     # Work-source hooks
     # ------------------------------------------------------------------
-    def _finished(self) -> bool:
-        return not self.queue.has_open_jobs()
-
     def _work_remains(self) -> bool:
         return self.queue.has_open_jobs()
 
@@ -409,21 +421,18 @@ class QueueSupervisor(WorkerPool):
 
 
 def run_grid(tasks: Sequence[CellTask], workers: int,
-             config: Optional[ServiceConfig] = None, queue_path=None,
-             journal=None
+             config: Optional[ServiceConfig] = None, queue_path=None
              ) -> Tuple[Dict[Tuple[str, str, str], CellResult], str]:
-    """Run a study grid as queue jobs on the supervised worker pool.
+    """Run a study grid as queue jobs; ``workers=1`` drains in-process.
 
     Returns ``({key: CellResult}, describe line)`` covering every task.
-    Cells the experiment memo already satisfies (a resumed journal) are
-    recalled, not re-run, exactly like the sequential path.  The rest are
-    submitted in canonical order as idempotent
+    Cells the memo already holds (``--load``) are recalled, not re-run.
+    The rest are submitted in canonical order as idempotent
     ``study:<system>:<app>:<graph>`` jobs to ``JobQueue(queue_path)`` — a
-    durable queue a killed run can be re-invoked against — or, with no
-    path, to a queue in a temporary directory removed on return.  Each
-    cell mirrors into the memo and ``journal`` (default: the attached
-    one) as its job settles; ``cells.json`` is sorted by key, so it is
-    byte-identical to a sequential run's.  Never raises for worker-level
+    killed run drains it again and recalls the jobs it settled — or, with
+    no path, to a queue in a temporary directory removed on return.  Each
+    cell mirrors into the memo as its job settles, so ``cells.json`` is
+    byte-identical at every worker count.  Never raises for worker-level
     failures: a cell whose workers keep dying commits as an
     ``ERR``/``DeadLetter`` cell.
     """
@@ -453,13 +462,12 @@ def run_grid(tasks: Sequence[CellTask], workers: int,
                 idem_key=f"study:{task.system}:{task.app}:{task.graph}").id
             for task in pending]
         supervisor = QueueSupervisor(queue, workers, config,
-                                     mirror_jobs=job_ids, journal=journal)
-        supervisor.drain()
-    line = supervisor.describe()
-    if len(pending) < len(tasks):
-        line += f", {len(tasks) - len(pending)} recalled"
+                                     mirror_jobs=job_ids)
+        supervisor.stats["recalled"] = len(tasks) - len(pending)
+        supervisor.drain(inline=workers == 1)
     results = experiments.all_results()
-    return {task.key: results[task.key] for task in tasks}, line
+    return ({task.key: results[task.key] for task in tasks},
+            supervisor.describe())
 
 
 def _cancelled_cell(job: Job, reason: str) -> CellResult:

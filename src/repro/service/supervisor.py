@@ -157,12 +157,9 @@ class WorkerPool:
     # ------------------------------------------------------------------
     # Hooks: the work source
     # ------------------------------------------------------------------
-    def _finished(self) -> bool:
-        """True when the event loop should stop."""
-        raise NotImplementedError
-
     def _work_remains(self) -> bool:
-        """True while a reaped worker is worth replacing."""
+        """True while any task is unfinished: the event loop runs and a
+        reaped worker is replaced until this turns False."""
         raise NotImplementedError
 
     def _has_dispatchable(self) -> bool:
@@ -314,7 +311,7 @@ class WorkerPool:
         if task_id is not None:
             self._task_lost(task_id, reason, oom=oom)
 
-        if not self._finished() and self._work_remains():
+        if self._work_remains():
             self._spawn()
             self.stats["respawns"] += 1
 
@@ -323,7 +320,7 @@ class WorkerPool:
     # ------------------------------------------------------------------
     def _event_loop(self):
         tick = self.config.heartbeat_interval
-        while not self._finished():
+        while self._work_remains():
             if self._draining and self._busy_workers() == 0:
                 break  # drained: nothing in flight, nothing new starts
             conns = {h.conn: h for h in self._workers.values()}

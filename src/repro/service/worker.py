@@ -3,7 +3,10 @@
 Each worker is a spawn-started process owning one duplex pipe to the
 supervisor.  Its loop is deliberately thin: install the environment's
 fault plan, announce readiness, then run one cell per ``RUN`` message via
-:func:`repro.core.experiments.run_cell` and send the JSON-clean row back.
+:func:`run_task` and send the JSON-clean row back.  :func:`run_task` is
+also what a ``workers=1`` grid runs in-process
+(:meth:`repro.service.queue_supervisor.QueueSupervisor.drain` with
+``inline=True``), so both paths commit the same bytes.
 
 Failure behavior is the whole point:
 
@@ -17,9 +20,9 @@ Failure behavior is the whole point:
   guessing: supervision, not in-worker heroics, owns recovery.
 
 Result rows round-trip through JSON before hitting the pipe, so the bytes
-the supervisor commits are exactly what the journal/snapshot writers
-would produce in-process — the byte-identity guarantee does not depend on
-what pickle does to numpy scalars.
+the supervisor commits are exactly what the snapshot writer would produce
+in-process — the byte-identity guarantee does not depend on what pickle
+does to numpy scalars.
 """
 
 from __future__ import annotations
@@ -47,9 +50,18 @@ def json_clean_row(result: "experiments.CellResult") -> dict:
     does, so a row that crossed a process boundary serializes to the same
     bytes as one that never left.
     """
-    row = json.loads(json.dumps(experiments.cell_to_row(result),
-                                default=experiments._jsonify))
-    return row
+    return json.loads(json.dumps(experiments.cell_to_row(result),
+                                 default=experiments._jsonify))
+
+
+def run_task(task: dict) -> dict:
+    """Run one ``RUN`` payload's cell under its governor scope; returns
+    the JSON-clean row.  A :class:`repro.faults.FatalFault` escapes."""
+    with _task_scope(task):
+        result = experiments.run_cell(
+            task["system"], task["app"], task["graph"],
+            sweep_threads=task["sweep"], use_cache=False)
+    return json_clean_row(result)
 
 
 def worker_main(conn, worker_id: int) -> None:
@@ -102,15 +114,11 @@ def worker_main(conn, worker_id: int) -> None:
         plan.strike(task["system"], task["app"], task["graph"],
                     task["attempt"])
         try:
-            with _task_scope(task):
-                result = experiments.run_cell(
-                    task["system"], task["app"], task["graph"],
-                    sweep_threads=task["sweep"], use_cache=False)
+            row = run_task(task)
         except faults.FatalFault:
             # The simulated process kill: die like one.  The supervisor
             # sees the exit and requeues the cell.
             os._exit(FATAL_EXIT)
-        row = json_clean_row(result)
         with beat.lock:
             conn.send((heartbeat.RESULT, worker_id, task["id"], row))
 

@@ -32,20 +32,17 @@ def random_digraph(n=150, m=600, seed=3, weight_high=50):
 
 @pytest.fixture
 def isolated_grid():
-    """An empty experiment memo, no journal, no faults — restored on exit.
+    """An empty experiment memo and no faults — restored on exit.
 
-    Fault/checkpoint tests produce deliberately broken cells; this keeps
+    Fault/resume tests produce deliberately broken cells; this keeps
     them out of the session-wide memo other tests share.
     """
     saved = _experiments.all_results()
-    saved_journal = _experiments.get_journal()
     _experiments.clear_cache()
-    _experiments.set_journal(None)
     try:
         yield
     finally:
         _faults.clear()
-        _experiments.set_journal(saved_journal)
         _experiments.clear_cache()
         _experiments.seed_results(saved.values())
 
@@ -60,26 +57,29 @@ def ok_row(system, app, graph, seconds=1.0):
 
 @pytest.fixture
 def inline_pool(monkeypatch):
-    """``QueueSupervisor.drain`` without worker processes.
+    """``QueueSupervisor.drain`` without worker processes, and fast.
 
-    The pool becomes an in-process loop: lease the next ready job and
-    complete it with :func:`ok_row`.  Returns a log of ``(job_id, memo
-    keys right after that job's commit)``.
+    Every drain takes the production in-process path
+    (``QueueSupervisor._run_inline``) whatever its worker count, with
+    ``run_cell`` stubbed to :func:`ok_row`.  Returns a log of ``(job_id,
+    memo keys right after that job's commit)``.
     """
     from repro.service.queue_supervisor import QueueSupervisor
 
     log = []
+    task_done = QueueSupervisor._task_done
 
-    def run_pool(self, _initial_workers):
-        while True:
-            payload = self._next_assignment(0)
-            if payload is None:
-                return
-            self._task_done(payload["id"], ok_row(
-                payload["system"], payload["app"], payload["graph"]))
-            log.append((payload["id"], set(_experiments.all_results())))
+    def run_cell(system, app, graph, **_options):
+        return _experiments.cell_from_row(ok_row(system, app, graph))
 
-    monkeypatch.setattr(QueueSupervisor, "_run_pool", run_pool)
+    def logged_task_done(self, job_id, row):
+        task_done(self, job_id, row)
+        log.append((job_id, set(_experiments.all_results())))
+
+    monkeypatch.setattr(_experiments, "run_cell", run_cell)
+    monkeypatch.setattr(QueueSupervisor, "_run_pool",
+                        lambda self, _initial_workers: self._run_inline())
+    monkeypatch.setattr(QueueSupervisor, "_task_done", logged_task_done)
     return log
 
 

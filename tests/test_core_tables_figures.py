@@ -198,33 +198,42 @@ class TestRunner:
 
     def test_cli_resume_requires_journal(self, capsys):
         assert runner_main(["table2", "--resume"]) == 2
-        assert "--journal" in capsys.readouterr().err
+        assert "--resume requires --queue" in capsys.readouterr().err
 
     def test_cli_resume_skips_journaled_cells(self, tmp_path, capsys,
                                               isolated_grid):
-        from repro.core.checkpoint import CellJournal
-        from repro.core.experiments import CellResult
+        from repro.core.experiments import CellResult, cell_to_row
+        from repro.service import JobQueue
 
-        journal = tmp_path / "j.jsonl"
+        path = tmp_path / "q.db"
+        queue = JobQueue(path)
         for system in ("SS", "GB", "LS"):
-            CellJournal(journal).append(CellResult(
-                system=system, app="bfs", graph="rmat22", status="ok",
-                seconds=424242.0, mrss_gb=1.0, counters={}, answer=0))
+            job = queue.submit(system, "bfs", "rmat22", tenant="study",
+                               idem_key=f"study:{system}:bfs:rmat22")
+            lease = queue.lease(job.id, "killed-run")
+            queue.complete(job.id, "killed-run", lease.attempts,
+                           cell_to_row(CellResult(
+                               system=system, app="bfs", graph="rmat22",
+                               status="ok", seconds=424242.0, mrss_gb=1.0,
+                               counters={}, answer=0)))
+        queue.close()
         assert runner_main(["table2", "--graphs", "rmat22", "--apps",
-                            "bfs", "--journal", str(journal),
+                            "bfs", "--queue", str(path),
                             "--resume"]) == 0
         captured = capsys.readouterr()
-        assert "resumed 3 journaled cells" in captured.err
+        assert "3 cells recalled" in captured.err
         assert "424242.00" in captured.out  # recalled, not re-run
 
     def test_cli_journal_records_cells(self, tmp_path, capsys,
                                        isolated_grid):
-        from repro.core.checkpoint import CellJournal
+        from repro.service import JobQueue
 
-        journal = tmp_path / "j.jsonl"
+        path = tmp_path / "q.db"
         assert runner_main(["table2", "--graphs", "rmat22", "--apps",
-                            "bfs", "--journal", str(journal)]) == 0
-        assert len(CellJournal(journal).load()) == 3
+                            "bfs", "--queue", str(path)]) == 0
+        queue = JobQueue(path)
+        assert queue.counts()["done"] == 3
+        queue.close()
 
 
 class TestSelectionValidation:

@@ -192,7 +192,7 @@ class TestMalformedKnobsAtStartup:
         assert main(["--out", str(tmp_path), "--graphs", "road-USA-W",
                      "--apps", "bfs"]) == 2
         assert capsys.readouterr().err.startswith(f"repro-study: {name}")
-        assert not (tmp_path / "journal.jsonl").exists()
+        assert not (tmp_path / "queue.db").exists()
 
 
 @pytest.mark.usefixtures("isolated_grid")

@@ -42,12 +42,30 @@ CELLS = [(system, app) for system in ("SS", "GB")
 PINNED_FIELDS = ("status", "answer", "seconds", "mrss_gb", "counters")
 
 
+#: The fields a charge handler reads, in the order the digest formats them.
+CHARGED_FIELDS = ("kind", "label", "items", "flops", "bytes_materialized",
+                  "loops", "round_id", "barrier", "mode", "masked", "gather",
+                  "method", "in_nvals", "out_nvals", "mask_bytes")
+
+#: The wall-clock-only stamps, written as the constants every recorded
+#: digest was taken with.
+UNCHARGED_SUFFIX = "fused=False, bytes_not_materialized=0, shards=0, threads=0"
+
+
 def event_digest(events) -> str:
-    """sha256 of an event stream minus its wall-clock-only stamps."""
-    charged = [OpEvent(**{**e.as_dict(), "fused": False,
-                          "bytes_not_materialized": 0, "shards": 0,
-                          "threads": 0}) for e in events]
-    return hashlib.sha256(repr(charged).encode()).hexdigest()
+    """sha256 of an event stream's charged fields.
+
+    The hashed text is exactly ``repr(list_of_OpEvents)`` with the
+    wall-clock-only stamps zeroed, as it read when the digests were
+    recorded, but it is built from :data:`CHARGED_FIELDS` rather than from
+    the class: adding or dropping an ``OpEvent`` field leaves it alone.
+    """
+    text = "[" + ", ".join(
+        "OpEvent(" + ", ".join(f"{name}={getattr(e, name)!r}"
+                               for name in CHARGED_FIELDS)
+        + ", " + UNCHARGED_SUFFIX + ")"
+        for e in events) + "]"
+    return hashlib.sha256(text.encode()).hexdigest()
 
 
 def _load(relative):
@@ -74,3 +92,15 @@ def test_event_stream_matches_recorded_digest(system, app):
     recorded = _load("tests/data/road_usa_w_event_digests.json")
     cell = run_traced(system, app, GRAPH)
     assert event_digest(cell.events) == recorded[f"{system}/{app}"]
+
+
+def test_digest_input_equals_the_class_repr():
+    # The formula the digests were recorded with: the class's own repr,
+    # wall-clock-only stamps zeroed.  Both must hash the same text.
+    events = run_traced("GB", "bfs", GRAPH).events
+    zeroed = [OpEvent(**{**e.as_dict(), "fused": False,
+                         "bytes_not_materialized": 0, "shards": 0,
+                         "threads": 0}) for e in events]
+    assert events
+    assert event_digest(events) == \
+        hashlib.sha256(repr(zeroed).encode()).hexdigest()

@@ -20,7 +20,6 @@ cells are jobs on an ephemeral queue drained by the worker pool.
 """
 
 import json
-import pathlib
 import tempfile
 
 import pytest
@@ -28,7 +27,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro import errors, faults
-from repro.core import checkpoint, experiments
+from repro.core import experiments
 from repro.core.experiments import ERR, OK, CellResult
 from repro.core.runner import main as runner_main
 from repro.service import CellTask, ChaosPlan, CircuitBreaker, \
@@ -94,8 +93,8 @@ class TestGridTasks:
 
 
 class TestOrderedCommitter:
-    """A drain mirrors each job into the memo and journal the moment the
-    queue commits it: completion order, once per job (no workers here —
+    """A drain mirrors each job into the memo the moment the queue
+    commits it: completion order, once per job (no workers here —
     ``inline_pool`` completes leased jobs in-process)."""
 
     def test_commits_in_index_order(self, isolated_grid, tmp_path,
@@ -114,8 +113,8 @@ class TestOrderedCommitter:
 
     def test_skip_unblocks_later_indexes(self, isolated_grid, tmp_path,
                                          inline_pool):
-        # A memo-satisfied task (a resumed journal holds it) is recalled,
-        # never submitted; the rest run.
+        # A memo-satisfied task (--load put it there) is recalled, never
+        # submitted; the rest run.
         tasks = grid_tasks([GRAPH], ["bfs"])
         recalled = CellResult(system="GB", app="bfs", graph=GRAPH,
                               status=OK, seconds=424242.0, mrss_gb=0.1,
@@ -129,22 +128,22 @@ class TestOrderedCommitter:
         assert submitted == sorted(t.key for t in tasks
                                    if t.key != recalled.key)
         assert results[recalled.key].seconds == 424242.0
-        assert line.endswith(", 1 recalled")
+        assert line.endswith(", 1 cells recalled")
         assert all(r.status == OK for r in results.values())
 
     def test_journal_receives_cells_in_order(self, isolated_grid,
                                              tmp_path, inline_pool):
-        # Priorities reverse the dispatch order; the journal follows
-        # completion, one line per job.
+        # Priorities reverse the dispatch order; the memo follows
+        # completion, one commit per job.
         queue = JobQueue(tmp_path / "q.db")
         ids = [queue.submit("GB", app, GRAPH, priority=priority).id
                for priority, app in enumerate(("bfs", "cc", "pr"))]
-        journal = checkpoint.CellJournal(str(tmp_path / "j.jsonl"))
-        QueueSupervisor(queue, 1, FAST, mirror_jobs=ids, journal=journal,
+        QueueSupervisor(queue, 1, FAST, mirror_jobs=ids,
                         owner="t").drain()
+        assert [job_id for job_id, _keys in inline_pool] \
+            == list(reversed(ids))
+        assert all(terminal_events(queue, job_id) == 1 for job_id in ids)
         queue.close()
-        assert [key[1] for key in journal_keys(tmp_path / "j.jsonl")] \
-            == ["pr", "cc", "bfs"]
 
 
 class TestCircuitBreaker:
@@ -421,18 +420,18 @@ def drained(monkeypatch):
     seen = []
     real_drain = QueueSupervisor.drain
 
-    def drain(self):
+    def drain(self, *args, **kwargs):
         seen.append(self)
-        return real_drain(self)
+        return real_drain(self, *args, **kwargs)
 
     monkeypatch.setattr(QueueSupervisor, "drain", drain)
     return seen
 
 
-def journal_keys(path):
-    return [tuple(json.loads(line)["cell"][f]
-                  for f in ("system", "app", "graph"))
-            for line in path.read_text().splitlines()]
+def terminal_events(queue, job_id):
+    """How many times the queue recorded ``job_id`` settling."""
+    kinds = [e["kind"] for e in queue.events(job_id)]
+    return sum(kinds.count(k) for k in ("done", "err", "dead"))
 
 
 @pytest.mark.slow
@@ -446,10 +445,8 @@ class TestSupervisorDrills:
 
         monkeypatch.setenv("REPRO_CHAOS_KILL_CELLS",
                            f"GB:bfs:{GRAPH}:attempt=1")
-        journal = checkpoint.attach(tmp_path / "par.jsonl", fresh=True)
         results, line = run_grid(grid_tasks([GRAPH], ["bfs"]), workers=2,
-                                 config=FAST, journal=journal)
-        experiments.set_journal(None)
+                                 config=FAST, queue_path=tmp_path / "q.db")
 
         supervisor, = drained
         assert supervisor.stats["crashes"] >= 1
@@ -459,9 +456,13 @@ class TestSupervisorDrills:
         assert all(r.status == OK for r in results.values())
         assert snapshot_bytes() == baseline
 
-        # The journal holds each task's key exactly once despite the chaos.
-        assert sorted(journal_keys(tmp_path / "par.jsonl")) == \
+        # The queue settled each task's job exactly once despite the chaos.
+        queue = JobQueue(tmp_path / "q.db")
+        jobs = queue.jobs()
+        assert sorted(job.key for job in jobs) == \
             sorted(t.key for t in grid_tasks([GRAPH], ["bfs"]))
+        assert all(terminal_events(queue, job.id) == 1 for job in jobs)
+        queue.close()
 
     def test_poison_cell_is_quarantined(self, isolated_grid, monkeypatch,
                                         drained):
@@ -485,9 +486,11 @@ class TestSupervisorDrills:
         monkeypatch.setenv("REPRO_CHAOS_HANG_CELLS",
                            f"SS:bfs:{GRAPH}:attempt=1")
         config = ServiceConfig(heartbeat_interval=0.05, cell_deadline=2.0)
+        # workers=1 would run in-process, where chaos never strikes; one
+        # task spawns one worker either way.
         results, _line = run_grid(grid_tasks([GRAPH], ["bfs"],
                                              systems=("SS",)),
-                                  workers=1, config=config)
+                                  workers=2, config=config)
         assert results[("SS", "bfs", GRAPH)].status == OK
         assert drained[0].stats["crashes"] >= 1
 
@@ -534,45 +537,55 @@ class TestSupervisorDrills:
         assert "deferred" in line and "1 dead" in line
 
     def test_resume_with_workers_submits_only_missing_cells(
-            self, isolated_grid, monkeypatch, tmp_path, drained):
+            self, isolated_grid, tmp_path, drained):
         tasks = grid_tasks([GRAPH], ["bfs"])
         argv = ["table2", "--graphs", GRAPH, "--apps", "bfs"]
         assert runner_main(argv + ["--save", str(tmp_path / "seq.json")]) \
             == 0
         experiments.clear_cache()
 
-        # A killed run's journal: the first k cells, in canonical order.
+        # A killed run's queue: the first k cells settled, in-process.
         k = 2
-        journal = tmp_path / "run.jsonl"
-        checkpoint.attach(journal, fresh=True)
-        for task in tasks[:k]:
-            experiments.run_cell(*task.key)
-        experiments.set_journal(None)
+        queue_path = tmp_path / "run.db"
+        run_grid(tasks[:k], workers=1, config=FAST, queue_path=queue_path)
         experiments.clear_cache()
+        drained.clear()
 
-        scratch = tmp_path / "tmp"
-        scratch.mkdir()
-        monkeypatch.setattr(tempfile, "tempdir", str(scratch))
         assert runner_main(argv + [
-            "--journal", str(journal), "--resume", "--workers", "2",
+            "--queue", str(queue_path), "--resume", "--workers", "2",
             "--save", str(tmp_path / "par.json")]) == 0
 
         supervisor, = drained
         assert supervisor.stats["jobs"] == len(tasks) - k
-        keys = journal_keys(journal)
-        assert keys[:k] == [t.key for t in tasks[:k]]
-        assert sorted(keys) == sorted(t.key for t in tasks)
+        assert supervisor.stats["recalled"] == k
         assert (tmp_path / "par.json").read_bytes() == \
             (tmp_path / "seq.json").read_bytes()
-        # The ephemeral queue lived under the temp dir and is gone.
-        assert pathlib.Path(supervisor.queue.path).parent.parent == scratch
-        assert list(scratch.iterdir()) == []
+        queue = JobQueue(queue_path)
+        assert sorted(job.key for job in queue.jobs()) == \
+            sorted(t.key for t in tasks)
+        queue.close()
+
+    def test_inline_and_pool_drains_write_identical_cells_json(
+            self, isolated_grid, tmp_path):
+        # workers=1 runs in-process, workers=2 on spawned workers; the
+        # snapshot bytes must not tell them apart.
+        tasks = grid_tasks([GRAPH], ["bfs", "cc"])
+        for workers in (1, 2):
+            experiments.clear_cache()
+            run_grid(tasks, workers=workers, config=FAST)
+            experiments.save_results(str(tmp_path / f"w{workers}.json"))
+        assert (tmp_path / "w1.json").read_bytes() == \
+            (tmp_path / "w2.json").read_bytes()
 
 
 @pytest.mark.slow
 class TestRunnerServiceCLI:
     def test_workers_flag_matches_sequential(self, isolated_grid,
-                                             capsys):
+                                             capsys, monkeypatch,
+                                             tmp_path):
+        # Both runs drain an ephemeral queue under the temp dir, and
+        # leave nothing behind there.
+        monkeypatch.setattr(tempfile, "tempdir", str(tmp_path))
         assert runner_main(["table2", "--graphs", GRAPH, "--apps", "bfs",
                             "--workers", "2"]) == 0
         parallel_out = capsys.readouterr().out
@@ -580,6 +593,7 @@ class TestRunnerServiceCLI:
         assert runner_main(["table2", "--graphs", GRAPH, "--apps",
                             "bfs"]) == 0
         assert capsys.readouterr().out == parallel_out
+        assert list(tmp_path.iterdir()) == []
 
     def test_rejects_nonpositive_workers(self, capsys):
         assert runner_main(["table2", "--workers", "0"]) == 2
@@ -617,6 +631,8 @@ class TestAllTargetIncludesValidate:
             runner_module, "_render",
             lambda target, graphs, apps: (seen.append(target)
                                           or f"<{target}>"))
+        monkeypatch.setattr(runner_module, "_prewarm_grid",
+                            lambda *args, **kwargs: None)
         assert runner_main(["all"]) == 0
         assert seen == ["table1", "table2", "table3", "table4", "table5",
                         "figure2", "figure3", "validate"]
