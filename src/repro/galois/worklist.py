@@ -12,7 +12,8 @@
 
 from __future__ import annotations
 
-from typing import Dict, Optional
+import heapq
+from typing import Dict, List, Optional
 
 import numpy as np
 
@@ -100,6 +101,11 @@ class OBIM:
     asynchronous delta-stepping settle a bucket without global barriers.
     ``domain`` — the exclusive upper bound on item ids (|V|), when known —
     unlocks the O(n) flag-array dedup for bucket drains.
+
+    Bucket keys also sit in a min-heap, so :meth:`min_bucket` costs
+    O(log B) amortized over B live buckets rather than a scan of them all:
+    delta-stepping asks for it on every pop, with thousands of buckets
+    live on wide-weight graphs.
     """
 
     def __init__(self, shift: int = 1, domain: Optional[int] = None):
@@ -108,6 +114,9 @@ class OBIM:
         self.shift = shift
         self.domain = domain
         self._buckets: Dict[int, list] = {}
+        # Min-heap of bucket keys; an entry whose bucket has been drained
+        # is stale and is discarded lazily by min_bucket.
+        self._keys: List[int] = []
         self.pushes = 0
 
     def push(self, items: np.ndarray, priorities: np.ndarray) -> None:
@@ -118,6 +127,12 @@ class OBIM:
         priorities = np.asarray(priorities)
         keys = (priorities // self.shift).astype(np.int64)
         self.pushes += len(items)
+        first = int(keys[0])
+        if (keys == first).all():
+            # One bucket, no sort.  Copied so a bucket never aliases the
+            # caller's array (the split below copies by indexing).
+            self._file(first, items.copy())
+            return
         order = np.argsort(keys, kind="stable")
         sorted_keys = keys[order]
         sorted_items = items[order]
@@ -125,13 +140,22 @@ class OBIM:
         for chunk_keys, chunk in zip(
             np.split(sorted_keys, boundaries), np.split(sorted_items, boundaries)
         ):
-            if len(chunk):
-                self._buckets.setdefault(int(chunk_keys[0]), []).append(chunk)
+            self._file(int(chunk_keys[0]), chunk)
+
+    def _file(self, key: int, chunk: np.ndarray) -> None:
+        chunks = self._buckets.get(key)
+        if chunks is None:
+            self._buckets[key] = [chunk]
+            heapq.heappush(self._keys, key)
+        else:
+            chunks.append(chunk)
 
     def min_bucket(self) -> Optional[int]:
         """Lowest non-empty bucket key, or None when drained."""
-        live = [k for k, chunks in self._buckets.items() if chunks]
-        return min(live) if live else None
+        keys = self._keys
+        while keys and keys[0] not in self._buckets:
+            heapq.heappop(keys)
+        return keys[0] if keys else None
 
     def pop_bucket(self, key: Optional[int] = None) -> np.ndarray:
         """Drain one bucket (the lowest by default)."""

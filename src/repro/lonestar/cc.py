@@ -32,7 +32,13 @@ from repro.sparse.segreduce import scatter_reduce
 SAMPLE_SIZE = 1024
 
 
-def _find(parent: np.ndarray, u: int) -> int:
+# The union-find below runs on a Python list copy of the parent array:
+# a list read yields a plain int where a numpy read boxes a scalar.  Visits
+# keep their order and are never batched, since path halving makes the
+# charged hop count depend on the order of every pointer write.
+
+
+def _find(parent: list, u: int) -> int:
     """Union-find root with path halving (a fine-grained vertex op)."""
     while parent[u] != u:
         parent[u] = parent[parent[u]]
@@ -40,24 +46,24 @@ def _find(parent: np.ndarray, u: int) -> int:
     return u
 
 
-def _link(parent: np.ndarray, u: int, v: int) -> int:
+def _link(parent: list, u: int, v: int) -> int:
     """Union by minimum root; returns the number of pointer hops charged."""
     hops = 0
-    while True:
-        ru, rv = u, v
-        while parent[ru] != ru:
-            parent[ru] = parent[parent[ru]]
-            ru = parent[ru]
-            hops += 1
-        while parent[rv] != rv:
-            parent[rv] = parent[parent[rv]]
-            rv = parent[rv]
-            hops += 1
-        if ru == rv:
-            return hops + 2
-        lo, hi = (ru, rv) if ru < rv else (rv, ru)
-        parent[hi] = lo
-        return hops + 3
+    while parent[u] != u:
+        parent[u] = parent[parent[u]]
+        u = parent[u]
+        hops += 1
+    while parent[v] != v:
+        parent[v] = parent[parent[v]]
+        v = parent[v]
+        hops += 1
+    if u == v:
+        return hops + 2
+    if u < v:
+        parent[v] = u
+    else:
+        parent[u] = v
+    return hops + 3
 
 
 def afforest(graph: Graph, neighbor_rounds: int = 2) -> np.ndarray:
@@ -69,6 +75,8 @@ def afforest(graph: Graph, neighbor_rounds: int = 2) -> np.ndarray:
     n = graph.nnodes
     parent = graph.add_node_data("cc_parent", np.int64, fill=0)
     parent[:] = np.arange(n)
+    if n == 0:
+        return parent.copy()
     indptr, indices = graph.csr.indptr, graph.csr.indices
     degrees = np.diff(indptr)
 
@@ -76,9 +84,11 @@ def afforest(graph: Graph, neighbor_rounds: int = 2) -> np.ndarray:
     for r in range(neighbor_rounds):
         rt.round()
         srcs = np.flatnonzero(degrees > r)
+        links = parent.tolist()
         hops = 0
-        for u in srcs:
-            hops += _link(parent, int(u), int(indices[indptr[u] + r]))
+        for u, v in zip(srcs.tolist(), indices[indptr[srcs] + r].tolist()):
+            hops += _link(links, u, v)
+        parent[:] = links
         rt.do_all(
             OpEvent(kind="do_all", label="cc_neighbor_round",
                     items=len(srcs)),
@@ -105,15 +115,17 @@ def afforest(graph: Graph, neighbor_rounds: int = 2) -> np.ndarray:
     # their remaining edges (the fine-grained saving).
     rt.round()
     outside = np.flatnonzero(parent[parent] != giant)
+    links, ptr, giant = parent.tolist(), indptr.tolist(), int(giant)
     hops = 0
     scanned = 0
-    for u in outside:
-        if _find(parent, int(u)) == giant:
+    for u in outside.tolist():
+        if _find(links, u) == giant:
             continue
-        lo, hi = indptr[u] + neighbor_rounds, indptr[u + 1]
+        lo, hi = ptr[u] + neighbor_rounds, ptr[u + 1]
         scanned += max(0, hi - lo)
-        for v in indices[lo:hi]:
-            hops += _link(parent, int(u), int(v))
+        for v in indices[lo:hi].tolist():
+            hops += _link(links, u, v)
+    parent[:] = links
     rt.do_all(
         OpEvent(kind="do_all", label="cc_finish",
                 items=max(len(outside), 1)),

@@ -45,8 +45,11 @@ from repro.errors import DimensionMismatch, InvalidValue
 from repro.sparse import plancache
 from repro.sparse.csr import CSRMatrix, expand_ranges, gather_rows
 
-#: Cap on the gathered candidate buffer of one join batch (elements).
-DEFAULT_BATCH_FLOPS = 1 << 21
+#: Cap on the gathered candidate buffer of one join batch (elements).  A
+#: batch's temporaries are what a grid worker's peak RSS adds on top of
+#: its graphs (tc and ktruss on the largest inputs): the cap is sized for
+#: memory, and batches this large already amortize numpy's per-call cost.
+DEFAULT_BATCH_FLOPS = 1 << 20
 
 #: Cap on the densify plan's position table (elements per batch).
 DENSIFY_TABLE_BUDGET = 1 << 22

@@ -2,6 +2,8 @@
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from repro.engine.events import OpEvent
 from repro.errors import IndexOutOfBounds, InvalidValue
@@ -160,6 +162,79 @@ class TestOBIM:
 
     def test_pop_empty(self):
         assert len(OBIM(shift=1).pop_bucket()) == 0
+
+
+class DictScanOBIM:
+    """Reference model: a dict of item lists, scanned for the lowest key."""
+
+    def __init__(self, shift):
+        self.shift = shift
+        self.buckets = {}
+
+    def push(self, items, priorities):
+        for item, priority in zip(items, priorities):
+            self.buckets.setdefault(priority // self.shift, []).append(item)
+
+    def min_bucket(self):
+        live = [k for k, items in self.buckets.items() if items]
+        return min(live) if live else None
+
+    def pop_bucket(self, key=None):
+        if key is None:
+            key = self.min_bucket()
+        return np.array(sorted(set(self.buckets.pop(key, []))),
+                        dtype=np.int64)
+
+
+class TestOBIMAgainstModel:
+    @settings(max_examples=150, deadline=None,
+              suppress_health_check=[HealthCheck.too_slow])
+    @given(st.integers(1, 7), st.booleans(), st.data())
+    def test_interleavings_match(self, shift, bounded, data):
+        domain = 30
+        q = OBIM(shift=shift, domain=domain if bounded else None)
+        ref = DictScanOBIM(shift)
+        popped = []
+        for _ in range(data.draw(st.integers(1, 40))):
+            op = data.draw(st.sampled_from(
+                ["push", "push_min", "push_popped", "pop", "pop_key"]))
+            live = sorted(ref.buckets)
+            if op == "pop_key" and live:
+                # Any live bucket, not only the lowest; or a drained one.
+                key = data.draw(st.sampled_from(live + popped + [-1]))
+                got, want = q.pop_bucket(key), ref.pop_bucket(key)
+            elif op == "pop" or op == "pop_key":
+                key = ref.min_bucket()
+                got, want = q.pop_bucket(), ref.pop_bucket()
+            else:
+                size = data.draw(st.integers(0, 6))
+                items = data.draw(st.lists(st.integers(0, domain - 1),
+                                           min_size=size, max_size=size))
+                if op == "push":
+                    prios = data.draw(st.lists(st.integers(0, 200),
+                                               min_size=size, max_size=size))
+                else:
+                    # Into the lowest bucket (the one being drained) or
+                    # into a key that has already been popped.
+                    keys = popped if op == "push_popped" else \
+                        [k for k in [ref.min_bucket()] if k is not None]
+                    if not keys:
+                        continue
+                    key = data.draw(st.sampled_from(keys))
+                    prios = [key * shift + data.draw(st.integers(0, shift - 1))
+                             for _ in items]
+                q.push(np.array(items, dtype=np.int64), np.array(prios))
+                ref.push(items, prios)
+                key = None
+            if key is not None:
+                popped.append(key)
+                assert got.dtype == np.int64
+                assert np.array_equal(got, want)
+            assert q.min_bucket() == ref.min_bucket()
+            assert q.empty() == (ref.min_bucket() is None)
+        while ref.min_bucket() is not None:
+            assert np.array_equal(q.pop_bucket(), ref.pop_bucket())
+        assert q.empty() and q.min_bucket() is None
 
 
 class TestLoops:

@@ -83,6 +83,13 @@ class TestFastSV:
         labels = fastsv(backend, A).dense_values()
         assert np.array_equal(labels, np.arange(5))
 
+    @pytest.mark.parametrize("n", [0, 1, 5])
+    def test_empty_single_and_isolated(self, backend, n):
+        from repro.sparse.csr import build_csr
+
+        A = pattern_matrix(backend, build_csr(n, n, [], [], None))
+        assert np.array_equal(fastsv(backend, A).dense_values(), np.arange(n))
+
 
 class TestTriangleCount:
     def test_matches_oracle(self, backend, oracle):

@@ -124,6 +124,15 @@ class TestCc:
         sym = build_csr(4, 4, [], [], None)
         assert np.array_equal(afforest(fresh_graph(sym)), np.arange(4))
 
+    @pytest.mark.parametrize("n", [0, 1, 5])
+    @pytest.mark.parametrize("variant", [afforest, shiloach_vishkin])
+    def test_empty_single_and_isolated(self, variant, n):
+        from repro.sparse.csr import build_csr
+
+        labels = variant(fresh_graph(build_csr(n, n, [], [], None)))
+        assert labels.dtype == np.int64
+        assert np.array_equal(labels, np.arange(n))
+
 
 class TestTc:
     def test_matches_oracle(self, oracle):

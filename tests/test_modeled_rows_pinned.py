@@ -21,8 +21,23 @@ thousands of times) this checks that
     with open("tests/data/road_usa_w_event_digests.json", "w") as out:
         json.dump(digests, out, indent=1, sort_keys=True)
 
-Regenerate it only together with a deliberate change to the model (one
-that also regenerates ``cells.json``).
+The Lonestar stack is pinned the same way, for LS x {bfs, cc, pr, sssp} on
+``road-USA-W`` and LS x {cc, sssp} on ``eukarya`` (the grid's heaviest
+Lonestar cells).  ``tests/data/ls_event_digests.json`` was written from a
+checkout of commit 0581f34, before Afforest's union-find moved onto Python
+lists and OBIM's bucket keys into a heap, by::
+
+    import json
+    from repro.engine.analysis import run_traced
+    from tests.test_modeled_rows_pinned import LS_CELLS, event_digest
+    digests = {f"LS/{app}/{graph}":
+               event_digest(run_traced("LS", app, graph).events)
+               for graph, app in LS_CELLS}
+    with open("tests/data/ls_event_digests.json", "w") as out:
+        json.dump(digests, out, indent=1, sort_keys=True)
+
+Regenerate either file only together with a deliberate change to the
+model (one that also regenerates ``cells.json``).
 """
 
 import hashlib
@@ -39,6 +54,8 @@ ROOT = pathlib.Path(__file__).resolve().parent.parent
 GRAPH = "road-USA-W"
 CELLS = [(system, app) for system in ("SS", "GB")
          for app in ("bfs", "cc", "pr", "sssp")]
+LS_CELLS = [(GRAPH, app) for app in ("bfs", "cc", "pr", "sssp")] + \
+    [("eukarya", app) for app in ("cc", "sssp")]
 PINNED_FIELDS = ("status", "answer", "seconds", "mrss_gb", "counters")
 
 
@@ -92,6 +109,28 @@ def test_event_stream_matches_recorded_digest(system, app):
     recorded = _load("tests/data/road_usa_w_event_digests.json")
     cell = run_traced(system, app, GRAPH)
     assert event_digest(cell.events) == recorded[f"{system}/{app}"]
+
+
+@pytest.fixture(scope="module")
+def checked_in_ls_rows():
+    rows = _load("benchmarks/results/cells.json")["cells"]
+    return {(r["graph"], r["app"]): r for r in rows if r["system"] == "LS"}
+
+
+@pytest.mark.parametrize("graph,app", LS_CELLS)
+def test_ls_row_matches_cells_json(graph, app, checked_in_ls_rows):
+    row = experiments.cell_to_row(
+        experiments.run_cell("LS", app, graph, use_cache=False))
+    pinned = checked_in_ls_rows[(graph, app)]
+    assert ({k: row[k] for k in PINNED_FIELDS}
+            == {k: pinned[k] for k in PINNED_FIELDS})
+
+
+@pytest.mark.parametrize("graph,app", LS_CELLS)
+def test_ls_event_stream_matches_recorded_digest(graph, app):
+    recorded = _load("tests/data/ls_event_digests.json")
+    cell = run_traced("LS", app, graph)
+    assert event_digest(cell.events) == recorded[f"LS/{app}/{graph}"]
 
 
 def test_digest_input_equals_the_class_repr():
