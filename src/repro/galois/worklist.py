@@ -127,12 +127,6 @@ class OBIM:
         priorities = np.asarray(priorities)
         keys = (priorities // self.shift).astype(np.int64)
         self.pushes += len(items)
-        first = int(keys[0])
-        if (keys == first).all():
-            # One bucket, no sort.  Copied so a bucket never aliases the
-            # caller's array (the split below copies by indexing).
-            self._file(first, items.copy())
-            return
         order = np.argsort(keys, kind="stable")
         sorted_keys = keys[order]
         sorted_items = items[order]
@@ -140,15 +134,13 @@ class OBIM:
         for chunk_keys, chunk in zip(
             np.split(sorted_keys, boundaries), np.split(sorted_items, boundaries)
         ):
-            self._file(int(chunk_keys[0]), chunk)
-
-    def _file(self, key: int, chunk: np.ndarray) -> None:
-        chunks = self._buckets.get(key)
-        if chunks is None:
-            self._buckets[key] = [chunk]
-            heapq.heappush(self._keys, key)
-        else:
-            chunks.append(chunk)
+            key = int(chunk_keys[0])
+            chunks = self._buckets.get(key)
+            if chunks is None:
+                self._buckets[key] = [chunk]
+                heapq.heappush(self._keys, key)
+            else:
+                chunks.append(chunk)
 
     def min_bucket(self) -> Optional[int]:
         """Lowest non-empty bucket key, or None when drained."""

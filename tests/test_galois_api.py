@@ -199,6 +199,7 @@ class TestOBIMAgainstModel:
             op = data.draw(st.sampled_from(
                 ["push", "push_min", "push_popped", "pop", "pop_key"]))
             live = sorted(ref.buckets)
+            got = None
             if op == "pop_key" and live:
                 # Any live bucket, not only the lowest; or a drained one.
                 key = data.draw(st.sampled_from(live + popped + [-1]))
@@ -225,9 +226,10 @@ class TestOBIMAgainstModel:
                              for _ in items]
                 q.push(np.array(items, dtype=np.int64), np.array(prios))
                 ref.push(items, prios)
-                key = None
-            if key is not None:
-                popped.append(key)
+            if got is not None:
+                # Every pop is compared, an empty-queue pop included.
+                if key is not None:
+                    popped.append(key)
                 assert got.dtype == np.int64
                 assert np.array_equal(got, want)
             assert q.min_bucket() == ref.min_bucket()
