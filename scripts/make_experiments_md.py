@@ -211,14 +211,23 @@ cell as it settles, and a killed run can pick up where it left off:
   an injected fatal fault).  A file that is not a job queue exits 2.
 * **Per-cell failure** — a cell that raises unexpectedly is recorded with
   status `ERR` (exception type + condensed traceback) and rendered like
-  `TO`/`OOM`; one broken cell no longer aborts the study.  A per-cell
-  wall-clock watchdog (`REPRO_CELL_WALL_BUDGET` seconds, distinct from
-  the simulated 2 h budget) also lands in `ERR`.
+  `TO`/`OOM`; one broken cell no longer aborts the study.  A per-attempt
+  wall-clock budget (`REPRO_CELL_WALL_BUDGET` seconds, distinct from the
+  simulated 2 h budget) is a cooperative cancellation token nested in any
+  job deadline: whichever expires first stops the cell at its next
+  OpEvent boundary, and it lands `CANCELLED` with its partial trace.
 * **Fault injection** — `repro.faults` deterministically injects failures
-  at the kernel/allocator boundaries for drills:
-  `REPRO_FAULTS="site:kind[:transient][:nth=N][:times=N]"` (sites
-  `kernel`/`alloc`/`*`; kinds `fault`/`oom`/`timeout`/`fatal`), or seeded
-  random transients via `REPRO_FAULTS_RATE`/`REPRO_FAULTS_SEED`.
+  for drills, in one spec language:
+  `REPRO_FAULTS="site:kind[@SYSTEM:app:graph][:transient][:nth=N][:times=N][:attempt=N][:rate=P]"`.
+  At the kernel/allocator boundaries (sites `kernel`/`alloc`/`*`) the
+  kinds are `fault`/`oom`/`timeout`/`fatal` plus the acting
+  `memhog`/`slow`; at the `cell` site a pool worker SIGKILLs itself
+  (`kill`) or hangs (`hang`) as the named cell's attempt starts (an
+  in-process drain never does).  `rate=P` fires a matching spec with
+  probability `P` from one stateless hash draw seeded by
+  `REPRO_FAULTS_SEED`, keyed on the cell at the `cell` site (so worker
+  count and dispatch order do not matter) and on the trip count
+  elsewhere.
   Transient faults are retried with bounded backoff, 3 attempts in total
   (the attempt count is recorded on the cell); injected OOM/timeout keep
   the paper's annotation vocabulary.  CI runs a small grid under injected
@@ -256,30 +265,24 @@ asserts this table covers every `REPRO_` environment lookup in `src/`,
 carries no stale rows, and that a test, bench or CI step sets each knob.
 Settings nothing varies are constants instead: the 30 s heartbeat
 timeout, the 5 s cancel grace and the 30 s drain grace live in
-`repro.service.config`, a job has a deadline only when its submitter
-passes `deadline_ms`, and the artifact store is on exactly when
-`REPRO_ARTIFACT_DIR` is set.
+`repro.service.config`, the 30 s job-backoff ceiling and the 120 s
+lease length are `QueueConfig` fields, a job has a deadline only when
+its submitter passes `deadline_ms`, and the artifact store is on exactly
+when `REPRO_ARTIFACT_DIR` is set.
 
 | Knob | Default | Meaning |
 |------|---------|---------|
-| `REPRO_FAULTS` | unset | Semicolon-separated fault specs `site:kind[:transient][:nth=N][:times=N]` injected at the kernel/alloc boundaries. |
-| `REPRO_FAULTS_RATE` | `0` | Per-trip probability of a seeded random transient fault. |
-| `REPRO_FAULTS_SEED` | `0` | Seed for the random fault channel. |
-| `REPRO_CELL_WALL_BUDGET` | unset | Real-seconds watchdog per cell attempt; a blown budget lands the cell in `ERR`. |
+| `REPRO_FAULTS` | unset | Semicolon-separated fault specs `site:kind[@SYSTEM:app:graph][:transient][:nth=N][:times=N][:attempt=N][:rate=P]`: faults at the `kernel`/`alloc` boundaries, and worker `kill`/`hang` at the `cell` site (the chaos drills; every attempt when `attempt=N` is omitted, every cell without a selector). |
+| `REPRO_FAULTS_SEED` | `0` | Seed of every `rate=` draw. |
+| `REPRO_CELL_WALL_BUDGET` | unset | Real seconds per cell attempt, enforced by cooperative cancellation nested in any job deadline; a blown budget lands the cell `CANCELLED` with its partial trace. |
 | `REPRO_SERVICE_HEARTBEAT` | `0.25` | Seconds between worker heartbeats under `--workers N`. |
 | `REPRO_CELL_DEADLINE` | `600` | Wall-clock seconds one cell may occupy a worker before it is killed and the cell requeued. |
 | `REPRO_BREAKER_THRESHOLD` | `5` | Consecutive per-system crash/`ERR` outcomes that open its circuit breaker (`0` disables breakers). |
 | `REPRO_BREAKER_COOLDOWN` | `8` | Dispatch decisions an open breaker waits before letting one half-open probe through. |
-| `REPRO_CHAOS_KILL_CELLS` | unset | Chaos drills: semicolon-separated `SYSTEM:app:graph[:attempt=N]` specs; the worker running that cell SIGKILLs itself (every attempt when `attempt=N` is omitted). |
-| `REPRO_CHAOS_HANG_CELLS` | unset | Same syntax; the worker hangs forever instead, exercising deadline detection. |
-| `REPRO_CHAOS_KILL_RATE` | `0` | Kill a seeded pseudo-random subset of cells on their first attempt. |
-| `REPRO_CHAOS_KILL_SEED` | `0` | Seed for the random kill channel. |
 | `REPRO_PLAN_CACHE` | `1` | `0` disables per-matrix kernel-plan memoization (segreduce dispatch, join merge/densify choice, pull loop weights); every call re-derives its plan.  A pure wall-clock optimization — results and modeled counters are unchanged. |
 | `REPRO_JOB_MAX_ATTEMPTS` | `3` | Leases a queued job may burn (worker/supervisor deaths included) before it is dead-lettered instead of retried; also the crash budget of a `--workers` grid cell, which dead-letters as `ERR`/`DeadLetter`. |
 | `REPRO_JOB_BACKOFF` | `0.25` | First-retry backoff seconds for a requeued job, crashed `--workers` grid cells included; doubles per attempt with deterministic jitter. |
-| `REPRO_JOB_BACKOFF_CAP` | `30` | Ceiling on the exponential job-retry backoff, in seconds. |
 | `REPRO_JOB_DEFER` | `1` | Seconds a breaker-deferred job waits before it becomes dispatchable again. |
-| `REPRO_LEASE_SECONDS` | `120` | Seconds a job lease lasts without renewal before it expires and the job is requeued (crash-safety for a killed supervisor). |
 | `REPRO_TENANT_MAX_ACTIVE` | `0` | Per-tenant cap on open (queued + leased) jobs; submissions over the cap are rejected with `AdmissionDenied` (HTTP 429). `0` = unlimited. |
 | `REPRO_WORKER_MEM_BUDGET` | `0` | Per-worker RSS budget in MB; a worker whose heartbeat reports more is killed, the job gets one sharded retry (halved `REPRO_SHARD_ROWS`), then is quarantined as `OOM`. `0` = no budget. |
 | `REPRO_QUEUE_HIGH_WATER` | `0` | Queue-depth watermark for load shedding: past this many open (queued + leased) jobs, `POST /jobs` answers 503 + `Retry-After` for new work (idempotent resubmits still answer). `0` = never shed on depth. |

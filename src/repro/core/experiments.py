@@ -27,6 +27,7 @@ cell as it settles.
 
 from __future__ import annotations
 
+import contextlib
 import json
 import os
 import time
@@ -38,6 +39,7 @@ import numpy as np
 
 from repro import errors, faults
 from repro.core.systems import APPLICATIONS, TIMEOUT_SECONDS, make_system
+from repro.engine import cancel
 from repro.graphs.datasets import DATASETS, get_dataset
 from repro.perf.costmodel import THREAD_POINTS
 
@@ -132,8 +134,11 @@ def run_cell(system: str, app: str, graph: str,
     errors raised before a machine exists (e.g. an unknown name) escape.
 
     ``wall_budget`` caps the *real* seconds one attempt may take (default:
-    the ``REPRO_CELL_WALL_BUDGET`` env knob, unset = no watchdog); a blown
-    budget becomes ``ERR`` with ``error.type == "WallClockExceeded"``.
+    the ``REPRO_CELL_WALL_BUDGET`` env knob, unset = no watchdog): the
+    attempt runs under a :class:`~repro.engine.cancel.CancelToken` nested
+    in any token already installed (a job deadline), so whichever expires
+    first stops the cell, which lands ``CANCELLED`` with its partial trace
+    (reason ``wall_budget`` or ``deadline``).
     ``retry`` bounds re-attempts after transient injected faults
     (default: :data:`DEFAULT_RETRY`).
     """
@@ -193,10 +198,13 @@ def run_cell(system: str, app: str, graph: str,
 def _attempt_cell(system, app, dataset, timeout, wall_budget):
     """One attempt on a fresh machine: (status, answer, error, machine)."""
     instance = make_system(system).instantiate(dataset, timeout=timeout)
-    if wall_budget is not None:
-        instance.machine.wall_deadline = time.monotonic() + wall_budget
+    budget = contextlib.nullcontext() if wall_budget is None else \
+        cancel.scope(cancel.CancelToken(
+            deadline=time.monotonic() + wall_budget,
+            parent=cancel.active_token(), expiry="wall_budget"))
     try:
-        return OK, instance.run(app), None, instance.machine
+        with budget:
+            return OK, instance.run(app), None, instance.machine
     except errors.TimeoutError:
         return TIMEOUT, None, None, instance.machine
     except errors.OutOfMemoryError:
@@ -206,8 +214,9 @@ def _attempt_cell(system, app, dataset, timeout, wall_budget):
         info["transient"] = True
         return ERR, None, info, instance.machine
     except errors.Cancelled as exc:
-        # Cooperative deadline cancellation: the machine carries the
-        # partial trace (events + counters up to the last boundary).
+        # Cooperative cancellation (job deadline or wall budget): the
+        # machine carries the partial trace (events + counters up to the
+        # last boundary).
         return CANCELLED, None, _error_info(exc), instance.machine
     except Exception as exc:  # ReproError and harness bugs alike -> ERR
         return ERR, None, _error_info(exc), instance.machine

@@ -40,20 +40,31 @@ class CancelToken:
     ``deadline`` is a :func:`time.monotonic` instant (None = no deadline);
     ``clock`` is injectable for deterministic tests.  A token is
     single-use: once tripped it stays tripped, and :attr:`reason` records
-    why (``"deadline"`` for an expired budget, or the reason passed to
-    :meth:`cancel`).  :meth:`cancel` may be called from any thread — the
-    flag is a :class:`threading.Event`, so a supervisor-side watchdog
-    thread and the computing thread need no further synchronization.
+    why (``expiry`` — default ``"deadline"`` — for an expired budget, or
+    the reason passed to :meth:`cancel`).  :meth:`cancel` may be called
+    from any thread — the flag is a :class:`threading.Event`, so a
+    supervisor-side watchdog thread and the computing thread need no
+    further synchronization.
+
+    A token made with a ``parent`` (the token it nests inside) also trips,
+    with the parent's reason, as soon as the parent does: a narrower
+    budget never shadows a wider scope's deadline or cancellation, and
+    tripping the child leaves the parent alone.
     """
 
-    __slots__ = ("deadline", "clock", "reason", "_event")
+    __slots__ = ("deadline", "clock", "reason", "_event", "parent",
+                 "expiry")
 
     def __init__(self, deadline: Optional[float] = None,
-                 clock: Callable[[], float] = time.monotonic):
+                 clock: Callable[[], float] = time.monotonic,
+                 parent: Optional["CancelToken"] = None,
+                 expiry: str = "deadline"):
         self.deadline = deadline
         self.clock = clock
         self.reason: Optional[str] = None
         self._event = threading.Event()
+        self.parent = parent
+        self.expiry = expiry
 
     def __repr__(self):
         return (f"CancelToken(deadline={self.deadline}, "
@@ -68,14 +79,19 @@ class CancelToken:
     def tripped(self) -> Optional[str]:
         """The cancellation reason, or None while the cell may keep going.
 
-        Checks the explicit flag first (cheap), then the deadline; an
-        expired deadline trips the token permanently with reason
-        ``"deadline"``.
+        Checks the explicit flag first (cheap), then the parent, then the
+        deadline; an expired deadline trips the token permanently with
+        reason :attr:`expiry`.
         """
         if self._event.is_set():
             return self.reason or "cancelled"
+        if self.parent is not None:
+            reason = self.parent.tripped()
+            if reason is not None:
+                self.cancel(reason)
+                return reason
         if self.deadline is not None and self.clock() > self.deadline:
-            self.cancel("deadline")
+            self.cancel(self.expiry)
             return self.reason
         return None
 

@@ -56,16 +56,6 @@ class TimeoutError(ReproError):
 SimulatedTimeoutError = TimeoutError
 
 
-class WallClockExceeded(ReproError):
-    """A cell's real (wall-clock) runtime exceeded the harness watchdog.
-
-    Distinct from :class:`TimeoutError`: that models the paper's 2 h
-    *simulated* budget and yields a ``TO`` cell, while this guards the
-    reproduction harness itself against runaway cells and yields an ``ERR``
-    cell (``ERR(wallclock)``).
-    """
-
-
 class ConvergenceError(ReproError):
     """An iterative algorithm failed to converge within its round budget."""
 
@@ -74,10 +64,11 @@ class Cancelled(ReproError):
     """A cell was cancelled cooperatively at an OpEvent boundary.
 
     Raised by :func:`repro.engine.cancel.check` when the installed
-    :class:`~repro.engine.cancel.CancelToken` has tripped (job deadline
-    expired, or a supervisor requested cancellation).  Distinct from
-    :class:`WallClockExceeded` — that is the blunt in-process watchdog
-    yielding an ``ERR`` cell, while cooperative cancellation unwinds
+    :class:`~repro.engine.cancel.CancelToken` has tripped: a job deadline
+    or a ``REPRO_CELL_WALL_BUDGET`` attempt budget expired, or a
+    supervisor requested cancellation (:attr:`reason` says which).
+    Distinct from :class:`TimeoutError`, the paper's *simulated* budget
+    (``TO``): cancellation guards the harness's real wall clock, unwinds
     cleanly through span ``finally`` blocks and yields a ``CANCELLED``
     cell carrying the partial OpEvent trace.
     """

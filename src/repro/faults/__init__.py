@@ -6,8 +6,9 @@ failing without losing the rest of the run.  This package makes that
 property testable: it plants trip points at the two boundaries every cell
 crosses — kernel loop charging (:meth:`repro.perf.machine.Machine.charge_loop`)
 and allocation (:meth:`repro.perf.allocator.TrackingAllocator.allocate`) —
-and lets a seeded :class:`FaultPlan` raise transient or permanent faults on
-the Nth crossing.
+plus one ``cell`` trip point a pool worker crosses as each cell starts
+(:func:`strike`), and lets a seeded :class:`FaultPlan` raise transient or
+permanent faults on the Nth crossing, or kill or hang the worker.
 
 Typical use::
 
@@ -18,20 +19,29 @@ Typical use::
     with faults.injected(plan):
         run_cell("GB", "bfs", "rmat22", use_cache=False)
 
-Environment knobs (read by the CLI and ``scripts/run_full_study.py`` via
-:func:`install_from_env`):
+Environment knobs (read by the CLIs, ``scripts/run_full_study.py`` and
+every pool worker via :func:`install_from_env`):
 
-* ``REPRO_FAULTS`` — semicolon-separated specs
-  ``site:kind[:transient][:nth=N][:times=N]``, e.g.
-  ``kernel:fault:transient:nth=40;alloc:oom:nth=900``.  Sites: ``kernel``,
-  ``alloc`` or ``*``.  Kinds: ``fault`` (generic), ``oom``, ``timeout``,
-  ``fatal`` (escapes the per-cell handler — simulates a killed run).
-* ``REPRO_FAULTS_RATE`` / ``REPRO_FAULTS_SEED`` — probabilistic transient
-  faults at the given per-trip rate, from a seeded (deterministic) RNG.
-* ``REPRO_CELL_WALL_BUDGET`` — real-seconds watchdog per cell attempt
-  (:func:`wall_budget_from_env`).
+* ``REPRO_FAULTS`` — semicolon-separated specs in one grammar,
+  ``site:kind[@SYSTEM:app:graph][:transient][:nth=N][:times=N][:mb=N]``
+  ``[:ms=N][:attempt=N][:rate=P]``, e.g.
+  ``kernel:fault:transient:nth=40;cell:kill@GB:bfs:rmat22:attempt=1``.
+  Sites: ``kernel``, ``alloc`` or ``*`` (either), with kinds ``fault``
+  (generic), ``oom``, ``timeout``, ``fatal`` (escapes the per-cell
+  handler — simulates a killed run), ``memhog`` and ``slow``; and
+  ``cell``, with kinds ``kill`` and ``hang``.  A ``cell`` spec strikes
+  the worker that starts the named cell (every cell without a selector)
+  on attempt ``N`` (every attempt without ``attempt=``); an in-process
+  drain never strikes.  ``rate=P`` fires a matching spec with
+  probability ``P`` from one stateless hash draw, keyed on the cell at
+  the ``cell`` site and on the trip count elsewhere.
+* ``REPRO_FAULTS_SEED`` — the seed of every ``rate=`` draw.
+* ``REPRO_CELL_WALL_BUDGET`` — real seconds per cell attempt
+  (:func:`wall_budget_from_env`): ``run_cell`` installs a
+  :class:`~repro.engine.cancel.CancelToken` with that deadline, so a
+  blown budget lands the cell ``CANCELLED`` with its partial trace.
 
-All four are validated by :func:`install_from_env`, so a malformed value
+All three are validated by :func:`install_from_env`, so a malformed value
 fails the run before its first cell.  Transient faults are retried by
 ``run_cell`` under a fixed :class:`RetryPolicy` (3 attempts in total).
 """
@@ -47,7 +57,9 @@ from repro.faults.plan import (
     injected,
     install,
     install_from_env,
+    parse_plan,
     plan_from_env,
+    strike,
     trip,
     wall_budget_from_env,
 )
@@ -66,7 +78,9 @@ __all__ = [
     "injected",
     "install",
     "install_from_env",
+    "parse_plan",
     "plan_from_env",
+    "strike",
     "trip",
     "wall_budget_from_env",
 ]

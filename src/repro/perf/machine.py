@@ -9,7 +9,6 @@ process run in the paper's methodology.
 
 from __future__ import annotations
 
-import time
 from typing import Iterable, Optional, Sequence
 
 import numpy as np
@@ -68,9 +67,6 @@ class Machine:
         self.context = ExecutionContext()
         self._loops: list = []
         self._elapsed_ns_default = 0.0
-        #: Real-time watchdog: ``time.monotonic()`` deadline after which
-        #: loop charging raises WallClockExceeded (None = no watchdog).
-        self.wall_deadline: Optional[float] = None
 
     # ------------------------------------------------------------------
     # Charging
@@ -214,17 +210,12 @@ class Machine:
                                              self.time_scale)
 
     def check_timeout(self) -> None:
-        """Raise past either time budget: simulated (TO) or wall clock (ERR).
+        """Raise ``errors.TimeoutError`` past the simulated budget (TO).
 
-        The simulated budget models the paper's 2 h limit and raises
-        ``errors.TimeoutError``; the wall-clock deadline guards the harness
-        itself and raises ``errors.WallClockExceeded``.
+        The budget models the paper's 2 h limit; the harness's own
+        wall-clock budgets stop a cell through
+        :mod:`repro.engine.cancel` instead.
         """
-        if (self.wall_deadline is not None
-                and time.monotonic() > self.wall_deadline):
-            raise errors.WallClockExceeded(
-                "cell exceeded its real-time watchdog budget "
-                "(wall_deadline passed)")
         if self.timeout_seconds is None:
             return
         elapsed = self.simulated_seconds()

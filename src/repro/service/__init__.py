@@ -15,13 +15,13 @@ deaths by running cells *out of process* under supervision:
 * :mod:`repro.service.worker` — :func:`~repro.service.worker.run_task`
   (one cell, JSON-clean row — what every drain runs) and the
   out-of-process worker loop around it, with the fault plan installed
-  from the environment, heartbeating throughout.
+  from the environment, heartbeating throughout; the plan's ``cell``
+  specs (:mod:`repro.faults`) SIGKILL or hang a worker as a named cell
+  starts, which is how the drills murder workers deterministically.
 * :mod:`repro.service.breaker` — per-system circuit breakers (closed →
   open → half-open) that defer a crash-looping system's cells until a
   half-open probe on that same system succeeds; a cell never runs on a
   system other than the one it names.
-* :mod:`repro.service.chaos` — deterministic worker-kill/hang schedules
-  for drills (the service-level analogue of :mod:`repro.faults`).
 * :mod:`repro.service.config` — the ``REPRO_SERVICE_*`` /
   ``REPRO_CELL_*`` / ``REPRO_BREAKER_*`` / ``REPRO_JOB_*`` environment
   knobs, validated up front (see the "Environment knobs" table in
@@ -50,7 +50,6 @@ run re-invoked with ``--resume`` recalls every cell the queue settled.
 """
 
 from repro.service.breaker import CircuitBreaker
-from repro.service.chaos import ChaosPlan
 from repro.service.config import QueueConfig, ServiceConfig, \
     validate_env_knobs
 from repro.service.queue import Job, JobQueue
@@ -59,7 +58,6 @@ from repro.service.supervisor import CellTask, WorkerPool, grid_tasks
 
 __all__ = [
     "CellTask",
-    "ChaosPlan",
     "CircuitBreaker",
     "Job",
     "JobQueue",

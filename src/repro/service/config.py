@@ -80,23 +80,16 @@ DRAIN_GRACE = 30.0
 #: source tree actually mentions, so it cannot rot.
 KNOWN_KNOBS = frozenset({
     "REPRO_FAULTS",
-    "REPRO_FAULTS_RATE",
     "REPRO_FAULTS_SEED",
     "REPRO_CELL_WALL_BUDGET",
     "REPRO_SERVICE_HEARTBEAT",
     "REPRO_CELL_DEADLINE",
     "REPRO_BREAKER_THRESHOLD",
     "REPRO_BREAKER_COOLDOWN",
-    "REPRO_CHAOS_KILL_CELLS",
-    "REPRO_CHAOS_HANG_CELLS",
-    "REPRO_CHAOS_KILL_RATE",
-    "REPRO_CHAOS_KILL_SEED",
     "REPRO_PLAN_CACHE",
     "REPRO_JOB_MAX_ATTEMPTS",
     "REPRO_JOB_BACKOFF",
-    "REPRO_JOB_BACKOFF_CAP",
     "REPRO_JOB_DEFER",
-    "REPRO_LEASE_SECONDS",
     "REPRO_TENANT_MAX_ACTIVE",
     "REPRO_ALLOW_UNKNOWN_KNOBS",
     "REPRO_BENCH_GRAPHS",
@@ -267,19 +260,17 @@ class QueueConfig:
 
     @classmethod
     def from_env(cls, environ: Optional[dict] = None) -> "QueueConfig":
-        """Read and validate every ``REPRO_JOB_*``/``REPRO_LEASE_*`` knob."""
+        """Read and validate the ``REPRO_JOB_*`` knobs plus the tenant
+        and high-water caps; the backoff cap and lease length are
+        constructor fields only."""
         env = os.environ if environ is None else environ
         return cls(
             max_attempts=_nonnegative_int(
                 env, "REPRO_JOB_MAX_ATTEMPTS", DEFAULT_JOB_MAX_ATTEMPTS),
             backoff_base=_positive_float(
                 env, "REPRO_JOB_BACKOFF", DEFAULT_JOB_BACKOFF),
-            backoff_cap=_positive_float(
-                env, "REPRO_JOB_BACKOFF_CAP", DEFAULT_JOB_BACKOFF_CAP),
             defer_seconds=_positive_float(
                 env, "REPRO_JOB_DEFER", DEFAULT_JOB_DEFER),
-            lease_seconds=_positive_float(
-                env, "REPRO_LEASE_SECONDS", DEFAULT_LEASE_SECONDS),
             tenant_max_active=_nonnegative_int(
                 env, "REPRO_TENANT_MAX_ACTIVE", DEFAULT_TENANT_MAX_ACTIVE),
             high_water=_nonnegative_int(

@@ -210,6 +210,22 @@ def _job_from_row(row: sqlite3.Row) -> Job:
         created=row["created"], updated=row["updated"])
 
 
+def _check_job_faults(text) -> None:
+    """Refuse a job ``faults`` parameter its worker could not install —
+    at submit (CLI exit 2, HTTP 400), not in every drain that leases the
+    job.  ``cell`` specs are refused too: a worker strikes them before
+    the job's plan is in scope, so they would never fire."""
+    from repro import faults
+
+    try:
+        plan = faults.parse_plan(str(text))
+        if plan and any(s.site == faults.plan.CELL_SITE for s in plan.specs):
+            raise errors.InvalidValue("cell kill/hang specs act on a worker, "
+                                      "not on one job; use REPRO_FAULTS")
+    except errors.InvalidValue as exc:
+        raise errors.InvalidValue(f"params.faults: {exc}") from None
+
+
 class JobQueue:
     """One connection to the durable queue (single-writer discipline).
 
@@ -294,6 +310,8 @@ class JobQueue:
             raise errors.InvalidValue(
                 f"tenant must be a non-empty string; got {tenant!r}")
         params = dict(params or {})
+        if params.get("faults"):
+            _check_job_faults(params["faults"])
         now = self.clock()
 
         if deadline_ms is not None:

@@ -157,9 +157,10 @@ class QueueSupervisor(WorkerPool):
 
         Leases and commits exactly like the pool, but runs each cell here
         through :func:`~repro.service.worker.run_task` — no worker, no
-        heartbeat, no chaos strike.  A :class:`~repro.faults.FatalFault`
-        escapes with its job still leased; the next drain of the same
-        queue reclaims that lease and re-runs the cell.
+        heartbeat, no ``cell`` fault strike.  A
+        :class:`~repro.faults.FatalFault` escapes with its job still
+        leased; the next drain of the same queue reclaims that lease and
+        re-runs the cell.
         """
         while self._work_remains():
             payload = self._next_assignment(0)

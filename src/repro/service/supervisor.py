@@ -29,9 +29,8 @@ from dataclasses import dataclass
 from multiprocessing.connection import wait as _connection_wait
 from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
-from repro import errors
+from repro import errors, faults
 from repro.service import governor, heartbeat
-from repro.service.chaos import ChaosPlan
 from repro.service.config import (CANCEL_GRACE, DRAIN_GRACE,
                                   HEARTBEAT_TIMEOUT, ServiceConfig)
 from repro.service.worker import worker_main
@@ -133,8 +132,8 @@ class WorkerPool:
             ServiceConfig.from_env()
         self.pool_size = max(1, int(workers))
         # Parsed in the supervisor purely to fail fast on malformed specs;
-        # the plan itself strikes inside the workers (who re-read the env).
-        ChaosPlan.from_env()
+        # the plan itself acts inside the workers (who re-read the env).
+        faults.plan_from_env()
         self.stats: Dict[str, int] = {
             "spawned": 0, "respawns": 0, "crashes": 0, "prewarmed": 0,
             "prewarm_generated": 0, "mem_kills": 0,

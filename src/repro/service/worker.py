@@ -13,8 +13,9 @@ Failure behavior is the whole point:
 * A :class:`repro.faults.FatalFault` (the injected process kill) is *not*
   absorbed — the worker exits with a distinct code, exactly as if the OS
   had killed it, and the supervisor requeues the in-flight cell.
-* The chaos plan (:mod:`repro.service.chaos`) may SIGKILL or hang the
-  worker at a scheduled cell start — a real kill, not a simulation of one.
+* A ``cell:kill``/``cell:hang`` fault spec (:func:`repro.faults.strike`)
+  may SIGKILL or hang the worker as a scheduled cell starts — a real
+  kill, not a simulation of one.
 * Anything else unexpected escaping :func:`run_cell` (which already folds
   cell-local errors into ``ERR`` rows) also dies loudly rather than
   guessing: supervision, not in-worker heroics, owns recovery.
@@ -35,7 +36,7 @@ import time
 from repro import faults
 from repro.core import experiments
 from repro.engine import cancel
-from repro.service import chaos, heartbeat
+from repro.service import heartbeat
 from repro.service.config import ServiceConfig
 
 #: Worker exit code for a FatalFault (distinct from SIGKILL's -9).
@@ -68,12 +69,11 @@ def worker_main(conn, worker_id: int) -> None:
     """Worker process entry point (the spawn target).
 
     ``conn`` is the worker's end of the duplex pipe; everything else —
-    fault plan, chaos schedule, kernel threads — comes from the inherited
-    environment, so a worker behaves exactly like a sequential run of the
-    same cell under the same knobs.
+    fault plan, kernel threads — comes from the inherited environment, so
+    a worker behaves exactly like a sequential run of the same cell under
+    the same knobs.
     """
     faults.install_from_env()
-    plan = chaos.ChaosPlan.from_env()
     config = ServiceConfig.from_env()
     beat = heartbeat.Heartbeat(conn, worker_id, config.heartbeat_interval)
     beat.start()
@@ -111,8 +111,8 @@ def worker_main(conn, worker_id: int) -> None:
                 conn.send((heartbeat.PREBUILT, worker_id, task["id"],
                            generated))
             continue
-        plan.strike(task["system"], task["app"], task["graph"],
-                    task["attempt"])
+        faults.strike(task["system"], task["app"], task["graph"],
+                      task["attempt"])
         try:
             row = run_task(task)
         except faults.FatalFault:
@@ -133,8 +133,10 @@ def _task_scope(task: dict):
       monotonic deadline; the cell exits cooperatively as ``CANCELLED``
       at the next OpEvent boundary past its budget.
     * ``faults`` — a per-job fault-spec string (``REPRO_FAULTS`` syntax)
-      scoped to this one cell, layered over any process-wide plan: how
-      the drills make *one job* slow or memory-hungry deterministically.
+      scoped to this one cell: how the drills make *one job* slow or
+      memory-hungry deterministically.  It *replaces* any process-wide
+      plan for the cell — that plan neither fires nor advances its
+      counters until the cell ends and it is restored.
     * ``shard_rows`` — the post-OOM sharded retry: points
       ``REPRO_SHARD_ROWS`` at the requested geometry and drops this
       process's dataset cache so the cell rebuilds against O(shard)
@@ -149,8 +151,7 @@ def _task_scope(task: dict):
                 deadline=time.monotonic() + task["deadline_seconds"])
             stack.enter_context(cancel.scope(token))
         if task.get("faults"):
-            job_plan = faults.plan_from_env(
-                {"REPRO_FAULTS": task["faults"]})
+            job_plan = faults.parse_plan(task["faults"])
             if job_plan is not None:
                 stack.enter_context(faults.injected(job_plan))
         if task.get("shard_rows") is not None:

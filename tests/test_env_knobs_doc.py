@@ -100,4 +100,4 @@ class TestEnvKnobTable:
         documented = documented_knobs((ROOT / "EXPERIMENTS.md").read_text())
         assert {"REPRO_FAULTS", "REPRO_CELL_WALL_BUDGET",
                 "REPRO_CELL_DEADLINE",
-                "REPRO_CHAOS_KILL_CELLS"} <= documented
+                "REPRO_FAULTS_SEED"} <= documented

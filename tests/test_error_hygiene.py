@@ -65,7 +65,3 @@ class TestTimeoutErrorHygiene:
         assert not offenders, (
             "always raise/catch the simulated timeout as "
             f"errors.TimeoutError: {offenders}")
-
-    def test_wallclock_is_distinct_from_simulated_timeout(self):
-        assert issubclass(errors.WallClockExceeded, errors.ReproError)
-        assert not issubclass(errors.WallClockExceeded, errors.TimeoutError)

@@ -2,13 +2,15 @@
 
 import pathlib
 import runpy
+import time
 
 import pytest
 
 from repro import errors, faults
 from repro.core import experiments, tables
-from repro.core.experiments import ERR, OK, OOM, TIMEOUT, run_cell
+from repro.core.experiments import CANCELLED, ERR, OK, OOM, TIMEOUT, run_cell
 from repro.core.variants import run_variant
+from repro.engine import cancel
 
 CELL = ("LS", "bfs", "rmat22")  # the cheapest real cell
 
@@ -53,9 +55,10 @@ class TestFaultSpec:
         plan = faults.plan_from_env(env)
         assert len(plan.specs) == 2 and plan.specs[0].transient
         assert faults.plan_from_env({}) is None
-        env = {"REPRO_FAULTS_RATE": "0.5", "REPRO_FAULTS_SEED": "11"}
+        env = {"REPRO_FAULTS": "*:fault:transient:times=0:rate=0.5",
+               "REPRO_FAULTS_SEED": "11"}
         plan = faults.plan_from_env(env)
-        assert plan.rate == 0.5 and plan.seed == 11
+        assert plan.specs[0].rate == 0.5 and plan.seed == 11
 
 
 class TestPlanDeterminism:
@@ -68,7 +71,9 @@ class TestPlanDeterminism:
 
     def test_seeded_rate_replays_identically(self):
         def fire_pattern():
-            plan = faults.FaultPlan(rate=0.3, seed=42)
+            plan = faults.FaultPlan([faults.FaultSpec(
+                "kernel", "fault", times=0, transient=True, rate=0.3)],
+                seed=42)
             fired = []
             for i in range(50):
                 try:
@@ -151,21 +156,48 @@ class TestRunCellFailurePaths:
         assert "synthetic harness bug" in result.error["message"]
 
     def test_wallclock_watchdog_converts_to_err(self):
+        # A blown budget cancels cooperatively: CANCELLED with the
+        # partial trace, and not retried.
         result = run(wall_budget=-1.0)
-        assert result.status == ERR
+        assert result.status == CANCELLED
         assert result.attempts == 1
-        assert result.error["type"] == "WallClockExceeded"
+        assert result.error["type"] == "Cancelled"
+        assert "wall_budget" in result.error["message"]
+        assert result.seconds is None
+        assert result.counters["instructions"] > 0
+        assert cancel.active_token() is None
 
     def test_wallclock_env_knob(self, monkeypatch):
         monkeypatch.setenv("REPRO_CELL_WALL_BUDGET", "-1")
-        assert run().status == ERR
+        result = run()
+        assert result.status == CANCELLED
+        assert result.counters["instructions"] > 0
         monkeypatch.delenv("REPRO_CELL_WALL_BUDGET")
         assert run().status == OK
+
+    def test_earlier_of_job_deadline_and_wall_budget_stops_the_cell(self):
+        # An expired job deadline stops the cell under a generous budget:
+        # the budget's token nests in the job's instead of shadowing it.
+        job = cancel.CancelToken(deadline=-1.0)
+        with cancel.scope(job):
+            result = run(wall_budget=3600.0)
+            assert cancel.active_token() is job
+        assert result.status == CANCELLED
+        assert "(deadline)" in result.error["message"]
+        # A blown budget stops the cell under a distant job deadline, and
+        # leaves the job's token untripped for the next attempt.
+        job = cancel.CancelToken(deadline=time.monotonic() + 3600.0)
+        with cancel.scope(job):
+            result = run(wall_budget=-1.0)
+        assert result.status == CANCELLED
+        assert "(wall_budget)" in result.error["message"]
+        assert job.tripped() is None
 
 
 #: The malformed fault/watchdog/kernel-width knobs both study CLIs must
 #: refuse up front.
-BAD_KNOBS = [("REPRO_CELL_WALL_BUDGET", "abc"), ("REPRO_FAULTS_RATE", "lots"),
+BAD_KNOBS = [("REPRO_CELL_WALL_BUDGET", "abc"),
+             ("REPRO_FAULTS", "kernel:fault:rate=lots"),
              ("REPRO_FAULTS_SEED", "x"), ("REPRO_KERNEL_THREADS", "0")]
 
 

@@ -12,8 +12,9 @@ import shutil
 import pytest
 
 from repro import errors
-from repro.service.config import (KNOWN_KNOBS, QueueConfig,
-                                  validate_env_knobs)
+from repro.service.config import (DEFAULT_JOB_BACKOFF_CAP,
+                                  DEFAULT_LEASE_SECONDS, KNOWN_KNOBS,
+                                  QueueConfig, validate_env_knobs)
 from repro.service.queue import (DEAD, DONE, ERR, LEASED, QUEUED,
                                  JobQueue, backoff_seconds)
 
@@ -71,6 +72,19 @@ class TestSubmit:
             queue.submit("GB", "bfs", "no-such-graph")
         with pytest.raises(errors.InvalidValue, match="tenant"):
             queue.submit("GB", "bfs", GRAPH, tenant="")
+
+    def test_malformed_job_faults_are_refused_at_submit(self, queue):
+        # A spec the worker cannot parse must not queue: leased, it broke
+        # every drain (in-process) or worker (pool) that ran it.  Cell
+        # specs are refused too — no job-scoped plan is live at the strike.
+        for bad in ("kernel:explode", "kernel:fault:nth=x", "cell:kill",
+                    f"cell:hang@GB:bfs:{GRAPH}", 7):
+            with pytest.raises(errors.InvalidValue, match="params.faults"):
+                queue.submit("GB", "bfs", GRAPH, params={"faults": bad})
+        assert queue.jobs() == []
+        job = queue.submit("GB", "bfs", GRAPH,
+                           params={"faults": "kernel:slow:ms=10"})
+        assert job.params == {"faults": "kernel:slow:ms=10"}
 
     def test_idempotency_key_dedups_even_terminal_jobs(self, queue):
         job = queue.submit("GB", "bfs", GRAPH, idem_key="cell-1")
@@ -302,13 +316,16 @@ class TestQueueConfig:
     def test_from_env_reads_all_knobs(self):
         cfg = QueueConfig.from_env({
             "REPRO_JOB_MAX_ATTEMPTS": "5", "REPRO_JOB_BACKOFF": "0.5",
-            "REPRO_JOB_BACKOFF_CAP": "60", "REPRO_JOB_DEFER": "2",
-            "REPRO_LEASE_SECONDS": "7", "REPRO_TENANT_MAX_ACTIVE": "9",
+            "REPRO_JOB_DEFER": "2", "REPRO_TENANT_MAX_ACTIVE": "9",
             "REPRO_QUEUE_HIGH_WATER": "11"})
-        assert cfg.max_attempts == 5
-        assert cfg.backoff_base == 0.5 and cfg.backoff_cap == 60.0
-        assert cfg.defer_seconds == 2.0 and cfg.lease_seconds == 7.0
+        assert cfg.max_attempts == 5 and cfg.backoff_base == 0.5
+        assert cfg.defer_seconds == 2.0
         assert cfg.tenant_max_active == 9 and cfg.high_water == 11
+        # The backoff cap and lease length are fields, not knobs.
+        assert cfg.backoff_cap == DEFAULT_JOB_BACKOFF_CAP
+        assert cfg.lease_seconds == DEFAULT_LEASE_SECONDS
+        cfg = QueueConfig(backoff_cap=60.0, lease_seconds=7.0)
+        assert cfg.backoff_cap == 60.0 and cfg.lease_seconds == 7.0
 
     def test_invalid_values_fail_fast(self):
         with pytest.raises(errors.InvalidValue):
@@ -337,7 +354,10 @@ class TestKnobValidator:
         removed = ("REPRO_SERVICE_HEARTBEAT_TIMEOUT", "REPRO_CANCEL_GRACE",
                    "REPRO_DRAIN_GRACE", "REPRO_JOB_DEADLINE",
                    "REPRO_QUEUE_MAX_WAIT", "REPRO_PLAN_CACHE_STATS",
-                   "REPRO_ARTIFACTS")
+                   "REPRO_ARTIFACTS", "REPRO_JOB_BACKOFF_CAP",
+                   "REPRO_LEASE_SECONDS", "REPRO_FAULTS_RATE",
+                   "REPRO_CHAOS_KILL_CELLS", "REPRO_CHAOS_HANG_CELLS",
+                   "REPRO_CHAOS_KILL_RATE", "REPRO_CHAOS_KILL_SEED")
         for name in removed:
             assert name not in KNOWN_KNOBS
             with pytest.raises(errors.InvalidValue, match=name):

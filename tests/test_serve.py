@@ -73,6 +73,14 @@ class TestServeCLI:
         assert rc == 2
         assert "bfs" in capsys.readouterr().err  # did-you-mean
 
+    def test_submit_rejects_malformed_fault_spec(self, tmp_path, capsys):
+        q = str(tmp_path / "q.db")
+        rc = serve_main(["submit", "--queue", q, "GB", "bfs", GRAPH,
+                         "--fault", "kernel:explode"])
+        assert rc == 2
+        assert "explode" in capsys.readouterr().err
+        assert JobQueue(q).jobs() == []
+
     def test_status_counts_and_tenants(self, tmp_path, capsys):
         q = str(tmp_path / "q.db")
         serve_main(["submit", "--queue", q, "GB", "bfs", GRAPH])
@@ -198,6 +206,14 @@ class TestHTTPAPI:
                                                "app": "bfs",
                                                "graph": GRAPH})
         assert status == 400 and "GB" in body["error"]  # did-you-mean
+
+    def test_malformed_fault_spec_maps_to_400(self, api):
+        status, body = _request(api, "/jobs", {
+            "system": "GB", "app": "bfs", "graph": GRAPH,
+            "params": {"faults": "kernel:explode"}})
+        assert status == 400 and "params.faults" in body["error"]
+        status, body = _request(api, "/health")
+        assert body["counts"]["queued"] == 0
 
     def test_admission_cap_maps_to_429(self, api):
         for system in ("GB", "SS"):
@@ -361,7 +377,7 @@ class TestDeadLetterDrill:
         # This cell kills its worker on *every* attempt; the other job
         # must still complete and the poison job must end up a visible
         # dead letter, not a silent drop or a stuck drain.
-        monkeypatch.setenv("REPRO_CHAOS_KILL_CELLS", f"GB:bfs:{GRAPH}")
+        monkeypatch.setenv("REPRO_FAULTS", f"cell:kill@GB:bfs:{GRAPH}")
         path = tmp_path / "q.db"
         queue = JobQueue(path, QueueConfig(
             max_attempts=2, backoff_base=0.05, backoff_cap=0.1,

@@ -30,15 +30,14 @@ from repro import errors, faults
 from repro.core import experiments
 from repro.core.experiments import ERR, OK, CellResult
 from repro.core.runner import main as runner_main
-from repro.service import CellTask, ChaosPlan, CircuitBreaker, \
-    QueueSupervisor, ServiceConfig, grid_tasks, run_grid
+from repro.faults.plan import FaultPlan, FaultSpec, parse_spec
+from repro.service import CellTask, CircuitBreaker, QueueSupervisor, \
+    ServiceConfig, grid_tasks, run_grid
 from repro.service.breaker import BreakerBoard, CLOSED, HALF_OPEN, OPEN
-from repro.service.chaos import ChaosSpec
-from repro.service.chaos import parse_spec as parse_chaos_spec
 from repro.service.config import HEARTBEAT_TIMEOUT, validate_env_knobs
 from repro.service.heartbeat import WorkerHealth
 from repro.service.queue import JobQueue
-from repro.service.worker import json_clean_row
+from repro.service.worker import json_clean_row, run_task
 
 GRAPH = "road-USA-W"
 
@@ -271,51 +270,98 @@ class TestBreakerTermination:
         assert any(breaker.allow() for _ in range(max(cooldown, 1)))
 
 
+def kill_rate_plan(rate, seed):
+    """The drills' seeded random kill channel: first attempts only."""
+    return FaultPlan([parse_spec(f"cell:kill:rate={rate}:attempt=1")],
+                     seed=seed)
+
+
 class TestChaosPlan:
+    """Worker kill/hang as ``cell``-site fault specs (the chaos drills)."""
+
     def test_parse_spec_with_attempt(self):
-        spec = parse_chaos_spec("GB:bfs:road-USA-W:attempt=2", "kill")
-        assert spec == ChaosSpec("GB", "bfs", "road-USA-W", attempt=2,
-                                 action="kill")
+        spec = parse_spec("cell:kill@GB:bfs:road-USA-W:attempt=2")
+        assert spec == FaultSpec("cell", "kill",
+                                 cell=("GB", "bfs", "road-USA-W"),
+                                 attempt=2)
 
     def test_parse_rejects_garbage(self):
         with pytest.raises(errors.InvalidValue):
-            parse_chaos_spec("GB:bfs", "kill")
+            parse_spec("cell:kill@GB:bfs")
         with pytest.raises(errors.InvalidValue):
-            parse_chaos_spec("GB:bfs:g:retries=2", "kill")
+            parse_spec("cell:kill@GB:bfs:g:retries=2")
         with pytest.raises(errors.InvalidValue):
-            ChaosSpec("GB", "bfs", "g", action="explode")
+            FaultSpec("cell", "explode", cell=("GB", "bfs", "g"))
+        # kill/hang live at the cell site only, and it counts no trips.
+        for bad in ("kernel:kill", "cell:fault", "kernel:fault@GB:bfs:g",
+                    "cell:kill:nth=2", "cell:hang:transient",
+                    "alloc:oom:attempt=1", "cell:kill:attempt=0"):
+            with pytest.raises(errors.InvalidValue):
+                parse_spec(bad)
 
     def test_attempt_scoping(self):
-        plan = ChaosPlan((parse_chaos_spec("GB:bfs:g:attempt=1", "kill"),
-                          parse_chaos_spec("LS:cc:g", "hang")))
-        assert plan.action_for("GB", "bfs", "g", 1) == "kill"
-        assert plan.action_for("GB", "bfs", "g", 2) is None
-        assert plan.action_for("LS", "cc", "g", 7) == "hang"
-        assert plan.action_for("SS", "bfs", "g", 1) is None
+        plan = FaultPlan((parse_spec("cell:kill@GB:bfs:g:attempt=1"),
+                          parse_spec("cell:hang@LS:cc:g")))
+        assert plan.cell_action("GB", "bfs", "g", 1) == "kill"
+        assert plan.cell_action("GB", "bfs", "g", 2) is None
+        assert plan.cell_action("LS", "cc", "g", 7) == "hang"
+        assert plan.cell_action("SS", "bfs", "g", 1) is None
+        # Cell specs never fire at the counted trip points.
+        plan.trip("kernel")
+        plan.trip("alloc")
+        assert plan.fired == []
 
     def test_random_channel_kills_first_attempt_only(self):
-        plan = ChaosPlan(kill_rate=1.0, seed=3)
-        assert plan.action_for("GB", "bfs", "g", 1) == "kill"
-        assert plan.action_for("GB", "bfs", "g", 2) is None
+        plan = kill_rate_plan(1.0, seed=3)
+        assert plan.cell_action("GB", "bfs", "g", 1) == "kill"
+        assert plan.cell_action("GB", "bfs", "g", 2) is None
 
     def test_random_channel_is_order_independent(self):
-        a = ChaosPlan(kill_rate=0.5, seed=11)
-        b = ChaosPlan(kill_rate=0.5, seed=11)
+        a = kill_rate_plan(0.5, seed=11)
+        b = kill_rate_plan(0.5, seed=11)
         cells = [("GB", app, g) for app in ("bfs", "cc", "pr")
                  for g in ("g1", "g2")]
-        forward = [a.action_for(s, ap, g, 1) for s, ap, g in cells]
-        backward = [b.action_for(s, ap, g, 1)
+        forward = [a.cell_action(s, ap, g, 1) for s, ap, g in cells]
+        backward = [b.cell_action(s, ap, g, 1)
                     for s, ap, g in reversed(cells)]
         assert forward == list(reversed(backward))
 
     def test_from_env_validates(self, monkeypatch):
-        monkeypatch.setenv("REPRO_CHAOS_KILL_CELLS", "GB:bfs")
+        monkeypatch.setenv("REPRO_FAULTS", "cell:kill@GB:bfs")
         with pytest.raises(errors.InvalidValue):
-            ChaosPlan.from_env()
-        monkeypatch.setenv("REPRO_CHAOS_KILL_CELLS", "")
-        monkeypatch.setenv("REPRO_CHAOS_KILL_RATE", "1.5")
+            faults.plan_from_env()
+        monkeypatch.setenv("REPRO_FAULTS", "cell:kill:rate=1.5")
         with pytest.raises(errors.InvalidValue):
-            ChaosPlan.from_env()
+            faults.plan_from_env()
+
+    @pytest.mark.parametrize("rate,seed,killed", [
+        (0.08, 11, [("GB", "ktruss", "rmat22")]),
+        (0.25, 3, [("GB", "bfs", "rmat22"), ("GB", "bfs", "road-USA-W"),
+                   ("GB", "ktruss", "rmat22"), ("GB", "ktruss", "road-USA-W"),
+                   ("GB", "pr", "road-USA-W"), ("GB", "tc", "road-USA-W"),
+                   ("SS", "ktruss", "rmat22")]),
+    ])
+    def test_rate_draw_kills_the_recorded_cells(self, rate, seed, killed):
+        # Recorded from the retired REPRO_CHAOS_KILL_RATE/_SEED channel
+        # over the CI chaos job's 36-cell grid: the cell-keyed draw keeps
+        # its hash, so the same seed kills the same cells.
+        plan = kill_rate_plan(rate, seed)
+        tasks = grid_tasks(["road-USA-W", "rmat22"],
+                           list(experiments.APPLICATIONS))
+        assert len(tasks) == 36
+        assert sorted(t.key for t in tasks
+                      if plan.cell_action(*t.key, 1) == "kill") == killed
+        assert not [t for t in tasks if plan.cell_action(*t.key, 2)]
+
+    def test_cell_kill_never_fires_in_process(self, isolated_grid):
+        # workers=1 drains in this process: a kill here would take the
+        # test runner down with it.
+        plan = faults.parse_plan(f"cell:kill@GB:bfs:{GRAPH};cell:kill")
+        with faults.injected(plan):
+            results, _line = run_grid(grid_tasks([GRAPH], ["bfs"]),
+                                      workers=1)
+        assert all(r.status == OK for r in results.values())
+        assert plan.fired == []
 
 
 class TestServiceConfig:
@@ -380,7 +426,7 @@ class TestRetryKnob:
 
     def test_malformed_value_fails_at_install(self, monkeypatch):
         for name, bad in [("REPRO_CELL_WALL_BUDGET", "abc"),
-                          ("REPRO_FAULTS_RATE", "lots"),
+                          ("REPRO_FAULTS", "kernel:fault:rate=lots"),
                           ("REPRO_FAULTS_SEED", "1.5")]:
             monkeypatch.setenv(name, bad)
             with pytest.raises(errors.InvalidValue, match=name):
@@ -402,6 +448,22 @@ class TestRetryKnob:
                 "GB", "bfs", GRAPH, use_cache=False,
                 retry=faults.RetryPolicy(max_attempts=2, backoff_base=0.0))
         assert result.status == OK and result.attempts == 2
+
+
+class TestTaskScope:
+    def test_job_faults_replace_the_process_plan(self, isolated_grid):
+        # The process-wide plan would fail the cell on its first kernel
+        # trip; while the job's own plan is in scope it neither fires nor
+        # counts, and it is back in place once the cell ends.
+        process_plan = FaultPlan([FaultSpec("kernel", "fault", nth=1)])
+        task = {"system": "GB", "app": "bfs", "graph": GRAPH,
+                "sweep": False, "faults": "kernel:slow:ms=1:nth=3"}
+        with faults.injected(process_plan):
+            row = run_task(task)
+            assert faults.active_plan() is process_plan
+        assert row["status"] == OK
+        assert process_plan.counts == {"kernel": 0, "alloc": 0}
+        assert process_plan.fired == []
 
 
 class TestJsonCleanRow:
@@ -443,8 +505,8 @@ class TestSupervisorDrills:
                                              drained):
         baseline = sequential_baseline(apps=("bfs",))
 
-        monkeypatch.setenv("REPRO_CHAOS_KILL_CELLS",
-                           f"GB:bfs:{GRAPH}:attempt=1")
+        monkeypatch.setenv("REPRO_FAULTS",
+                           f"cell:kill@GB:bfs:{GRAPH}:attempt=1")
         results, line = run_grid(grid_tasks([GRAPH], ["bfs"]), workers=2,
                                  config=FAST, queue_path=tmp_path / "q.db")
 
@@ -466,7 +528,7 @@ class TestSupervisorDrills:
 
     def test_poison_cell_is_quarantined(self, isolated_grid, monkeypatch,
                                         drained):
-        monkeypatch.setenv("REPRO_CHAOS_KILL_CELLS", f"LS:bfs:{GRAPH}")
+        monkeypatch.setenv("REPRO_FAULTS", f"cell:kill@LS:bfs:{GRAPH}")
         monkeypatch.setenv("REPRO_JOB_MAX_ATTEMPTS", "2")
         config = ServiceConfig(heartbeat_interval=0.05)
         results, line = run_grid(grid_tasks([GRAPH], ["bfs"]), workers=2,
@@ -483,10 +545,10 @@ class TestSupervisorDrills:
 
     def test_hung_worker_blows_deadline_and_recovers(self, isolated_grid,
                                                      monkeypatch, drained):
-        monkeypatch.setenv("REPRO_CHAOS_HANG_CELLS",
-                           f"SS:bfs:{GRAPH}:attempt=1")
+        monkeypatch.setenv("REPRO_FAULTS",
+                           f"cell:hang@SS:bfs:{GRAPH}:attempt=1")
         config = ServiceConfig(heartbeat_interval=0.05, cell_deadline=2.0)
-        # workers=1 would run in-process, where chaos never strikes; one
+        # workers=1 would run in-process, where cell faults never strike; one
         # task spawns one worker either way.
         results, _line = run_grid(grid_tasks([GRAPH], ["bfs"],
                                              systems=("SS",)),
@@ -516,7 +578,7 @@ class TestSupervisorDrills:
         # opens GB's breaker.  The open breaker only defers: each retry
         # is a half-open probe on GB itself, so the cell burns its own
         # attempt budget and dead-letters — no other system runs it.
-        monkeypatch.setenv("REPRO_CHAOS_KILL_CELLS", f"GB:bfs:{GRAPH}")
+        monkeypatch.setenv("REPRO_FAULTS", f"cell:kill@GB:bfs:{GRAPH}")
         monkeypatch.setenv("REPRO_JOB_DEFER", "0.05")
         monkeypatch.setenv("REPRO_JOB_BACKOFF", "0.05")
         config = ServiceConfig(heartbeat_interval=0.05,
