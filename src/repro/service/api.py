@@ -210,7 +210,7 @@ class _Handler(BaseHTTPRequestHandler):
                 body["system"], body["app"], body["graph"],
                 params=body.get("params"),
                 tenant=body.get("tenant", "default"),
-                priority=int(body.get("priority", 0)),
+                priority=body.get("priority", 0),
                 idem_key=body.get("idem_key"),
                 max_attempts=body.get("max_attempts"),
                 deadline_ms=body.get("deadline_ms"))

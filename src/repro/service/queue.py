@@ -49,6 +49,7 @@ from __future__ import annotations
 
 import contextlib
 import json
+import numbers
 import os
 import sqlite3
 import time
@@ -226,6 +227,14 @@ def _check_job_faults(text) -> None:
         raise errors.InvalidValue(f"params.faults: {exc}") from None
 
 
+def _integer(name: str, value) -> int:
+    """``value`` as an int, or :class:`repro.errors.InvalidValue` when it
+    is not an integer (``True``, ``1.5`` and ``"3"`` are not)."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Integral):
+        raise errors.InvalidValue(f"{name} must be an integer; got {value!r}")
+    return int(value)
+
+
 class JobQueue:
     """One connection to the durable queue (single-writer discipline).
 
@@ -289,7 +298,9 @@ class JobQueue:
         """Accept one job; returns the (possibly pre-existing) row.
 
         Validates the payload up front via the engine registry and the
-        dataset table (did-you-mean errors, same as the CLIs), enforces
+        dataset table (did-you-mean errors, same as the CLIs) and checks
+        its fields' types (``params`` an object, ``priority`` an integer,
+        ``max_attempts`` a positive integer), enforces
         the per-tenant admission cap, and deduplicates on ``idem_key``:
         resubmitting a key returns the existing job — including one
         already ``done`` — which is what makes a restarted batch submit
@@ -309,6 +320,15 @@ class JobQueue:
         if not tenant or not isinstance(tenant, str):
             raise errors.InvalidValue(
                 f"tenant must be a non-empty string; got {tenant!r}")
+        if params is not None and not isinstance(params, dict):
+            raise errors.InvalidValue(
+                f"params must be an object; got {params!r}")
+        priority = _integer("priority", priority)
+        if max_attempts is not None:
+            max_attempts = _integer("max_attempts", max_attempts)
+            if max_attempts < 1:
+                raise errors.InvalidValue(
+                    f"max_attempts must be >= 1; got {max_attempts}")
         params = dict(params or {})
         if params.get("faults"):
             _check_job_faults(params["faults"])
@@ -352,12 +372,12 @@ class JobQueue:
                 "deadline, not_before, created, updated) "
                 "VALUES (?, ?, ?, ?, ?, ?, ?, ?, 0, ?, ?, 0, ?, ?)",
                 (idem_key, tenant, system, app, graph,
-                 json.dumps(params, sort_keys=True), int(priority), QUEUED,
+                 json.dumps(params, sort_keys=True), priority, QUEUED,
                  max_attempts if max_attempts is not None
                  else self.config.max_attempts, deadline, now, now))
             job_id = cursor.lastrowid
             detail = {"tenant": tenant, "system": system, "app": app,
-                      "graph": graph, "priority": int(priority)}
+                      "graph": graph, "priority": priority}
             if deadline_ms is not None:
                 detail["deadline_ms"] = deadline_ms
             self._record(job_id, "submitted", detail)

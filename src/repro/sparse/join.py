@@ -8,20 +8,26 @@ two sorted CSR rows share.  This module is the single vectorized entry
 point for that operation, the intersection companion of the
 :mod:`repro.sparse.segreduce` reduction engine.
 
-:func:`row_pair_join` processes **all** pairs at once in flop-bounded
-batches (the same batching discipline as ``spgemm_saxpy``): each batch
-gathers its B-side rows with :func:`repro.sparse.csr.gather_rows`, forms
-composite ``row * ncols + col`` candidate keys, and then tests membership
-against the A side with one of two plans:
+:func:`row_pair_join` walks the pairs in A-row order, in batches bounded
+by gathered candidates (the same batching discipline as
+``spgemm_saxpy``): each batch gathers its B-side rows and tests every
+candidate column against the A rows the batch pairs, with one of two
+plans:
 
-* **merge** — one two-sided ``searchsorted`` of the candidate keys into
-  the (globally sorted) A-side key slice covering the batch's row span.
-  Cost ``O(n_cand * log(slice))``; always applicable.
-* **densify-by-column** — scatter the A-side slice into a dense
-  ``row_span x ncols`` position table and answer every candidate with one
-  gather.  Cost ``O(table + slice + n_cand)``; chosen when the batch's
-  row degrees are high enough that the table is comparable to the
-  candidate count (and the table fits a fixed budget).
+* **densify** — write the entry positions of the batch's distinct A rows
+  into a zeroed ``rows x ncols`` int32 table (one table row per distinct
+  A row), answer every candidate with one gather, and zero the written
+  slots again.  Cost ``O(row entries + n_cand)``; a batch also ends where
+  its distinct rows would overflow the table
+  (:data:`DENSIFY_TABLE_BYTES`).
+* **merge** — one ``searchsorted`` of composite ``row * ncols + col``
+  candidate keys into the sorted A-side key slice.  Cost
+  ``O(n_cand * log(slice))`` and no table.
+
+The default is read off the operands: densify when one A row fits the
+table and each load of the table serves at least
+:data:`DENSIFY_MIN_LOAD` candidates on average, merge otherwise (rows of
+a few entries, joins of a few pairs, operands over 2 M columns wide).
 
 Both plans return *identical* outputs in identical order, so the plan
 choice — like the batch boundaries — can never change results.  The
@@ -36,14 +42,15 @@ Lonestar frontiers' O(n log n) sort-based ``np.unique``.
 
 from __future__ import annotations
 
-from typing import Optional, Tuple
+from typing import Optional
 
 import numpy as np
 
 from repro.engine import cancel
 from repro.errors import DimensionMismatch, InvalidValue
 from repro.sparse import plancache
-from repro.sparse.csr import CSRMatrix, expand_ranges, gather_rows
+from repro.sparse.csr import CSRMatrix, expand_ranges
+from repro.sparse.segreduce import segment_reduce
 
 #: Cap on the gathered candidate buffer of one join batch (elements).  A
 #: batch's temporaries are what a grid worker's peak RSS adds on top of
@@ -51,8 +58,16 @@ from repro.sparse.csr import CSRMatrix, expand_ranges, gather_rows
 #: memory, and batches this large already amortize numpy's per-call cost.
 DEFAULT_BATCH_FLOPS = 1 << 20
 
-#: Cap on the densify plan's position table (elements per batch).
-DENSIFY_TABLE_BUDGET = 1 << 22
+#: Cap on the densify plan's position table (bytes, int32 slots).  Only
+#: the slots a batch's rows and candidates touch are ever paged in.
+DENSIFY_TABLE_BYTES = 1 << 23
+
+#: Fewest gathered candidates one load of the densify table must serve on
+#: average for the default plan to use it.  Below it (bounded-degree rows
+#: such as the road graphs', whose table loads serve ~1k candidates, or
+#: joins of a few pairs) writing and clearing the table costs more than
+#: the merge plan's searches.
+DENSIFY_MIN_LOAD = 1 << 12
 
 #: Value-array cast bookkeeping for the hoisted-cast regression test:
 #: ``calls`` counts :func:`cast_values` invocations since last reset.
@@ -103,10 +118,20 @@ class JoinResult:
                 f"matches={len(self.a_pos)}, work={self.work})")
 
 
-def _empty_result(n_pairs: int) -> JoinResult:
+def _empty_result(n_pairs: int,
+                  cand: Optional[np.ndarray] = None) -> JoinResult:
+    """A result with no matches (``cand``: the pairs' candidate counts)."""
     empty = np.empty(0, dtype=np.int64)
+    if cand is None:
+        cand = np.zeros(n_pairs, dtype=np.int64)
     return JoinResult(np.zeros(n_pairs, dtype=np.int64), empty, empty,
-                      empty, np.zeros(n_pairs, dtype=np.int64), 0)
+                      empty, cand, int(cand.sum()))
+
+
+def _kept_degrees(M: CSRMatrix, keep: np.ndarray) -> np.ndarray:
+    """Per-row count of the entries ``keep`` marks."""
+    return segment_reduce(keep, None, M.nrows, "plus", dtype=np.int64,
+                          row_splits=M.indptr)
 
 
 def _hoisted_keys(A: CSRMatrix, col_mult: np.int64) -> np.ndarray:
@@ -134,7 +159,8 @@ def row_pair_join(
     aliveness filter).  A pair whose (kept) A row is empty is *inactive*:
     it gathers no candidates and charges no work, matching the per-row
     kernels' skip-empty-row short-circuit.  ``plan`` forces ``"merge"``
-    or ``"densify"`` for every batch (tests); the default picks per batch.
+    or ``"densify"`` (tests); by default it is chosen from the pairs' row
+    and candidate counts (module docstring).
 
     Matches are reported in candidate order — pair-major, B-row order
     within a pair — which is exactly the order the per-row loops produced,
@@ -153,149 +179,142 @@ def row_pair_join(
     if n_pairs == 0 or A.nvals == 0 or Bt.nvals == 0:
         return _empty_result(n_pairs)
 
-    # Per-pair A-side degrees (after a_keep): pairs with an empty A row are
-    # inactive and never gather candidates, like the loops they replace.
+    # Per-pair candidate counts: the kept length of the B row, and zero for
+    # a pair whose kept A row is empty (inactive, like the loops this
+    # replaced).  Both are degree lookups, known before any gather.
+    b_deg_all = Bt.row_degrees()
     if a_keep is None:
-        a_deg = A.row_degrees()[a_rows]
+        a_deg = A.row_degrees()
     else:
-        from repro.sparse.segreduce import segment_reduce
-
-        kept_deg = segment_reduce(a_keep, None, A.nrows, "plus",
-                                  dtype=np.int64, row_splits=A.indptr)
-        a_deg = kept_deg[a_rows]
-    act_idx = np.flatnonzero(a_deg > 0)
+        a_deg = _kept_degrees(A, a_keep)
+    b_kept_deg = b_deg_all if b_keep is None else _kept_degrees(Bt, b_keep)
+    cand = np.where(a_deg[a_rows] > 0, b_kept_deg[b_rows], 0)
+    act_idx = np.flatnonzero(cand)
     if len(act_idx) == 0:
-        return _empty_result(n_pairs)
-    act_a = a_rows[act_idx]
-    act_b = b_rows[act_idx]
+        return _empty_result(n_pairs, cand)
 
-    # Hoist the A-side composite keys once per call.  CSR entries sorted by
-    # (row, col) make `row * ncols + col` globally ascending, so any row
-    # span maps to one sorted contiguous slice; `key_ptr` translates row
-    # ids to slice offsets (compacted when a_keep drops entries).  The
-    # unfiltered key array is a pure function of A's structure, so it is
-    # memoized on A across calls (triangle counting joins the same L per
-    # batch; pagerank-style loops rejoin the same matrix per round).
+    # Walk the active pairs in A-row order, so a batch's pairs share few
+    # distinct A rows; matches are put back in pair order at the end.
+    act_a = a_rows[act_idx]
+    resort = bool((act_a[1:] < act_a[:-1]).any())
+    if resort:
+        order = np.argsort(act_a, kind="stable")
+        act_idx = act_idx[order]
+        act_a = act_a[order]
+    act_b = b_rows[act_idx]
+    n_act = len(act_idx)
+
+    b_deg = b_deg_all[act_b]
+    cum = np.concatenate(([0], np.cumsum(b_deg)))
+    # Pair k's A row is the walk's slot[k]-th distinct row.  The densify
+    # table gives each of a batch's distinct rows one table row, so rows
+    # the batch never pairs cost nothing.
+    new_row = np.empty(n_act, dtype=bool)
+    new_row[0] = True
+    np.not_equal(act_a[1:], act_a[:-1], out=new_row[1:])
+    slot = np.cumsum(new_row) - 1
+    n_rows = int(slot[-1]) + 1
     col_mult = np.int64(A.ncols)
-    if a_keep is None:
+    # Table cells hold an A entry position + 1 (0: absent).
+    cell_dtype = np.int32 if A.nvals < np.iinfo(np.int32).max else np.int64
+    rows_fit = DENSIFY_TABLE_BYTES // (np.dtype(cell_dtype).itemsize
+                                       * A.ncols)
+    if plan is None:
+        # The table pays when each load of it serves enough candidates:
+        # loads are bounded by the table's rows and by the batch budget.
+        loads = max(-(-n_rows // max(rows_fit, 1)),
+                    -(-int(cum[-1]) // batch_flops))
+        densify = rows_fit > 0 and cum[-1] >= DENSIFY_MIN_LOAD * loads
+    else:
+        densify = plan == "densify"
+    if densify:
+        # One zeroed table for the whole call: every batch writes its rows'
+        # positions in, gathers, and zeroes them again.
+        table_rows = min(max(rows_fit, 1), n_rows)
+        table = np.zeros(table_rows * A.ncols, dtype=cell_dtype)
+    else:
+        # CSR entries sorted by (row, col) make ``row * ncols + col``
+        # globally ascending, so a batch's rows map to one sorted slice of
+        # this key array (memoized on A: a pure function of its structure).
         keys_a = plancache.cached(A, "join_keys", (),
                                   lambda: _hoisted_keys(A, col_mult))
-        a_entry_of = None  # keys_a position == global entry position
-        key_ptr = A.indptr
-    else:
-        a_entry_of = np.flatnonzero(a_keep)
-        keys_a = (A.row_ids()[a_entry_of] * col_mult
-                  + A.indices[a_entry_of].astype(np.int64))
-        key_ptr = np.searchsorted(a_entry_of, A.indptr)
 
-    # Sticky merge/densify decision: the first adaptive call on A records
-    # the majority of its per-batch choices; later calls with the same
-    # configuration replay it without re-deriving the batch statistics.
-    # Both plans produce identical outputs (module invariant), so the
-    # sticky replay — like an explicit ``plan`` — can never change results.
-    # The key includes the pair count's density decile relative to A's row
-    # count: a near-diagonal mask (few pairs) and a dense mask (~nrows
-    # pairs or more) have opposite merge-vs-densify economics, so each
-    # decile keeps its own sticky slot instead of one mask shape deciding
-    # for all of them.
-    density_decile = int(min(9, (10 * n_pairs) // max(1, A.nrows)))
-    plan_key = (a_keep is None, b_keep is None, int(batch_flops),
-                density_decile)
-    forced = plan if plan is not None else plancache.get(A, "join_plan",
-                                                         plan_key)
-    batch_choices = [] if forced is None else None
-
-    hits = np.zeros(n_pairs, dtype=np.int64)
-    cand = np.zeros(n_pairs, dtype=np.int64)
     a_chunks = []
     b_chunks = []
     seg_chunks = []
-
-    b_deg = Bt.row_degrees()[act_b]
-    cum = np.concatenate(([0], np.cumsum(b_deg)))
-    n_act = len(act_idx)
     lo = 0
     while lo < n_act:
         # A tripped deadline stops a long join at the next flop-bounded
-        # batch (~2M gathered candidates), not only at the next OpEvent.
+        # batch (~1M gathered candidates), not only at the next OpEvent.
         cancel.check()
-        # Largest hi keeping the gathered batch within budget (>= 1 pair).
-        target = cum[lo] + batch_flops
-        hi = int(np.searchsorted(cum, target, side="right")) - 1
-        hi = max(hi, lo + 1)
-        hi = min(hi, n_act)
-        pair_a = act_a[lo:hi]
-        cols, positions, seg = gather_rows(Bt, act_b[lo:hi])
-        # Composite candidate keys: segment-repeat of the per-pair row
-        # base (int64) plus the gathered columns in one broadcast add —
-        # cheaper than a per-candidate row gather and an explicit cast.
-        cand_keys = np.repeat(pair_a * col_mult, b_deg[lo:hi]) + cols
-        if b_keep is not None and len(cols):
-            kept = b_keep[positions]
-            cand_keys = cand_keys[kept]
-            positions = positions[kept]
-            seg = seg[kept]
-            cand[act_idx[lo:hi]] = np.bincount(seg, minlength=hi - lo)
-        else:
-            cand[act_idx[lo:hi]] = b_deg[lo:hi]
-        if len(cand_keys) == 0:
-            lo = hi
-            continue
-
-        # The A-side slice covering this batch's row span.
-        row_lo = int(pair_a.min())
-        row_hi = int(pair_a.max())
-        ent_lo = int(key_ptr[row_lo])
-        ent_hi = int(key_ptr[row_hi + 1])
-        key_slice = keys_a[ent_lo:ent_hi]
-        table_elems = (row_hi - row_lo + 1) * A.ncols
-        if forced is not None:
-            densify = forced == "densify"
-        else:
-            densify = (table_elems <= DENSIFY_TABLE_BUDGET
-                       and table_elems <= 4 * (len(cand_keys)
-                                               + len(key_slice)))
-            batch_choices.append(densify)
-        # A cache-replayed densify must still respect the table budget (a
-        # later call may cover a wider row span than the deciding one); an
-        # explicit caller ``plan`` keeps its forced choice.
-        if densify and plan is None and table_elems > DENSIFY_TABLE_BUDGET:
-            densify = False
-        base = np.int64(row_lo) * col_mult
+        # Largest hi keeping the gathered batch within budget (>= 1 pair)
+        # and, for the table, its distinct rows within the table's rows.
+        hi = int(np.searchsorted(cum, cum[lo] + batch_flops,
+                                 side="right")) - 1
         if densify:
-            table = np.full(table_elems, -1, dtype=np.int64)
-            table[key_slice - base] = np.arange(ent_lo, ent_hi,
-                                                dtype=np.int64)
-            found = table[cand_keys - base]
-            midx = np.flatnonzero(found >= 0)
-            slice_pos = found[midx]
+            hi = min(hi, int(np.searchsorted(slot, slot[lo] + table_rows)))
+        hi = min(max(hi, lo + 1), n_act)
+        lens = b_deg[lo:hi]
+        starts = Bt.indptr[act_b[lo:hi]]
+        positions = expand_ranges(starts, starts + lens)
+        cols = Bt.indices[positions]
+        if densify:
+            local = slot[lo:hi] - slot[lo]
+            rows = np.empty(int(local[-1]) + 1, dtype=np.int64)
+            rows[local] = act_a[lo:hi]
+            row_starts = A.indptr[rows]
+            row_stops = A.indptr[rows + 1]
+            filled = expand_ranges(row_starts, row_stops)
+            where = (np.repeat(np.arange(len(rows), dtype=np.int64)
+                               * col_mult, row_stops - row_starts)
+                     + A.indices[filled])
+            if a_keep is not None:
+                kept = a_keep[filled]
+                filled, where = filled[kept], where[kept]
+            table[where] = filled + 1
+            found = table[np.repeat(local * col_mult, lens) + cols]
+            table[where] = 0
+            midx = np.flatnonzero(found)
+            a_pos = found[midx] - np.int64(1)
         else:
-            pos = np.searchsorted(key_slice, cand_keys)
+            keys = np.repeat(act_a[lo:hi] * col_mult, lens) + cols
+            ent_lo = int(A.indptr[act_a[lo]])
+            key_slice = keys_a[ent_lo:int(A.indptr[act_a[hi - 1] + 1])]
+            pos = np.searchsorted(key_slice, keys)
             np.minimum(pos, len(key_slice) - 1, out=pos)
-            midx = np.flatnonzero(key_slice[pos] == cand_keys)
-            slice_pos = pos[midx] + ent_lo
+            midx = np.flatnonzero(key_slice[pos] == keys)
+            a_pos = pos[midx] + ent_lo
+            if a_keep is not None:
+                kept = a_keep[a_pos]
+                midx, a_pos = midx[kept], a_pos[kept]
+        b_pos = positions[midx]
+        if b_keep is not None:
+            kept = b_keep[b_pos]
+            midx, a_pos, b_pos = midx[kept], a_pos[kept], b_pos[kept]
         if len(midx):
-            a_chunks.append(slice_pos if a_entry_of is None
-                            else a_entry_of[slice_pos])
-            b_chunks.append(positions[midx])
-            seg_m = seg[midx]
-            seg_chunks.append(act_idx[lo + seg_m])
-            hits[act_idx[lo:hi]] = np.bincount(seg_m, minlength=hi - lo)
+            # Each match's pair: a segment-repeat when matches are dense,
+            # a search over the batch's pair bounds when they are sparse.
+            if 4 * len(midx) > len(cols):
+                seg = np.repeat(np.arange(hi - lo), lens)[midx]
+            else:
+                seg = np.searchsorted(cum[lo:hi + 1] - cum[lo], midx,
+                                      side="right") - 1
+            a_chunks.append(a_pos)
+            b_chunks.append(b_pos)
+            seg_chunks.append(act_idx[lo + seg])
         lo = hi
 
-    if batch_choices:
-        majority = ("densify" if 2 * sum(batch_choices) >= len(batch_choices)
-                    else "merge")
-        plancache.put(A, "join_plan", plan_key, majority)
-
-    if a_chunks:
-        a_pos = np.concatenate(a_chunks)
-        b_pos = np.concatenate(b_chunks)
-        out_seg = np.concatenate(seg_chunks)
-    else:
-        a_pos = np.empty(0, dtype=np.int64)
-        b_pos = np.empty(0, dtype=np.int64)
-        out_seg = np.empty(0, dtype=np.int64)
+    if not a_chunks:
+        return _empty_result(n_pairs, cand)
+    a_pos = np.concatenate(a_chunks)
+    b_pos = np.concatenate(b_chunks)
+    out_seg = np.concatenate(seg_chunks)
+    if resort:
+        # Within a pair, matches are already in B-row order; a stable sort
+        # on the pair index restores the pair-major order.
+        order = np.argsort(out_seg, kind="stable")
+        a_pos, b_pos, out_seg = a_pos[order], b_pos[order], out_seg[order]
+    hits = np.bincount(out_seg, minlength=n_pairs)
     return JoinResult(hits, a_pos, b_pos, out_seg, cand, int(cand.sum()))
 
 
@@ -320,26 +339,6 @@ def masked_row_join(
                          batch_flops=batch_flops, plan=plan)
 
 
-def join_sorted(a: np.ndarray,
-                b: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
-    """Positions of the common elements of two sorted arrays.
-
-    Returns ``(ia, ib)`` with ``a[ia] == b[ib]``, ordered by position in
-    ``a`` — the single-pair primitive.  Kernels batch their pairs through
-    :func:`row_pair_join` (the ktruss removal cascade too: within a wave a
-    triangle is destroyed exactly once, by its smallest doomed edge,
-    whatever the order); the scalar reference cascade that the batched
-    wave is tested against is written with this.
-    """
-    if len(a) == 0 or len(b) == 0:
-        empty = np.empty(0, dtype=np.int64)
-        return empty, empty
-    pos = np.searchsorted(b, a)
-    pos = np.minimum(pos, len(b) - 1)
-    matched = b[pos] == a
-    return np.flatnonzero(matched), pos[matched]
-
-
 def dedup_bounded(ids: np.ndarray, bound: int) -> np.ndarray:
     """Sorted unique ids, O(n + bound) via a flag array.
 
@@ -355,63 +354,3 @@ def dedup_bounded(ids: np.ndarray, bound: int) -> np.ndarray:
     flags = np.zeros(int(bound), dtype=bool)
     flags[ids] = True
     return np.flatnonzero(flags)
-
-
-def naive_row_pair_join(
-    A: CSRMatrix,
-    a_rows: np.ndarray,
-    Bt: CSRMatrix,
-    b_rows: np.ndarray,
-    a_keep: Optional[np.ndarray] = None,
-    b_keep: Optional[np.ndarray] = None,
-) -> JoinResult:
-    """Per-pair reference implementation (the seed kernels' idiom).
-
-    One Python iteration per pair, one ``searchsorted`` each — the shape
-    of the loops :func:`row_pair_join` replaces.  Kept as the property-
-    test oracle and the benchmark baseline; never called by kernels.
-    """
-    a_rows = np.asarray(a_rows, dtype=np.int64)
-    b_rows = np.asarray(b_rows, dtype=np.int64)
-    n_pairs = len(a_rows)
-    hits = np.zeros(n_pairs, dtype=np.int64)
-    cand = np.zeros(n_pairs, dtype=np.int64)
-    a_chunks, b_chunks, seg_chunks = [], [], []
-    work = 0
-    for k in range(n_pairs):
-        i = int(a_rows[k])
-        a_lo, a_hi = int(A.indptr[i]), int(A.indptr[i + 1])
-        a_idx = np.arange(a_lo, a_hi, dtype=np.int64)
-        if a_keep is not None:
-            a_idx = a_idx[a_keep[a_lo:a_hi]]
-        if len(a_idx) == 0:
-            continue
-        j = int(b_rows[k])
-        b_lo, b_hi = int(Bt.indptr[j]), int(Bt.indptr[j + 1])
-        b_idx = np.arange(b_lo, b_hi, dtype=np.int64)
-        if b_keep is not None:
-            b_idx = b_idx[b_keep[b_lo:b_hi]]
-        cand[k] = len(b_idx)
-        work += len(b_idx)
-        if len(b_idx) == 0:
-            continue
-        a_cols = A.indices[a_idx]
-        b_cols = Bt.indices[b_idx]
-        pos = np.searchsorted(a_cols, b_cols)
-        pos = np.minimum(pos, len(a_cols) - 1)
-        matched = a_cols[pos] == b_cols
-        n_match = int(np.count_nonzero(matched))
-        if n_match:
-            hits[k] = n_match
-            a_chunks.append(a_idx[pos[matched]])
-            b_chunks.append(b_idx[matched])
-            seg_chunks.append(np.full(n_match, k, dtype=np.int64))
-    if a_chunks:
-        a_pos = np.concatenate(a_chunks)
-        b_pos = np.concatenate(b_chunks)
-        out_seg = np.concatenate(seg_chunks)
-    else:
-        a_pos = np.empty(0, dtype=np.int64)
-        b_pos = np.empty(0, dtype=np.int64)
-        out_seg = np.empty(0, dtype=np.int64)
-    return JoinResult(hits, a_pos, b_pos, out_seg, cand, work)

@@ -28,7 +28,11 @@ from repro.sparse.csr import CSRMatrix, INDEX_DTYPE, PTR_DTYPE, gather_rows
 from repro.sparse.join import cast_values, masked_row_join
 from repro.sparse.segreduce import coo_group_reduce, segment_reduce
 from repro.sparse.semiring_ops import BinaryFn, MonoidFn, SegmentReducer
-from repro.sparse.tricount import same_structure, symmetric_supports
+from repro.sparse.tricount import (
+    same_structure,
+    symmetric_supports,
+    triangular_supports,
+)
 
 #: Default cap on the expansion buffer of one SAXPY batch (elements).
 DEFAULT_BATCH_FLOPS = 1 << 21
@@ -156,8 +160,12 @@ def spgemm_masked_dot(
     When the semiring is plus-pair and ``A``, ``Bt`` and ``mask`` are one
     symmetric, diagonal-free structure (ktruss's ``C<S> = S*S'``), the
     same ``C`` and the same work count come from listing each triangle
-    once (:func:`repro.sparse.tricount.symmetric_supports`) — a property
-    read off the operands, not an option.
+    once (:func:`repro.sparse.tricount.symmetric_supports`); so they do
+    when ``A`` and ``mask`` are one strictly lower-triangular ``L`` and
+    ``Bt`` is ``L'`` or ``L`` (tc's ``C<L> = L*U'`` and ``L*L'``) and the
+    listing gathers enough fewer candidates
+    (:func:`repro.sparse.tricount.triangular_supports`).  Both are
+    properties read off the operands, not options.
     """
     if hasattr(A, "shards"):
         from repro.sparse import blocked
@@ -168,15 +176,24 @@ def spgemm_masked_dot(
         raise DimensionMismatch("mask shape must match A.nrows x Bt.nrows")
     out_dtype = np.dtype(out_dtype)
     if (add.kind == "plus" and mult.name == "pair" and out_dtype.kind in "iuf"
-            and same_structure(mask, A) and same_structure(Bt, A)):
+            and same_structure(mask, A)):
         # ``C<S> = S plus.pair S'`` on one symmetric structure (ktruss's
-        # support round) is a triangle listing: any execution returning
-        # the same matrix will do, so each triangle is met once.
-        listed = symmetric_supports(A)
-        if listed is not None:
-            hits, cand = listed
+        # support round) and ``C<L> = L plus.pair U'`` or ``L plus.pair
+        # L'`` on one strictly lower-triangular L (tc) are triangle
+        # listings: any execution returning the same matrix will do, so
+        # each triangle is met once.  The work charged is the generic
+        # join's either way: every mask row is non-empty, so each entry
+        # (i, j) gathers Bt's row j.
+        hits = None
+        if same_structure(Bt, A):
+            listed = symmetric_supports(A)
+            hits = None if listed is None else listed[0]
+        if hits is None:
+            hits = triangular_supports(A, Bt)
+        if hits is not None:
             C = mask.with_values(hits.astype(out_dtype, copy=False))
-            return C.filter_entries(hits > 0), int(cand.sum())
+            return (C.filter_entries(hits > 0),
+                    int(Bt.row_degrees()[A.indices].sum()))
     reducer = SegmentReducer(add)
     res = masked_row_join(A, Bt, mask)
 

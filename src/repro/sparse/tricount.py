@@ -15,6 +15,9 @@ Lonestar ktruss needs.  :func:`symmetric_supports` is the same count for
 a whole symmetric pattern with each triangle listed once; both stacks'
 ktruss support passes run on it (``edge_supports`` here, and the
 plus-pair ``C<S> = S*S'`` of ``spgemm_masked_dot``).
+:func:`triangular_supports` lists the same forward half for the
+GraphBLAS tc variants' ``C<L> = L*U'`` and ``C<L> = L*L'``, crediting each
+triangle to the one entry of ``L`` that variant's dot product counts it at.
 
 Every kernel is one call into the batched merge-join engine
 (:mod:`repro.sparse.join`) — no per-row Python loop — and reports the same
@@ -85,6 +88,14 @@ def symmetric_twins(csr: CSRMatrix) -> Optional[np.ndarray]:
     return order
 
 
+def degree_rank(degrees: np.ndarray) -> np.ndarray:
+    """Each vertex's position in the (degree, id) order: the orientation
+    both triangle listings use, forward from lower to higher rank."""
+    rank = np.empty(len(degrees), dtype=np.int64)
+    rank[np.argsort(degrees, kind="stable")] = np.arange(len(degrees))
+    return rank
+
+
 def symmetric_supports(
     csr: CSRMatrix,
     keep: Optional[np.ndarray] = None,
@@ -123,8 +134,7 @@ def symmetric_supports(
                                   dtype=np.int64, row_splits=csr.indptr)
         cand = np.where(keep, kept_deg[csr.indices], 0)
 
-    rank = np.empty(csr.nrows, dtype=np.int64)
-    rank[np.argsort(kept_deg, kind="stable")] = np.arange(csr.nrows)
+    rank = degree_rank(kept_deg)
     forward = rank[csr.row_ids()] < rank[csr.indices]
     if keep is not None:
         forward &= keep
@@ -138,6 +148,101 @@ def symmetric_supports(
     supports[fwd_pos] = fwd_supports
     supports[twin[fwd_pos]] = fwd_supports
     return supports, cand
+
+
+#: The triangular listing is taken only when the generic join would
+#: gather at least ``LISTING_GAIN`` times the listing's candidates, and at
+#: least ``LISTING_MIN_WORK`` in all.  The listing also scatters one
+#: credit per triangle, so it loses where triangles are dense (eukarya:
+#: 2.0x fewer candidates, 882 k triangles) and wins where the join gathers
+#: mostly misses (friendster: 10.1x fewer, 204 k triangles).  Below the
+#: minimum the generic join takes well under a millisecond, about what
+#: ranking and orienting the operands costs (road-USA-W's ``L*U'``
+#: gathers 15 k).
+LISTING_GAIN = 4
+LISTING_MIN_WORK = 1 << 16
+
+
+def triangular_supports(L: CSRMatrix, Bt: CSRMatrix) -> Optional[np.ndarray]:
+    """``C<L> = L plus.pair Bt'`` per entry of a strictly lower-triangular
+    ``L``, each triangle listed once; ``None`` — caller takes the generic
+    join — when the operands do not qualify or listing would not pay.
+
+    ``Bt`` is ``L'`` (SandiaDot, ``C<L> = L*U'``: entry (hi, lo) counts
+    the triangles whose third vertex lies between its endpoints) or ``L``
+    itself (gb-ll, ``C<L> = L*L'``: entry (hi, mid) counts those whose
+    third vertex lies below both).  Either way every triangle is credited
+    to exactly one entry, so the triangles are listed once on the
+    degree-oriented forward half of ``L + L'`` (:func:`degree_rank`, as
+    :func:`symmetric_supports` does) and each scatters +1 to the entry its
+    variant credits.  Whether to list is read off degrees alone: the
+    generic join gathers ``sum |Bt row j|`` over the entries (i, j), the
+    listing ``sum |forward row v|`` over its forward entries (u, v).
+    """
+    n = L.nrows
+    if n != L.ncols or Bt.nrows != n or L.nvals == 0:
+        return None
+    cols = L.indices
+    generic = int(Bt.row_degrees()[cols].sum())
+    if generic < LISTING_MIN_WORK:
+        return None
+    rows = L.row_ids()
+    if not (cols < rows).all():
+        return None
+    order, LT = L.transpose_plan()
+    if same_structure(Bt, L):
+        credit_between = False
+    elif same_structure(Bt, LT):
+        credit_between = True
+    else:
+        return None
+
+    rank = degree_rank(L.row_degrees() + LT.row_degrees())
+    # keep[p]: L entry p = (i, j) runs forward as stored (i -> j);
+    # otherwise it runs j -> i, which is LT's entry at the same edge.
+    keep = rank[rows] < rank[cols]
+    tail = np.where(keep, rows, cols)
+    head = np.where(keep, cols, rows)
+    fwd_deg = np.bincount(tail, minlength=n)
+    if generic < LISTING_GAIN * int(fwd_deg[head].sum()):
+        return None
+
+    # Forward row v is v's forward entries of L (columns below v) followed
+    # by those of LT (columns above v): already sorted, so the two filtered
+    # structures interleave row by row without a sort.
+    below = L.with_values(None).filter_entries(keep)
+    t_keep = ~keep[order]
+    above = LT.filter_entries(t_keep)
+    indptr = below.indptr + above.indptr
+    below_dest = (np.arange(below.nvals, dtype=np.int64)
+                  + above.indptr[below.row_ids()])
+    above_dest = (np.arange(above.nvals, dtype=np.int64)
+                  + below.indptr[1:][above.row_ids()])
+    indices = np.empty(L.nvals, dtype=cols.dtype)
+    indices[below_dest] = below.indices
+    indices[above_dest] = above.indices
+    entry_of = np.empty(L.nvals, dtype=np.int64)  # forward entry -> L entry
+    entry_of[below_dest] = np.flatnonzero(keep)
+    entry_of[above_dest] = order[t_keep]
+    fwd = CSRMatrix(n, n, indptr, indices)
+
+    # Each match is a triangle u -> v -> w (ascending rank) met at its
+    # entry (u, v); a_pos is its entry (u, w) and b_pos its entry (v, w).
+    res = masked_row_join(fwd, fwd, fwd)
+    u = fwd.row_ids()[res.out_seg]
+    v = fwd.indices[res.out_seg].astype(np.int64)
+    w = fwd.indices[res.a_pos].astype(np.int64)
+    lowest = np.minimum(np.minimum(u, v), w)
+    if credit_between:
+        # The credited entry (hi, lo) is the edge without the middle vertex.
+        skipped = u + v + w - lowest - np.maximum(np.maximum(u, v), w)
+    else:
+        # The credited entry (hi, mid) is the edge without the lowest.
+        skipped = lowest
+    credited = np.where(w == skipped, entry_of[res.out_seg],
+                        np.where(v == skipped, entry_of[res.a_pos],
+                                 entry_of[res.b_pos]))
+    return np.bincount(credited, minlength=L.nvals)
 
 
 def edge_supports(

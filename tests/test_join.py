@@ -3,10 +3,11 @@
 Three layers:
 
 * Property tests — :func:`repro.sparse.join.row_pair_join` against the
-  per-pair reference :func:`repro.sparse.join.naive_row_pair_join` over
-  randomized CSR shapes, dtypes, keep-masks, and both forced plans.  The
-  engine's contract is *bit-identical* output in identical order, so
-  every comparison below is exact (``array_equal``), never approximate.
+  per-pair reference ``naive_row_pair_join`` (``tests/join_oracles.py``)
+  over randomized CSR shapes, dtypes, keep-masks, row-bounded position
+  tables, and both forced plans.  The engine's contract is
+  *bit-identical* output in identical order, so every comparison below
+  is exact (``array_equal``), never approximate.
 * Regression tests — the hoisted value-cast fix (the seed
   ``spgemm_masked_dot`` re-materialized the full B value array once per
   row) and an AST lint pinning the per-row loops out of the rewired
@@ -24,18 +25,18 @@ import numpy as np
 import pytest
 
 from repro.errors import DimensionMismatch, InvalidValue
+from repro.sparse import join
 from repro.sparse.csr import build_csr, expand_ranges
 from repro.sparse.join import (
     CAST_COUNTS,
     dedup_bounded,
-    join_sorted,
     masked_row_join,
-    naive_row_pair_join,
     row_pair_join,
 )
 from repro.sparse.segreduce import coo_group_reduce
 from repro.sparse.semiring_ops import BINARY_FNS, MONOID_FNS
 from repro.sparse.spgemm import spgemm_masked_dot
+from tests.join_oracles import join_sorted, naive_row_pair_join
 
 SRC = pathlib.Path(__file__).resolve().parent.parent / "src"
 
@@ -95,6 +96,50 @@ class TestRowPairJoinProperties:
         want = naive_row_pair_join(A, a_rows, Bt, b_rows,
                                    a_keep=a_keep, b_keep=b_keep)
         assert_results_equal(got, want)
+
+    @pytest.mark.parametrize("seed", range(4))
+    @pytest.mark.parametrize("plan", [None, "merge", "densify"])
+    @pytest.mark.parametrize("table_rows", [1, 3, None])
+    def test_plans_with_keep_masks_and_row_bounded_tables(
+            self, seed, plan, table_rows, monkeypatch):
+        # Unsorted pairs (walked in A-row order, reported in pair order),
+        # keep masks on both sides, and a position table holding 1 or 3
+        # rows of A, so batches end at the table's rows as well as at the
+        # candidate budget.  Below one row (table_rows=None) only a forced
+        # densify still builds a table, of one row.
+        rng = np.random.default_rng(300 + seed)
+        A = random_csr(rng, 30, 35, 0.3)
+        Bt = random_csr(rng, 25, 35, 0.3)
+        budget = 4 * A.ncols * table_rows if table_rows else 4 * A.ncols - 1
+        monkeypatch.setattr(join, "DENSIFY_TABLE_BYTES", budget)
+        a_rows = rng.integers(0, A.nrows, 80)
+        b_rows = rng.integers(0, Bt.nrows, 80)
+        a_keep = rng.random(A.nvals) < 0.7
+        b_keep = rng.random(Bt.nvals) < 0.7
+        for keeps in ((None, None), (a_keep, b_keep)):
+            got = row_pair_join(A, a_rows, Bt, b_rows, *keeps,
+                                batch_flops=16, plan=plan)
+            want = naive_row_pair_join(A, a_rows, Bt, b_rows, *keeps)
+            assert_results_equal(got, want)
+
+    @pytest.mark.parametrize("min_load,plan", [(0, "densify"),
+                                               (1 << 40, "merge")])
+    def test_default_plan_is_read_off_the_pairs(self, min_load, plan,
+                                                monkeypatch):
+        # Only the merge plan searches A's hoisted keys: a densify default
+        # never builds them.  Both agree with the reference either way.
+        rng = np.random.default_rng(9)
+        A = random_csr(rng, 30, 30, 0.3)
+        a_rows = rng.integers(0, 30, 50)
+        b_rows = rng.integers(0, 30, 50)
+        built = []
+        real = join._hoisted_keys
+        monkeypatch.setattr(join, "_hoisted_keys",
+                            lambda *args: built.append(1) or real(*args))
+        monkeypatch.setattr(join, "DENSIFY_MIN_LOAD", min_load)
+        got = row_pair_join(A, a_rows, A, b_rows)
+        assert bool(built) == (plan == "merge")
+        assert_results_equal(got, naive_row_pair_join(A, a_rows, A, b_rows))
 
     def test_small_batches_match_single_batch(self):
         # Batch boundaries can never change results.

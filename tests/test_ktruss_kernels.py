@@ -40,12 +40,7 @@ from repro.perf.machine import Machine
 from repro.runtime.galois_rt import GaloisRuntime
 from repro.sparse.blocked import BlockedCSR
 from repro.sparse.csr import CSRMatrix, build_csr
-from repro.sparse.join import (
-    dedup_bounded,
-    join_sorted,
-    masked_row_join,
-    naive_row_pair_join,
-)
+from repro.sparse.join import dedup_bounded, masked_row_join
 from repro.sparse.semiring_ops import BINARY_FNS, MONOID_FNS
 from repro.sparse.tricount import (
     edge_supports,
@@ -54,6 +49,7 @@ from repro.sparse.tricount import (
     twin_positions,
 )
 from repro.suitesparse import SuiteSparseBackend
+from tests.join_oracles import join_sorted, naive_row_pair_join
 
 SETTINGS = settings(max_examples=60, deadline=None,
                     suppress_health_check=[HealthCheck.too_slow])
@@ -425,7 +421,8 @@ class TestMaskedDotFastPath:
         monkeypatch.setattr(spgemm, "symmetric_supports", refuse)
         sym = SHAPES["two_cliques"]
         L, U = sym.extract_tril(), sym.extract_triu()
-        # tc's SandiaDot (Bt = U, another structure) ...
+        # tc's SandiaDot (Bt = U, another structure: the triangular
+        # listing's case, never the symmetric one) ...
         C, _ = spgemm.spgemm_masked_dot(L, U, L, PLUS, PAIR,
                                         out_dtype=np.int64)
         assert int(C.values.sum()) == 35 + 1
@@ -438,7 +435,8 @@ class TestMaskedDotFastPath:
 
     def test_triangular_self_join_is_observed_not_assumed(self):
         # gb-ll's C<L> = L*L': A, Bt and mask are one structure, but not a
-        # symmetric one — the dispatch must see that and join generically.
+        # symmetric one — the dispatch must see that and leave it to the
+        # triangular listing or the generic join, which agree.
         L = SHAPES["two_cliques"].extract_tril()
         C, work = spgemm.spgemm_masked_dot(L, L, L, PLUS, PAIR,
                                            out_dtype=np.int64)

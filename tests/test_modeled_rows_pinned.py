@@ -36,8 +36,23 @@ lists and OBIM's bucket keys into a heap, by::
     with open("tests/data/ls_event_digests.json", "w") as out:
         json.dump(digests, out, indent=1, sort_keys=True)
 
-Regenerate either file only together with a deliberate change to the
-model (one that also regenerates ``cells.json``).
+The matrix stacks' triangle cells are pinned the same way, for {SS, GB}
+x {tc, ktruss} on ``rmat22`` and ``friendster`` (the grid's heaviest
+join cells).  ``tests/data/triangle_event_digests.json`` was written from
+a checkout of commit 367abdf, before tc's SpGEMM listed each triangle
+once and the join engine's position table replaced its merge search, by::
+
+    import json
+    from repro.engine.analysis import run_traced
+    from tests.test_modeled_rows_pinned import TRIANGLE_CELLS, event_digest
+    digests = {f"{system}/{app}/{graph}":
+               event_digest(run_traced(system, app, graph).events)
+               for system, app, graph in TRIANGLE_CELLS}
+    with open("tests/data/triangle_event_digests.json", "w") as out:
+        json.dump(digests, out, indent=1, sort_keys=True)
+
+Regenerate any of these files only together with a deliberate change to
+the model (one that also regenerates ``cells.json``).
 """
 
 import hashlib
@@ -56,6 +71,8 @@ CELLS = [(system, app) for system in ("SS", "GB")
          for app in ("bfs", "cc", "pr", "sssp")]
 LS_CELLS = [(GRAPH, app) for app in ("bfs", "cc", "pr", "sssp")] + \
     [("eukarya", app) for app in ("cc", "sssp")]
+TRIANGLE_CELLS = [(system, app, graph) for graph in ("rmat22", "friendster")
+                  for system in ("SS", "GB") for app in ("ktruss", "tc")]
 PINNED_FIELDS = ("status", "answer", "seconds", "mrss_gb", "counters")
 
 
@@ -131,6 +148,29 @@ def test_ls_event_stream_matches_recorded_digest(graph, app):
     recorded = _load("tests/data/ls_event_digests.json")
     cell = run_traced("LS", app, graph)
     assert event_digest(cell.events) == recorded[f"LS/{app}/{graph}"]
+
+
+@pytest.fixture(scope="module")
+def checked_in_triangle_rows():
+    rows = _load("benchmarks/results/cells.json")["cells"]
+    return {(r["system"], r["app"], r["graph"]): r for r in rows}
+
+
+@pytest.mark.parametrize("system,app,graph", TRIANGLE_CELLS)
+def test_triangle_row_matches_cells_json(system, app, graph,
+                                         checked_in_triangle_rows):
+    row = experiments.cell_to_row(
+        experiments.run_cell(system, app, graph, use_cache=False))
+    pinned = checked_in_triangle_rows[(system, app, graph)]
+    assert ({k: row[k] for k in PINNED_FIELDS}
+            == {k: pinned[k] for k in PINNED_FIELDS})
+
+
+@pytest.mark.parametrize("system,app,graph", TRIANGLE_CELLS)
+def test_triangle_event_stream_matches_recorded_digest(system, app, graph):
+    recorded = _load("tests/data/triangle_event_digests.json")
+    cell = run_traced(system, app, graph)
+    assert event_digest(cell.events) == recorded[f"{system}/{app}/{graph}"]
 
 
 def test_digest_input_equals_the_class_repr():

@@ -1,11 +1,10 @@
 """Tests for the per-graph kernel plan cache (repro.sparse.plancache).
 
 The cache memoizes pure-structural decisions — segreduce plan selection,
-the join engine's hoisted keys and sticky merge/densify choice, the pull
-loop weights — on the host CSR's ``_plan_cache`` slot.  These tests pin
-the bookkeeping (hits/misses/entries), the invalidation path, the
-disabled-mode passthrough, and that cached plans replay the exact value
-the deriving code would recompute.
+the join engine's hoisted keys, the pull loop weights — on the host CSR's
+``_plan_cache`` slot.  These tests pin the bookkeeping (hits/misses/entries),
+the invalidation path, the disabled-mode passthrough, and that cached plans
+replay the exact value the deriving code would recompute.
 """
 
 import numpy as np
@@ -149,12 +148,3 @@ class TestKernelIntegration:
         assert plancache.plan_cache_stats()["join_keys"]["hits"] >= 1
         assert np.array_equal(first.hits, second.hits)
 
-    def test_join_sticky_plan_replays_identically(self):
-        csr = _matrix()
-        rows = np.arange(min(8, csr.nrows), dtype=np.int64)
-        adaptive = row_pair_join(csr, rows, csr, rows)
-        assert "join_plan" in plancache.plan_cache_stats()
-        sticky = row_pair_join(csr, rows, csr, rows)
-        for field in ("hits", "a_pos", "b_pos", "out_seg"):
-            assert np.array_equal(getattr(adaptive, field),
-                                  getattr(sticky, field))

@@ -215,6 +215,31 @@ class TestHTTPAPI:
         status, body = _request(api, "/health")
         assert body["counts"]["queued"] == 0
 
+    @pytest.mark.parametrize("field,value,words", [
+        ("params", "abc", "params must be an object"),
+        ("params", [1, 2], "params must be an object"),
+        ("priority", "high", "priority must be an integer"),
+        ("priority", 1.5, "priority must be an integer"),
+        ("max_attempts", "x", "max_attempts must be an integer"),
+        ("max_attempts", 0, "max_attempts must be >= 1"),
+    ])
+    def test_malformed_field_maps_to_400(self, api, field, value, words):
+        # Each used to escape as ValueError/TypeError (the client saw the
+        # connection drop) or, for max_attempts, to be stored as text that
+        # the drain's retry check later compared against an int.
+        status, body = _request(api, "/jobs", {
+            "system": "GB", "app": "bfs", "graph": GRAPH, field: value})
+        assert status == 400 and words in body["error"]
+        status, body = _request(api, "/health")
+        assert status == 200 and body["counts"]["queued"] == 0
+
+    def test_well_formed_fields_are_stored_as_given(self, api):
+        status, job = _request(api, "/jobs", {
+            "system": "GB", "app": "bfs", "graph": GRAPH,
+            "params": {}, "priority": 3, "max_attempts": 2})
+        assert status == 201
+        assert job["priority"] == 3 and job["max_attempts"] == 2
+
     def test_admission_cap_maps_to_429(self, api):
         for system in ("GB", "SS"):
             status, _ = _request(api, "/jobs", {
