@@ -8,10 +8,6 @@ the queue is what survives: draining it again resumes the run.  With
 ``--workers N`` this package also keeps the study alive through such
 deaths by running cells *out of process* under supervision:
 
-* :mod:`repro.service.supervisor` — the spawn-based worker pool: detects
-  dead or hung workers (pipe EOF, missed heartbeats, a blown per-cell
-  deadline), respawns them, and hands the in-flight cell back to the work
-  source; plus the grid's canonical task list (:func:`grid_tasks`).
 * :mod:`repro.service.worker` — :func:`~repro.service.worker.run_task`
   (one cell, JSON-clean row — what every drain runs) and the
   out-of-process worker loop around it, with the fault plan installed
@@ -30,14 +26,18 @@ deaths by running cells *out of process* under supervision:
 * :mod:`repro.service.queue` — the durable SQLite-WAL job queue
   (idempotent submission, crash-safe leases, retry with backoff,
   dead-letter state, tenant admission control).
-* :mod:`repro.service.queue_supervisor` — drains the queue through the
-  worker pool (or in-process), with exactly-once result commit and
-  breaker-driven deferral.  Its :func:`run_grid` runs a study grid: the
-  cells become jobs on a queue (ephemeral unless a path is given), and
-  a cell whose workers keep dying dead-letters as ``ERR``/``DeadLetter``
-  after ``REPRO_JOB_MAX_ATTEMPTS`` leases.  Results mirror into the
-  experiment memo as each job settles; ``cells.json`` is sorted by key,
-  so a parallel, fault-ridden run produces one byte-identical to a
+* :mod:`repro.service.queue_supervisor` — :class:`QueueSupervisor`,
+  the one drain: it leases the queue's jobs and runs them in-process or
+  on spawned workers, detecting dead or hung workers (pipe EOF, missed
+  heartbeats, a blown per-cell deadline), respawning them and failing
+  the in-flight job back to the queue, with exactly-once result commit
+  and breaker-driven deferral.  Its :func:`run_grid` runs a study grid
+  (the canonical task list is :func:`grid_tasks`): the cells become jobs
+  on a queue (ephemeral unless a path is given), and a cell whose
+  workers keep dying dead-letters as ``ERR``/``DeadLetter`` after
+  ``REPRO_JOB_MAX_ATTEMPTS`` leases.  Results mirror into the experiment
+  memo as each job settles; ``cells.json`` is sorted by key, so a
+  parallel, fault-ridden run produces one byte-identical to a
   sequential clean run's.
 * :mod:`repro.service.api` / :mod:`repro.service.serve` — the service
   front-end: a stdlib HTTP JSON API and the ``repro-serve`` CLI
@@ -50,22 +50,17 @@ run re-invoked with ``--resume`` recalls every cell the queue settled.
 """
 
 from repro.service.breaker import CircuitBreaker
-from repro.service.config import QueueConfig, ServiceConfig, \
-    validate_env_knobs
-from repro.service.queue import Job, JobQueue
-from repro.service.queue_supervisor import QueueSupervisor, run_grid
-from repro.service.supervisor import CellTask, WorkerPool, grid_tasks
+from repro.service.config import ServiceConfig
+from repro.service.queue import JobQueue
+from repro.service.queue_supervisor import (CellTask, QueueSupervisor,
+                                            grid_tasks, run_grid)
 
 __all__ = [
     "CellTask",
     "CircuitBreaker",
-    "Job",
     "JobQueue",
-    "QueueConfig",
     "QueueSupervisor",
     "ServiceConfig",
-    "WorkerPool",
     "grid_tasks",
     "run_grid",
-    "validate_env_knobs",
 ]

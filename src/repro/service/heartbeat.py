@@ -1,10 +1,11 @@
 """Worker liveness protocol: message tags, the heartbeat thread, health.
 
-The supervising pool (:class:`repro.service.supervisor.WorkerPool`) and
-its workers talk over one duplex pipe per worker.  All messages are small
+The drain supervisor
+(:class:`repro.service.queue_supervisor.QueueSupervisor`) and its
+workers talk over one duplex pipe per worker.  All messages are small
 picklable tuples whose first element is a tag:
 
-Worker → pool::
+Worker → supervisor::
 
     (READY,    worker_id)                       # spawn finished, imports done
     (HB,       worker_id, rss_bytes)            # periodic liveness beat + RSS
@@ -14,7 +15,7 @@ Worker → pool::
                                                 # generated = a generator ran
                                                 # (False: store satisfied it)
 
-Pool → worker::
+Supervisor → worker::
 
     (RUN,      task_dict)                       # run one cell
     (PREBUILD, task_dict)                       # warm one graph's datasets
@@ -24,9 +25,10 @@ Prebuild tasks carry negative ids (job ids are >= 1), so a worker
 dying mid-prewarm requeues nothing — the replacement worker restarts its
 own warmup queue.
 
-A SIGKILL'd worker never says goodbye: the pool learns of the death
+A SIGKILL'd worker never says goodbye: the supervisor learns of the death
 from the pipe (EOF / a torn, unpicklable write) or from the process exit
-code, both surfaced by :class:`WorkerHealth` bookkeeping.
+code, both surfaced by :class:`WorkerHealth`, the one record the
+supervisor keeps per worker.
 """
 
 from __future__ import annotations
@@ -35,7 +37,7 @@ import threading
 import time
 from collections import deque
 from dataclasses import dataclass, field
-from typing import Deque, Optional
+from typing import Any, Deque, Optional
 
 from repro.service import governor
 
@@ -97,18 +99,26 @@ class Heartbeat:
 
 @dataclass
 class WorkerHealth:
-    """Pool-side liveness record for one worker.
+    """Supervisor-side record of one worker: its process, its pipe, and
+    its liveness.
 
-    ``task_id``/``task_started`` track the in-flight cell (None when
-    idle); ``last_beat`` is the monotonic time of the last message of any
-    kind (every message proves liveness, not just HB).  ``rss``/
-    ``rss_history`` hold the heartbeat-sampled resident set (bytes) the
-    memory governor budgets against; ``task_deadline`` is the per-task
-    hard-kill backstop in seconds (None falls back to the static
+    ``ready`` turns True at the worker's READY; ``warmup`` lists the
+    graphs to prebuild (one PREBUILD task each) before it accepts cells,
+    so its first cell per graph never spends its deadline on dataset
+    generation.  ``task_id``/``task_started`` track the in-flight task
+    (None when idle); ``last_beat`` is the monotonic time of the last
+    message of any kind (every message proves liveness, not just HB).
+    ``rss``/``rss_history`` hold the heartbeat-sampled resident set
+    (bytes) the memory governor budgets against; ``task_deadline`` is the
+    per-task hard-kill backstop in seconds (None falls back to the static
     ``cell_deadline``).
     """
 
     worker_id: int
+    process: Any = None
+    conn: Any = None
+    warmup: Deque[str] = field(default_factory=deque)
+    ready: bool = False
     last_beat: float = field(default_factory=time.monotonic)
     task_id: Optional[int] = None
     task_started: Optional[float] = None

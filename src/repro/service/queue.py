@@ -1,6 +1,6 @@
 """Durable SQLite-WAL job queue: crash-safe leases, retry/backoff, tenants.
 
-The supervised worker pool (:mod:`repro.service.supervisor`) survives
+The drain supervisor (:mod:`repro.service.queue_supervisor`) survives
 *worker* deaths; :class:`JobQueue` keeps the task list itself in a SQLite
 database, so work can be submitted, deduplicated, and retried across
 process lifetimes.  The queue is the only write-ahead log: every study
@@ -571,7 +571,9 @@ class JobQueue:
         Requeues with exponential backoff + deterministic jitter while
         attempts remain, else dead-letters.  Returns the job's new state
         (``queued``/``dead``), or its current state when the lease was
-        already stale (someone else owns the retry).
+        already stale (someone else owns the retry).  The write is fenced
+        like :meth:`complete`'s, so a job another connection settled
+        between the read and the write stays settled.
         """
         now = self.clock()
         job = self.get(job_id)
@@ -581,27 +583,26 @@ class JobQueue:
                 or job.attempts != token:
             return job.state
         if job.attempts >= job.max_attempts:
-            with self._conn:
-                self._conn.execute(
-                    "UPDATE jobs SET state=?, lease_owner=NULL, "
-                    "lease_deadline=NULL, note=?, updated=? WHERE id=?",
-                    (DEAD, error, now, job_id))
-                self._record(job_id, DEAD,
-                             {"error": error, "attempts": job.attempts})
-            return DEAD
-        delay = backoff_seconds(job_id, job.attempts,
-                                self.config.backoff_base,
-                                self.config.backoff_cap)
+            state, not_before, kind = DEAD, job.not_before, DEAD
+            detail = {"error": error, "attempts": job.attempts}
+        else:
+            delay = backoff_seconds(job_id, job.attempts,
+                                    self.config.backoff_base,
+                                    self.config.backoff_cap)
+            state, not_before, kind = QUEUED, now + delay, "requeued"
+            detail = {"error": error, "attempt": job.attempts,
+                      "backoff_seconds": round(delay, 3)}
         with self._conn:
-            self._conn.execute(
+            cursor = self._conn.execute(
                 "UPDATE jobs SET state=?, lease_owner=NULL, "
                 "lease_deadline=NULL, not_before=?, note=?, updated=? "
-                "WHERE id=?",
-                (QUEUED, now + delay, error, now, job_id))
-            self._record(job_id, "requeued",
-                         {"error": error, "attempt": job.attempts,
-                          "backoff_seconds": round(delay, 3)})
-        return QUEUED
+                "WHERE id=? AND state=? AND lease_owner=? AND attempts=?",
+                (state, not_before, error, now, job_id, LEASED, owner,
+                 token))
+            if cursor.rowcount != 1:
+                return self.get(job_id).state
+            self._record(job_id, kind, detail)
+        return state
 
     # ------------------------------------------------------------------
     # Crash recovery

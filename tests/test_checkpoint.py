@@ -344,7 +344,7 @@ class TestOrderedCommitterIdempotence:
         seen = []
 
         def run_pool(supervisor, _initial_workers):
-            payload = supervisor._next_assignment(0)
+            payload = supervisor._next_assignment()
             supervisor._task_done(payload["id"], first)
             seen.append(queue.get(job_id).result)
             # The same RESULT delivered again, with other bytes.
@@ -389,7 +389,7 @@ class TestOrderedCommitterIdempotence:
         winner, stale = self._row("cc", 2.0), self._row("cc", 77.0)
 
         def run_pool(supervisor, _initial_workers):
-            payload = supervisor._next_assignment(0)
+            payload = supervisor._next_assignment()
             queue.requeue_orphans()
             now[0] += 1000.0  # past the retry backoff
             other = queue.lease(job_id, "other")

@@ -28,7 +28,6 @@ import threading
 import time
 import urllib.error
 import urllib.request
-from types import SimpleNamespace
 
 import pytest
 
@@ -248,7 +247,7 @@ class TestCoresBudget:
             def send(self, message):
                 sent.append(message)
 
-        handle = SimpleNamespace(conn=Conn(), health=WorkerHealth(0))
+        handle = WorkerHealth(0, conn=Conn())
         payload = {"id": 1, "system": "GB", "app": "bfs", "graph": GRAPH,
                    "sweep": False, "attempt": 1}
         supervisor._send_run(handle, payload)
@@ -440,7 +439,7 @@ class TestGovernorAdmission:
         job = queue.submit("GB", "bfs", GRAPH, deadline_ms=100)
         clock.advance(1.0)  # budget burned while queued
         supervisor = self._supervisor(queue)
-        assert supervisor._next_assignment(0) is None
+        assert supervisor._next_assignment() is None
         assert supervisor.stats["cancelled"] == 1
         done = queue.get(job.id)
         assert done.state == DONE
@@ -454,7 +453,7 @@ class TestGovernorAdmission:
         queue.submit("GB", "bfs", GRAPH, deadline_ms=60_000)
         clock.advance(10.0)
         supervisor = self._supervisor(queue)
-        payload = supervisor._next_assignment(0)
+        payload = supervisor._next_assignment()
         # 50 s of budget remain but the static cell deadline (8 s) caps.
         assert payload["deadline_seconds"] == FAST.cell_deadline
         queue.close()
@@ -463,7 +462,7 @@ class TestGovernorAdmission:
         queue = JobQueue(tmp_path / "q.db", QueueConfig())
         queue.submit("GB", "bfs", GRAPH,
                      params={"faults": "kernel:slow:ms=10"})
-        payload = self._supervisor(queue)._next_assignment(0)
+        payload = self._supervisor(queue)._next_assignment()
         assert payload["faults"] == "kernel:slow:ms=10"
         queue.close()
 
@@ -477,7 +476,7 @@ class TestGovernorAdmission:
         supervisor._manifests[GRAPH] = {
             "nrows": 1000, "nnz": 100_000, "shard_rows": 125,
             "shards": [{"nnz": 12_500}] * 8}
-        payload = supervisor._next_assignment(0)
+        payload = supervisor._next_assignment()
         assert payload["shard_rows"] == 125
         queue.close()
 
@@ -493,11 +492,11 @@ class TestGovernorAdmission:
             "nrows": 10_000_000, "nnz": 100_000_000, "shard_rows": 8192,
             "shards": [{"nnz": 50_000_000}] * 2}  # no shard fits either
         for round_no in range(MAX_MEM_DEFERRALS):
-            assert supervisor._next_assignment(0) is None
+            assert supervisor._next_assignment() is None
             assert queue.get(job.id).state == QUEUED
             clock.advance(1000.0)  # past any backoff window
         assert supervisor.stats["mem_deferred"] == MAX_MEM_DEFERRALS
-        assert supervisor._next_assignment(0) is None
+        assert supervisor._next_assignment() is None
         dead = queue.get(job.id)
         assert dead.state == DEAD
         assert "memory budget" in dead.note

@@ -7,16 +7,22 @@ single worker.  The multi-process drills that drive real workers through
 the queue live in ``tests/test_serve.py``.
 """
 
+import os
 import shutil
+import tempfile
 
 import pytest
+from hypothesis import HealthCheck, settings
+from hypothesis import strategies as st
+from hypothesis.stateful import (RuleBasedStateMachine, invariant,
+                                 precondition, rule)
 
 from repro import errors
 from repro.service.config import (DEFAULT_JOB_BACKOFF_CAP,
                                   DEFAULT_LEASE_SECONDS, KNOWN_KNOBS,
                                   QueueConfig, validate_env_knobs)
-from repro.service.queue import (DEAD, DONE, ERR, LEASED, QUEUED,
-                                 JobQueue, backoff_seconds)
+from repro.service.queue import (DEAD, DONE, ERR, LEASED, QUEUED, STATES,
+                                 TERMINAL_STATES, JobQueue, backoff_seconds)
 
 GRAPH = "road-USA-W"
 
@@ -222,6 +228,32 @@ class TestCrashRecovery:
         assert requeued.state == QUEUED
         assert "orphaned lease" in requeued.note
 
+    def test_fail_cannot_requeue_a_job_committed_meanwhile(
+            self, tmp_path, clock, monkeypatch):
+        # Connection B's takeover reads a job A has leased; A commits it
+        # before B writes.  B's write is fenced: the job stays done and
+        # runs no second time.
+        a = JobQueue(tmp_path / "q.db", CONFIG, clock=clock)
+        b = JobQueue(tmp_path / "q.db", CONFIG, clock=clock)
+        job = a.submit("GB", "bfs", GRAPH)
+        leased = a.lease(job.id, "A")
+        read = b.get
+
+        def read_then_commit(job_id):
+            snapshot = read(job_id)
+            monkeypatch.setattr(b, "get", read)  # interleave once
+            assert a.complete(job_id, "A", leased.attempts, ok_row())
+            return snapshot
+
+        monkeypatch.setattr(b, "get", read_then_commit)
+        b.requeue_orphans()
+        done = a.get(job.id)
+        assert done.state == DONE and done.result["status"] == "ok"
+        assert [e["kind"] for e in a.events(job.id)] == [
+            "submitted", "leased", "done"]
+        a.close()
+        b.close()
+
     def test_state_survives_reopen(self, tmp_path, clock):
         path = tmp_path / "q.db"
         q = JobQueue(path, CONFIG, clock=clock)
@@ -378,3 +410,223 @@ class TestKnobValidator:
                                       "REPRO_ALLOW_UNKNOWN_KNOBS": "1"})
         assert unknown == ("REPRO_TOTALLY_NEW_KNOB",)
         assert "REPRO_TOTALLY_NEW_KNOB" in capsys.readouterr().err
+
+
+# ----------------------------------------------------------------------
+# Generated interleavings: a model-checked queue
+# ----------------------------------------------------------------------
+class QueueMachine(RuleBasedStateMachine):
+    """Random walks over one :class:`JobQueue` on its injectable clock,
+    checked step by step against a plain-Python model of the state
+    machine.  Tokens are ``(owner, attempts)`` pairs; every one a lease
+    ever issued is kept, so zombie commits replay real stale leases."""
+
+    OWNERS = ("A", "B")
+    KEYS = ("k0", "k1", "k2")
+
+    def __init__(self):
+        super().__init__()
+        self._dir = tempfile.TemporaryDirectory(prefix="queue-machine-")
+        self.now = 1000.0
+        self.queue = JobQueue(os.path.join(self._dir.name, "q.db"), CONFIG,
+                              clock=lambda: self.now)
+        #: job id -> {"state", "attempts", "owner", "not_before",
+        #: "lease_deadline"}: what the queue must hold.
+        self.model = {}
+        self.keyed = {}
+        #: job id -> every (owner, attempts) token a lease issued.
+        self.tokens = {}
+
+    def teardown(self):
+        self.queue.close()
+        self._dir.cleanup()
+
+    # -- helpers -------------------------------------------------------
+    def _pick(self, index, states):
+        ids = sorted(i for i, m in self.model.items() if m["state"] in states)
+        return ids[index % len(ids)] if ids else None
+
+    def _failed(self, job_id):
+        """Model of a live ``fail``: requeue with backoff or dead-letter."""
+        m = self.model[job_id]
+        m["owner"] = m["lease_deadline"] = None
+        if m["attempts"] >= CONFIG.max_attempts:
+            m["state"] = DEAD
+            return DEAD
+        m["state"] = QUEUED
+        m["not_before"] = self.now + backoff_seconds(
+            job_id, m["attempts"], CONFIG.backoff_base, CONFIG.backoff_cap)
+        return QUEUED
+
+    def _stale_tokens(self):
+        """``{job id: [(owner, token), ...]}``: the tokens no longer a
+        job's live lease, for every job that has any."""
+        stale = {}
+        for job_id, m in sorted(self.model.items()):
+            live = (m["owner"], m["attempts"]) \
+                if m["state"] == LEASED else None
+            tokens = [t for t in self.tokens[job_id] if t != live]
+            if tokens:
+                stale[job_id] = tokens
+        return stale
+
+    def _relapses(self):
+        """Stale tokens held by their job's current leaseholder."""
+        return [(job_id, owner, token)
+                for job_id, tokens in self._stale_tokens().items()
+                for owner, token in tokens
+                if self.model[job_id]["state"] == LEASED
+                and self.model[job_id]["owner"] == owner]
+
+    def _zombie(self, index, pick):
+        stale = self._stale_tokens()
+        job_id = sorted(stale)[index % len(stale)]
+        return (job_id, *stale[job_id][pick % len(stale[job_id])])
+
+    def _has(self, *states):
+        return any(m["state"] in states for m in self.model.values())
+
+    # -- rules ---------------------------------------------------------
+    @precondition(lambda self: len(self.model) < 3)
+    @rule(key=st.one_of(st.none(), st.sampled_from(KEYS)))
+    def submit(self, key):
+        job = self.queue.submit("GB", "bfs", GRAPH, idem_key=key)
+        if key is not None and key in self.keyed:
+            assert job.id == self.keyed[key]
+            return
+        assert job.id not in self.model and job.state == QUEUED
+        self.model[job.id] = {"state": QUEUED, "attempts": 0, "owner": None,
+                              "not_before": 0.0, "lease_deadline": None}
+        self.tokens[job.id] = []
+        if key is not None:
+            self.keyed[key] = job.id
+
+    @precondition(lambda self: self._has(QUEUED))
+    @rule(index=st.integers(0, 50), owner=st.sampled_from(OWNERS))
+    def lease(self, index, owner):
+        job_id = self._pick(index, (QUEUED,))
+        m = self.model[job_id]
+        leased = self.queue.lease(job_id, owner)
+        if m["not_before"] > self.now:
+            assert leased is None
+            return
+        assert leased is not None
+        m.update(state=LEASED, attempts=m["attempts"] + 1, owner=owner,
+                 lease_deadline=self.now + CONFIG.lease_seconds)
+        self.tokens[job_id].append((owner, m["attempts"]))
+
+    @precondition(lambda self: self._has(LEASED))
+    @rule(index=st.integers(0, 50), owner=st.sampled_from(OWNERS))
+    def renew(self, index, owner):
+        job_id = self._pick(index, (LEASED,))
+        m = self.model[job_id]
+        renewed = self.queue.renew(job_id, owner)
+        assert renewed == (m["owner"] == owner)
+        if renewed:
+            m["lease_deadline"] = self.now + CONFIG.lease_seconds
+
+    @rule(seconds=st.floats(0.0, 8.0))
+    def advance_clock(self, seconds):
+        self.now += seconds
+
+    @rule()
+    def expire_leases(self):
+        due = sorted(i for i, m in self.model.items() if m["state"] == LEASED
+                     and m["lease_deadline"] < self.now)
+        assert sorted(self.queue.expire_leases()) == due
+        for job_id in due:
+            self._failed(job_id)
+
+    @rule()
+    def requeue_orphans(self):
+        leased = sorted(i for i, m in self.model.items()
+                        if m["state"] == LEASED)
+        assert sorted(self.queue.requeue_orphans()) == leased
+        for job_id in leased:
+            self._failed(job_id)
+
+    @precondition(lambda self: self._has(LEASED))
+    @rule(index=st.integers(0, 50), status=st.sampled_from(("ok", "ERR")))
+    def complete(self, index, status):
+        job_id = self._pick(index, (LEASED,))
+        m = self.model[job_id]
+        assert self.queue.complete(job_id, m["owner"], m["attempts"],
+                                   ok_row(status=status))
+        m.update(state=ERR if status == "ERR" else DONE, owner=None,
+                 lease_deadline=None)
+
+    @precondition(lambda self: self._has(LEASED))
+    @rule(index=st.integers(0, 50))
+    def fail(self, index):
+        job_id = self._pick(index, (LEASED,))
+        m = self.model[job_id]
+        state = self.queue.fail(job_id, m["owner"], m["attempts"], "died")
+        assert state == self._failed(job_id)
+
+    @precondition(lambda self: self._stale_tokens())
+    @rule(index=st.integers(0, 50), pick=st.integers(0, 50))
+    def zombie_complete(self, index, pick):
+        job_id, owner, token = self._zombie(index, pick)
+        assert not self.queue.complete(job_id, owner, token, ok_row())
+
+    @precondition(lambda self: self._relapses())
+    @rule(index=st.integers(0, 50))
+    def zombie_complete_same_owner(self, index):
+        # A leaseholder's own earlier lease: only the attempts check
+        # fences it.
+        relapses = self._relapses()
+        job_id, owner, token = relapses[index % len(relapses)]
+        assert not self.queue.complete(job_id, owner, token, ok_row())
+
+    @precondition(lambda self: self._stale_tokens())
+    @rule(index=st.integers(0, 50), pick=st.integers(0, 50))
+    def zombie_fail(self, index, pick):
+        job_id, owner, token = self._zombie(index, pick)
+        assert self.queue.fail(job_id, owner, token, "zombie") \
+            == self.model[job_id]["state"]
+
+    @precondition(lambda self: self.model)
+    @rule(index=st.integers(0, 50))
+    def defer(self, index):
+        job_id = self._pick(index, tuple(STATES))
+        m = self.model[job_id]
+        assert self.queue.defer(job_id) == (m["state"] == QUEUED)
+        if m["state"] == QUEUED:
+            m["not_before"] = self.now + CONFIG.defer_seconds
+
+    # -- invariants ----------------------------------------------------
+    @invariant()
+    def model_matches_queue(self):
+        for job_id, m in self.model.items():
+            job = self.queue.get(job_id)
+            assert (job.state, job.attempts, job.lease_owner) == \
+                (m["state"], m["attempts"], m["owner"])
+            assert job.attempts <= job.max_attempts
+            assert (job.state == DEAD) <= (job.attempts == job.max_attempts)
+            if job.state in (QUEUED, LEASED):
+                assert job.not_before == m["not_before"]
+            if job.state == LEASED:
+                assert job.lease_deadline == m["lease_deadline"]
+
+    @invariant()
+    def counts_add_up(self):
+        counts = self.queue.counts()
+        for state in STATES:
+            assert counts[state] == sum(
+                m["state"] == state for m in self.model.values())
+        assert counts["deferred"] == sum(
+            m["state"] == QUEUED and m["not_before"] > self.now
+            for m in self.model.values())
+
+    @invariant()
+    def one_terminal_event_per_terminal_job(self):
+        for job_id, m in self.model.items():
+            kinds = [e["kind"] for e in self.queue.events(job_id)]
+            terminal = sum(k in TERMINAL_STATES for k in kinds)
+            assert terminal == (m["state"] in TERMINAL_STATES)
+
+
+TestQueueMachine = QueueMachine.TestCase
+TestQueueMachine.settings = settings(
+    max_examples=200, stateful_step_count=50, deadline=None,
+    suppress_health_check=[HealthCheck.too_slow])

@@ -300,7 +300,7 @@ class TestQueueAdmission:
         queue = JobQueue(path, QueueConfig(defer_seconds=30.0))
         job = queue.submit("GB", "bfs", GRAPH)
         supervisor = self._supervisor(queue, system_codes(), cooldown=99)
-        assert supervisor._next_assignment(0) is None
+        assert supervisor._next_assignment() is None
         assert supervisor.stats["deferred"] == 1
         deferred = queue.get(job.id)
         assert deferred.state == QUEUED and deferred.attempts == 0
@@ -323,7 +323,7 @@ class TestQueueAdmission:
         supervisor = self._supervisor(queue, ("GB",), cooldown=3)
         payloads = []
         for _ in range(3):
-            payloads.append(supervisor._next_assignment(0))
+            payloads.append(supervisor._next_assignment())
             now[0] += 1.5
         assert payloads[:2] == [None, None]
         assert payloads[2]["id"] == job.id
@@ -352,7 +352,7 @@ class TestQueueAdmission:
             return None if len(calls) == 1 else real_lease(job_id, owner)
 
         monkeypatch.setattr(queue, "lease", lease)
-        payload = supervisor._next_assignment(0)
+        payload = supervisor._next_assignment()
         assert len(calls) == 2
         assert payload["id"] == job.id and payload["system"] == "GB"
         queue.close()
@@ -367,10 +367,10 @@ class TestQueueAdmission:
         verdicts = iter([("no", None)])
         monkeypatch.setattr(supervisor, "_fit",
                             lambda job: next(verdicts, ("fits", None)))
-        assert supervisor._next_assignment(0) is None
+        assert supervisor._next_assignment() is None
         assert supervisor.stats["mem_deferred"] == 1
         now[0] += 1.5
-        payload = supervisor._next_assignment(0)
+        payload = supervisor._next_assignment()
         assert payload["id"] == job.id and payload["system"] == "GB"
         queue.close()
 

@@ -21,6 +21,7 @@ cells are jobs on an ephemeral queue drained by the worker pool.
 
 import json
 import tempfile
+from types import SimpleNamespace
 
 import pytest
 from hypothesis import given, settings
@@ -32,7 +33,7 @@ from repro.core.experiments import ERR, OK, CellResult
 from repro.core.runner import main as runner_main
 from repro.faults.plan import FaultPlan, FaultSpec, parse_spec
 from repro.service import CellTask, CircuitBreaker, QueueSupervisor, \
-    ServiceConfig, grid_tasks, run_grid
+    ServiceConfig, grid_tasks, queue_supervisor, run_grid
 from repro.service.breaker import BreakerBoard, CLOSED, HALF_OPEN, OPEN
 from repro.service.config import HEARTBEAT_TIMEOUT, validate_env_knobs
 from repro.service.heartbeat import WorkerHealth
@@ -403,6 +404,74 @@ class TestWorkerHealth:
         assert health.stale(5.0, now=health.last_beat + 6)
         health.beat()
         assert not health.stale(5.0, now=health.last_beat + 4)
+
+
+class TestSupervisorLoop:
+    """The drain's own bookkeeping, driven with stand-in workers (no
+    processes)."""
+
+    def _supervisor(self, tmp_path, config=FAST):
+        queue = JobQueue(tmp_path / "q.db")
+        queue.submit("GB", "bfs", GRAPH)
+        return QueueSupervisor(queue, 2, config, owner="test")
+
+    def test_graceful_drain_does_not_respawn(self, tmp_path, monkeypatch):
+        # A worker lost during a SIGTERM drain is not replaced: the
+        # replacement would never get work.
+        supervisor = self._supervisor(tmp_path)
+        spawned = []
+        monkeypatch.setattr(supervisor, "_spawn", lambda: spawned.append(1))
+
+        class Process:
+            def kill(self):
+                pass
+
+            def join(self, timeout=None):
+                pass
+
+        class Conn:
+            def close(self):
+                pass
+
+        for worker_id in (0, 1):
+            if worker_id == 1:
+                supervisor.request_drain()
+            handle = WorkerHealth(worker_id, Process(), Conn(), ready=True)
+            supervisor._workers[worker_id] = handle
+            supervisor._reap(handle, "heartbeat lost")
+        assert supervisor.queue.has_open_jobs()
+        assert spawned == [1]  # the death before the drain only
+        assert supervisor.stats["crashes"] == 2
+        assert supervisor.stats["respawns"] == 1
+        supervisor.queue.close()
+
+    def test_tick_runs_on_the_clock_not_per_wakeup(self, tmp_path,
+                                                   monkeypatch):
+        # Renewal, progress events and status snapshots run at most once
+        # per heartbeat interval, however often the event loop wakes.
+        supervisor = self._supervisor(tmp_path)
+        queue = supervisor.queue
+        job = queue.lease(queue.peek_ready().id, supervisor.owner)
+        supervisor._inflight[job.id] = job
+        renewals = []
+        renew = queue.renew
+        monkeypatch.setattr(queue, "renew", lambda *a: renewals.append(a)
+                            or renew(*a))
+        now = [100.0]
+        monkeypatch.setattr(queue_supervisor, "time",
+                            SimpleNamespace(monotonic=lambda: now[0]))
+        for _ in range(50):  # one burst of wakeups: one tick
+            supervisor._tick()
+        assert len(renewals) == 1
+        for _ in range(queue_supervisor.HEARTBEAT_EVENT_TICKS - 1):
+            now[0] += FAST.heartbeat_interval
+            supervisor._tick()
+            supervisor._tick()
+        assert len(renewals) == queue_supervisor.HEARTBEAT_EVENT_TICKS
+        kinds = [e["kind"] for e in queue.events(job.id)]
+        assert kinds.count("heartbeat") == 1
+        assert queue.get_meta("supervisor")["owner"] == "test"
+        queue.close()
 
 
 class TestRetryKnob:
