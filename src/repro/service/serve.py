@@ -216,8 +216,7 @@ def _dispatch(args) -> int:
         from repro.service.api import make_server
 
         config = QueueConfig.from_env()
-        # Fail fast on a malformed queue path / schema before binding.
-        JobQueue(args.queue, config=config).close()
+        # A malformed queue path / schema fails here, before binding.
         server = make_server(args.queue, host=args.host, port=args.port,
                              config=config)
         host, port = server.server_address[:2]

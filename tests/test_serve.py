@@ -273,6 +273,65 @@ class TestHTTPAPI:
         assert status == 200 and body["events"] == []
         assert body["next_since"] == cursor
 
+    def test_handler_threads_are_reused_not_capped(self, tmp_path):
+        server = make_server(tmp_path / "q.db")
+        threading.Thread(target=server.serve_forever, daemon=True).start()
+        host, port = server.server_address[:2]
+
+        def handlers():
+            return [t for t in threading.enumerate()
+                    if t.name == "repro-api"]
+
+        try:
+            for _ in range(10):
+                assert _request(f"http://{host}:{port}", "/health")[0] \
+                    == 200
+                time.sleep(0.02)  # the handler parks after its close
+            assert len(handlers()) <= 2
+            # Kept-alive connections each hold a thread; a third one is
+            # still served while the first two stay open.
+            held = [http.client.HTTPConnection(host, port, timeout=10)
+                    for _ in range(3)]
+            for conn in held:
+                conn.request("GET", "/health")
+                response = conn.getresponse()
+                assert response.status == 200
+                response.read()
+            assert len(handlers()) >= 3
+            for conn in held:
+                conn.close()
+        finally:
+            server.shutdown()
+            server.server_close()
+        for thread in handlers():
+            thread.join(timeout=10)
+        assert handlers() == []
+
+    def test_server_holds_the_wal_open_until_closed(self, tmp_path):
+        # A request's own connection is never the last one, so its close
+        # neither checkpoints nor deletes the WAL (which would lock the
+        # next request out for SQLite's 1 ms busy back-off); the server's
+        # connection checkpoints it once, at server_close.
+        wal = tmp_path / "q.db-wal"
+        server = make_server(tmp_path / "q.db")
+        threading.Thread(target=server.serve_forever, daemon=True).start()
+        host, port = server.server_address[:2]
+        try:
+            for key in ("a", "b"):
+                status, _ = _request(f"http://{host}:{port}", "/jobs", {
+                    "system": "GB", "app": "bfs", "graph": GRAPH,
+                    "idem_key": key})
+                assert status == 201
+                time.sleep(0.05)  # the handler closes after its reply
+                assert wal.exists()
+        finally:
+            server.shutdown()
+            server.server_close()
+        assert not wal.exists()
+        queue = JobQueue(tmp_path / "q.db")
+        assert queue.counts()["queued"] == 2
+        queue.close()
+
 
 # ----------------------------------------------------------------------
 # Breaker admission over the queue (supervisor internals, no workers)
