@@ -10,26 +10,20 @@ Not figures from the paper — these isolate the knobs the paper discusses:
    the fine-grained algorithm the matrix API cannot express.
 4. **Edge tiling** (§V-B sssp): covered as the `ls-notile` variant in
    Figure 3d; asserted here at a second delta for robustness.
+
+The first two write a file, so they run in :mod:`repro.core.results`.
 """
 
 import numpy as np
 import pytest
 
-import repro.graphblas as gb
+from repro.core.results import ablation_fusion, ablation_huge_pages
 from repro.galois.graph import Graph
-from repro.galoisblas import GaloisBLASBackend
-from repro.galoisblas.fused import FusedGaloisBLASBackend
 from repro.graphs.datasets import get_dataset
-from repro.lagraph import bfs as lagraph_bfs
-from repro.lonestar import afforest, bfs as lonestar_bfs
-from repro.lonestar import delta_stepping
+from repro.lonestar import afforest, delta_stepping
 from repro.perf.machine import Machine
 from repro.runtime.galois_rt import GaloisRuntime
 from repro.sparse.csr import CSRMatrix
-
-from benchmarks.conftest import publish
-
-GRAPH = "road-USA"
 
 
 def _pattern(csr):
@@ -40,71 +34,25 @@ def _machine_for(ds):
     return Machine(byte_scale=ds.scale, time_scale=ds.scale)
 
 
-def test_ablation_fusion(benchmark, results_dir):
+def test_ablation_fusion(benchmark):
     """GB vs GB+fusion vs LS on round-dominated bfs (road network)."""
-    ds = get_dataset(GRAPH)
-    csr, _ = ds.build()
-    source = ds.source_vertex()
-
-    def run_all():
-        out = {}
-        for name, backend_cls in (("gb", GaloisBLASBackend),
-                                  ("gb-fused", FusedGaloisBLASBackend)):
-            machine = _machine_for(ds)
-            backend = backend_cls(machine)
-            A = gb.Matrix.from_csr(backend, gb.BOOL, _pattern(csr))
-            machine.reset_measurement()
-            lagraph_bfs(backend, A, source)
-            out[name] = machine.simulated_seconds()
-        machine = _machine_for(ds)
-        graph = Graph(GaloisRuntime(machine), _pattern(csr))
-        machine.reset_measurement()
-        lonestar_bfs(graph, source)
-        out["ls"] = machine.simulated_seconds()
-        return out
-
-    times = benchmark.pedantic(run_all, rounds=1, iterations=1)
-    lines = [f"ablation: loop fusion (bfs on {GRAPH})"]
-    for name, sec in times.items():
-        lines.append(f"  {name:10s} {sec:8.3f} s "
-                     f"({times['gb'] / sec:4.1f}x vs gb)")
-    lines.append("  fusion removes the per-call passes (limitations i, ii) "
-                 "but not the rounds (iv)")
-    publish(results_dir, "ablation_fusion", "\n".join(lines))
+    _text, times = benchmark.pedantic(ablation_fusion, rounds=1,
+                                      iterations=1)
     # Fusion helps, but Lonestar stays ahead: rounds remain.
     assert times["gb-fused"] < times["gb"]
     assert times["ls"] <= times["gb-fused"] * 1.2
 
 
-def test_ablation_huge_pages(benchmark, results_dir):
+def test_ablation_huge_pages(benchmark):
     """Galois's huge pages: measurable but secondary (bfs on a big graph)."""
-    ds = get_dataset("rmat26")
-    csr, _ = ds.build()
-    source = ds.source_vertex()
-
-    def run_both():
-        out = {}
-        for name, hp in (("huge pages", True), ("4k pages", False)):
-            machine = _machine_for(ds)
-            rt = GaloisRuntime(machine)
-            rt.huge_pages = hp
-            graph = Graph(rt, _pattern(csr))
-            machine.reset_measurement()
-            lonestar_bfs(graph, source)
-            out[name] = machine.simulated_seconds()
-        return out
-
-    times = benchmark.pedantic(run_both, rounds=1, iterations=1)
-    lines = [f"ablation: huge pages (bfs on rmat26)"]
-    for name, sec in times.items():
-        lines.append(f"  {name:12s} {sec:8.4f} s")
-    publish(results_dir, "ablation_huge_pages", "\n".join(lines))
+    _text, times = benchmark.pedantic(ablation_huge_pages, rounds=1,
+                                      iterations=1)
     assert times["huge pages"] < times["4k pages"]
     assert times["4k pages"] / times["huge pages"] < 1.4  # secondary effect
 
 
 @pytest.mark.parametrize("rounds", [0, 1, 2, 4])
-def test_ablation_afforest_neighbor_rounds(benchmark, rounds, results_dir):
+def test_ablation_afforest_neighbor_rounds(benchmark, rounds):
     """Sampling depth of Afforest: 2 neighbor rounds is the sweet spot
     the Afforest paper picked; 0 degenerates toward full SV work."""
     ds = get_dataset("twitter40")

@@ -7,16 +7,13 @@ cross-checks the two on every contributing (system, app, graph) cell.
 A "MISMATCH" verdict in the rendered table is a protocol bug.
 """
 
-from repro.engine.analysis import crosscheck, run_traced, differential_table
+from repro.engine.analysis import crosscheck, run_traced
 
-from benchmarks.conftest import bench_apps, bench_graphs, publish
+from benchmarks.conftest import bench_apps, bench_graphs, render
 
 
-def test_differential_render(benchmark, results_dir):
-    rendered = benchmark.pedantic(
-        differential_table, args=(bench_graphs(), bench_apps()),
-        rounds=1, iterations=1)
-    publish(results_dir, "differential", rendered)
+def test_differential_render(benchmark):
+    rendered = render(benchmark, "differential")
     assert "MISMATCH" not in rendered
 
 

@@ -3,95 +3,32 @@
 Not a paper figure — BC is the paper's §I motivating application, added as
 a seventh problem.  The bench verifies that the study's findings transfer:
 the matrix-based BC pays per-level materialization and extra passes, so the
-graph-based BC wins on every input class.
+graph-based BC wins on every input class.  Both problems run in
+:mod:`repro.core.results`.
 """
 
 import numpy as np
 import pytest
 
-import repro.graphblas as gb
-from repro.galois.graph import Graph
-from repro.galoisblas import GaloisBLASBackend
-from repro.graphs.datasets import get_dataset
-from repro.lagraph import betweenness_centrality as matrix_bc
-from repro.lonestar import betweenness_centrality as graph_bc
-from repro.perf.machine import Machine
-from repro.runtime.galois_rt import GaloisRuntime
-from repro.sparse.csr import CSRMatrix
-
-from benchmarks.conftest import publish
-
-#: A small source batch, LAGraph-style.
-BATCH = 4
-
-
-def _pattern(csr):
-    return CSRMatrix(csr.nrows, csr.ncols, csr.indptr, csr.indices, None)
+from repro.core.results import extension_bc, extension_kcore
 
 
 @pytest.mark.parametrize("graph_name", ["road-USA-W", "rmat22"])
-def test_bc_extension(benchmark, results_dir, graph_name):
-    ds = get_dataset(graph_name)
-    csr, _ = ds.build()
-    rng = np.random.default_rng(5)
-    sources = rng.integers(0, csr.nrows, BATCH).tolist()
-
-    def run_both():
-        machine_m = Machine(byte_scale=ds.scale, time_scale=ds.scale)
-        backend = GaloisBLASBackend(machine_m)
-        A = gb.Matrix.from_csr(backend, gb.BOOL, _pattern(csr))
-        machine_m.reset_measurement()
-        scores_m = matrix_bc(backend, A, sources).dense_values()
-
-        machine_g = Machine(byte_scale=ds.scale, time_scale=ds.scale)
-        g = Graph(GaloisRuntime(machine_g), _pattern(csr))
-        machine_g.reset_measurement()
-        scores_g = graph_bc(g, sources)
-        return (machine_m.simulated_seconds(),
-                machine_g.simulated_seconds(), scores_m, scores_g)
-
-    t_matrix, t_graph, scores_m, scores_g = benchmark.pedantic(
-        run_both, rounds=1, iterations=1)
-    assert np.allclose(scores_m, scores_g)
+def test_bc_extension(benchmark, graph_name):
+    _text, run = benchmark.pedantic(extension_bc, args=(graph_name,),
+                                    rounds=1, iterations=1)
+    assert np.allclose(run["matrix_answer"], run["graph_answer"])
     # The graph API wins clearly on high-diameter inputs (many levels =
     # many extra matrix-API calls); on low-diameter power-law inputs both
     # are DRAM-bound on the same gathers and near parity is acceptable.
-    assert t_graph < t_matrix * 1.15
-    publish(results_dir, f"extension_bc_{graph_name}",
-            f"bc ({BATCH} sources, {graph_name}): matrix API "
-            f"{t_matrix:.3f} s, graph API {t_graph:.3f} s "
-            f"({t_matrix / t_graph:.1f}x)")
+    assert run["graph"] < run["matrix"] * 1.15
 
 
 @pytest.mark.parametrize("graph_name", ["rmat22"])
-def test_kcore_extension(benchmark, results_dir, graph_name):
+def test_kcore_extension(benchmark, graph_name):
     """k-core (extension): decremental worklist vs bulk re-materialized
     peeling — the ktruss limitation pair on a second problem."""
-    from repro.lagraph import k_core as matrix_kcore
-    from repro.lonestar import k_core as graph_kcore
-
-    ds = get_dataset(graph_name)
-    sym, _ = ds.build_symmetric()
-    k = 8
-
-    def run_both():
-        machine_m = Machine(byte_scale=ds.scale, time_scale=ds.scale)
-        backend = GaloisBLASBackend(machine_m)
-        A = gb.Matrix.from_csr(backend, gb.BOOL, _pattern(sym))
-        machine_m.reset_measurement()
-        member_m, _ = matrix_kcore(backend, A, k)
-
-        machine_g = Machine(byte_scale=ds.scale, time_scale=ds.scale)
-        g = Graph(GaloisRuntime(machine_g), _pattern(sym))
-        machine_g.reset_measurement()
-        member_g, _ = graph_kcore(g, k)
-        return (machine_m.simulated_seconds(),
-                machine_g.simulated_seconds(), member_m, member_g)
-
-    t_matrix, t_graph, member_m, member_g = benchmark.pedantic(
-        run_both, rounds=1, iterations=1)
-    assert np.array_equal(member_m, member_g)
-    assert t_graph < t_matrix
-    publish(results_dir, f"extension_kcore_{graph_name}",
-            f"k-core (k={k}, {graph_name}): matrix API {t_matrix:.3f} s, "
-            f"graph API {t_graph:.3f} s ({t_matrix / t_graph:.1f}x)")
+    _text, run = benchmark.pedantic(extension_kcore, args=(graph_name,),
+                                    rounds=1, iterations=1)
+    assert np.array_equal(run["matrix_answer"], run["graph_answer"])
+    assert run["graph"] < run["matrix"]

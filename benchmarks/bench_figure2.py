@@ -1,28 +1,18 @@
 """Regenerate Figure 2: strong scaling of GB and LS, 1 to 56 threads."""
 
-import pytest
+from repro.core.figures import figure2, figure2_panel
 
-from repro.core.figures import FIGURE2_APPS, figure2
-from repro.graphs.datasets import LARGEST_FOUR
-
-from benchmarks.conftest import bench_graphs, publish
+from benchmarks.conftest import bench_apps, bench_graphs, render
 
 
-def _figure2_graphs():
-    graphs = [g for g in bench_graphs() if g in LARGEST_FOUR]
-    return graphs or list(LARGEST_FOUR)
-
-
-def test_figure2_render(benchmark, results_dir):
-    rendered = benchmark.pedantic(
-        figure2, kwargs={"graphs": _figure2_graphs()}, rounds=1, iterations=1)
-    publish(results_dir, "figure2", rendered)
+def test_figure2_render(benchmark):
+    render(benchmark, "figure2")
 
 
 def test_figure2_shapes(benchmark):
     """Both systems scale with threads; the LS advantage persists at every
     thread count (the paper's reading of Figure 2)."""
-    graphs = _figure2_graphs()[:1]
+    graphs = figure2_panel(bench_graphs(), bench_apps())[1][:1]
 
     def collect():
         return figure2(apps=["bfs", "pr"], graphs=graphs).series

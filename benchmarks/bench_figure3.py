@@ -2,16 +2,13 @@
 
 import pytest
 
-from repro.core.figures import figure3
 from repro.core.variants import run_problem_variants
 
-from benchmarks.conftest import bench_graphs, publish
+from benchmarks.conftest import bench_graphs, render
 
 
-def test_figure3_render(benchmark, results_dir):
-    rendered = benchmark.pedantic(
-        figure3, kwargs={"graphs": bench_graphs()}, rounds=1, iterations=1)
-    publish(results_dir, "figure3", rendered)
+def test_figure3_render(benchmark):
+    render(benchmark, "figure3")
 
 
 @pytest.mark.parametrize("problem", ["pr", "cc", "sssp", "tc"])

@@ -1,11 +1,8 @@
 """Regenerate Table I: input graphs and their properties."""
 
-from repro.core.tables import table1
-
-from benchmarks.conftest import bench_graphs, publish
+from benchmarks.conftest import bench_graphs, render
 
 
-def test_table1(benchmark, results_dir):
-    rendered = benchmark(table1, bench_graphs())
-    publish(results_dir, "table1", rendered)
+def test_table1(benchmark):
+    rendered = render(benchmark, "table1")
     assert len(rendered.data) == len(bench_graphs())

@@ -2,16 +2,15 @@
 
 This is the paper's main result: 6 applications x 9 graphs x 3 systems,
 fastest highlighted, TO/OOM annotated.  One benchmark per application times
-that application's row block; the final test prints the assembled table.
+that application's row block; the final test renders the assembled table.
 """
 
 import pytest
 
 from repro.core.experiments import OK, run_cell
 from repro.core.systems import SYSTEMS
-from repro.core.tables import table2
 
-from benchmarks.conftest import bench_apps, bench_graphs, publish
+from benchmarks.conftest import bench_apps, bench_graphs, render
 
 
 @pytest.mark.parametrize("app", bench_apps())
@@ -33,7 +32,5 @@ def test_table2_row(benchmark, app):
     assert ls_wins >= len(by_graph) // 2
 
 
-def test_table2_render(benchmark, results_dir):
-    rendered = benchmark.pedantic(table2, args=(bench_graphs(), bench_apps()),
-                                  rounds=1, iterations=1)
-    publish(results_dir, "table2", rendered)
+def test_table2_render(benchmark):
+    render(benchmark, "table2")

@@ -3,15 +3,12 @@
 import pytest
 
 from repro.core.experiments import run_cell
-from repro.core.tables import table3
 
-from benchmarks.conftest import bench_apps, bench_graphs, publish
+from benchmarks.conftest import bench_graphs, render
 
 
-def test_table3_render(benchmark, results_dir):
-    rendered = benchmark.pedantic(table3, args=(bench_graphs(), bench_apps()),
-                                  rounds=1, iterations=1)
-    publish(results_dir, "table3", rendered)
+def test_table3_render(benchmark):
+    render(benchmark, "table3")
 
 
 def test_table3_prealloc_effect(benchmark):

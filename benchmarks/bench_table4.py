@@ -1,16 +1,10 @@
 """Regenerate Table IV: GB/LS hardware-counter ratios per application."""
 
-import pytest
-
-from repro.core.tables import table4
-
-from benchmarks.conftest import bench_apps, bench_graphs, publish
+from benchmarks.conftest import render
 
 
-def test_table4_render(benchmark, results_dir):
-    rendered = benchmark.pedantic(table4, args=(bench_graphs(), bench_apps()),
-                                  rounds=1, iterations=1)
-    publish(results_dir, "table4", rendered)
+def test_table4_render(benchmark):
+    rendered = render(benchmark, "table4")
     # The matrix API executes more instructions for every problem (§V).
     for app, ratios in rendered.data.items():
         if ratios["instructions"] == ratios["instructions"]:  # not NaN

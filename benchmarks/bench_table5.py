@@ -1,16 +1,10 @@
 """Regenerate Table V: counter ratios between §V-B variant pairs."""
 
-import pytest
-
-from repro.core.tables import table5
-
-from benchmarks.conftest import bench_graphs, publish
+from benchmarks.conftest import render
 
 
-def test_table5_render(benchmark, results_dir):
-    rendered = benchmark.pedantic(table5, args=(bench_graphs(),),
-                                  rounds=1, iterations=1)
-    publish(results_dir, "table5", rendered)
+def test_table5_render(benchmark):
+    rendered = render(benchmark, "table5")
     # gb-res iterates the residual vector twice per round where ls-soa's
     # fused loop passes once: instruction ratio > 1 (§V-B "pr").
     assert rendered.data["pr gb-res/ls-soa"]["instructions"] > 1.0

@@ -1,9 +1,10 @@
 """Benchmark harness configuration.
 
-Each ``bench_*`` module regenerates one table or figure of the paper.  The
-cell grid is shared across the whole benchmark session through the
-experiment memo, and every rendered artifact is written to ``results/`` next
-to this directory (and printed, visible with ``pytest -s``).
+Each ``bench_*`` module regenerates one table or figure of the paper through
+the renderers of :data:`repro.core.results.RESULTS` and asserts on what they
+return; nothing is written (``repro-study all --out benchmarks/results``
+writes ``results/``).  The cell grid is shared across the whole benchmark
+session through the experiment memo.
 
 Environment knobs:
 
@@ -13,16 +14,14 @@ Environment knobs:
 """
 
 import os
-import pathlib
 
 import pytest
 
 from repro.core.experiments import validate_selection
+from repro.core.results import RESULTS
 from repro.core.systems import APPLICATIONS
 from repro.core.tables import GRAPH_ORDER
 from repro.errors import InvalidValue
-
-RESULTS_DIR = pathlib.Path(__file__).parent / "results"
 
 
 def bench_graphs():
@@ -54,14 +53,8 @@ def pytest_sessionstart(session):
             f"bad REPRO_BENCH_GRAPHS/REPRO_BENCH_APPS setting: {exc}")
 
 
-@pytest.fixture(scope="session")
-def results_dir():
-    RESULTS_DIR.mkdir(exist_ok=True)
-    return RESULTS_DIR
-
-
-def publish(results_dir, name: str, rendered) -> None:
-    """Write a rendered table/figure to results/ and stdout."""
-    path = results_dir / f"{name}.txt"
-    path.write_text(str(rendered) + "\n")
-    print(f"\n{rendered}\n[written to {path}]")
+def render(benchmark, name: str):
+    """Time one registered file's renderer once on the benchmark subset."""
+    return benchmark.pedantic(RESULTS[name].render,
+                              args=(bench_graphs(), bench_apps()),
+                              rounds=1, iterations=1)

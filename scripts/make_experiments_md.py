@@ -3,7 +3,7 @@
 
 Usage::
 
-    python scripts/run_full_study.py          # populates benchmarks/results/
+    repro-study all --out benchmarks/results  # populates benchmarks/results/
     python scripts/make_experiments_md.py     # writes EXPERIMENTS.md
 
 Loads the saved cells (re-running any missing ones) and writes the
@@ -25,7 +25,8 @@ HEADER = """\
 # EXPERIMENTS — paper vs measured
 
 Auto-generated by `scripts/make_experiments_md.py` from a full grid run
-(`scripts/run_full_study.py`); raw artifacts live in `benchmarks/results/`.
+(`repro-study all --out benchmarks/results`, which writes every raw
+artifact in `benchmarks/results/`).
 
 Reading guide: this reproduction runs both software stacks on ~1/1000-scale
 synthetic twins of the paper's inputs, with execution time coming from a
@@ -191,8 +192,8 @@ The full grid takes minutes at twin scale (and would take days at paper
 scale), so every grid runs as jobs on a durable queue that records each
 cell as it settles, and a killed run can pick up where it left off:
 
-* **Queue** — `scripts/run_full_study.py` submits the grid's cells to
-  `benchmarks/results/queue.db` (or `--queue PATH`), a SQLite database in
+* **Queue** — `repro-study all --out DIR` submits the grid's cells to
+  `DIR/queue.db` (or `--queue PATH`), a SQLite database in
   WAL mode, and drains it (`repro.service.run_grid`; in-process at the
   default `--workers 1`).  A process kill loses at most the cell in
   flight, whose lease stays behind; a power loss may also drop the last
@@ -200,7 +201,7 @@ cell as it settles, and a killed run can pick up where it left off:
   deletes any old queue file first.  The snapshot `cells.json` is
   written atomically (temp file + `os.replace`) and is versioned;
   loaders reject unknown schemas instead of mis-parsing them.
-* **Resume** — `python scripts/run_full_study.py --resume` (and
+* **Resume** — `repro-study all --out DIR --resume` (and
   `repro-study <target> --queue PATH --resume`) drains the same queue
   again: settled cells are recalled from their stored rows ("N cells
   recalled"), the leased one is reclaimed, and only the missing cells
@@ -235,9 +236,9 @@ cell as it settles, and a killed run can pick up where it left off:
 
 ## Supervised parallel runs
 
-`repro-study <target> --workers N` and `scripts/run_full_study.py
---workers N` drain the same job queue (for `repro-study` a temporary
-SQLite file unless `--queue PATH`) on a supervised pool of N
+`repro-study <target> --workers N` drains the target's job queue (a
+temporary SQLite file unless `--queue PATH`, or `DIR/queue.db` under
+`all --out DIR`) on a supervised pool of N
 spawn-started worker processes instead of in-process
 (`repro.service.run_grid`).  The supervisor heartbeats every worker,
 SIGKILLs and respawns dead or hung ones (blown per-cell deadline,

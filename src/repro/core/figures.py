@@ -21,6 +21,15 @@ from repro.perf.costmodel import THREAD_POINTS
 FIGURE2_APPS = ("bfs", "cc", "pr", "sssp")
 
 
+def figure2_panel(graphs: Iterable[str], apps: Iterable[str]):
+    """Figure 2's ``(apps, graphs)`` for a study selection: the selected
+    apps among :data:`FIGURE2_APPS` and the selected graphs among the four
+    largest.  An empty side falls back to the full panel rather than an
+    empty figure."""
+    return ([a for a in apps if a in FIGURE2_APPS] or list(FIGURE2_APPS),
+            [g for g in graphs if g in LARGEST_FOUR] or list(LARGEST_FOUR))
+
+
 @dataclass
 class FigureData:
     title: str

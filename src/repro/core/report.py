@@ -2,10 +2,11 @@
 
 Builds the paper-vs-measured record for every table and figure from a
 completed cell grid — run ``scripts/make_experiments_md.py`` after
-``scripts/run_full_study.py``.  The comparisons are *ratio-based*: this
-reproduction's absolute seconds come from a machine model on 1/1000-scale
-inputs, so the meaningful fidelity measure is whether each cell's
-system-vs-system ratio (and each failure annotation) matches the paper's.
+``repro-study all --out benchmarks/results``.  The comparisons are
+*ratio-based*: this reproduction's absolute seconds come from a machine
+model on 1/1000-scale inputs, so the meaningful fidelity measure is
+whether each cell's system-vs-system ratio (and each failure annotation)
+matches the paper's.
 """
 
 from __future__ import annotations

@@ -1,4 +1,4 @@
-"""Command-line entry point: regenerate any table or figure.
+"""Command-line entry point: regenerate any table or figure, or all of them.
 
 Examples::
 
@@ -6,17 +6,27 @@ Examples::
     repro-study table2 --graphs rmat22 road-USA-W --apps bfs cc
     repro-study figure2
     repro-study all --save results.json
-    repro-study all --queue run.db --resume        # continue a killed run
+    repro-study all --out benchmarks/results       # every artifact file
+    repro-study all --out DIR --resume             # continue a killed run
     repro-study all --workers 4 --strict           # supervised worker pool
+
+``all --out DIR`` writes every file :data:`repro.core.results.RESULTS`
+registers plus ``DIR/cells.json``, and keeps the grid's job queue at
+``DIR/queue.db`` (``--queue PATH`` elsewhere).  Every grid drains through
+:func:`repro.service.run_grid`; ``--resume`` re-drains a kept queue and
+recalls the cells it settled, and without it the queue file is discarded
+first.  A malformed knob, or a queue file that is not a job queue, exits
+2 before the first cell.
 """
 
 from __future__ import annotations
 
 import argparse
+import pathlib
 import sys
 
 from repro import errors, faults
-from repro.core import experiments, figures, tables
+from repro.core import experiments, results
 from repro.core.experiments import GRAPH_ORDER, STATUSES
 from repro.core.systems import APPLICATIONS
 from repro.sparse import parallel
@@ -41,12 +51,18 @@ def main(argv=None) -> int:
                         help="persist cell results as JSON (atomic write)")
     parser.add_argument("--load", default=None,
                         help="preload cell results from JSON")
+    parser.add_argument("--out", type=pathlib.Path, default=None,
+                        metavar="DIR",
+                        help="with 'all': write every artifact file and "
+                             "cells.json into DIR (created if missing), "
+                             "the job queue at DIR/queue.db")
     parser.add_argument("--queue", default=None, metavar="PATH",
                         help="keep the grid's job queue at PATH instead of "
-                             "a temporary file (replaced unless --resume)")
+                             "a temporary file or DIR/queue.db (replaced "
+                             "unless --resume)")
     parser.add_argument("--resume", action="store_true",
-                        help="re-drain --queue: cells it already settled "
-                             "are recalled, the rest run")
+                        help="re-drain the kept queue: cells it already "
+                             "settled are recalled, the rest run")
     parser.add_argument("--workers", type=int, default=1, metavar="N",
                         help="drain the grid's job queue on N supervised "
                              "worker processes (default: 1 = in this "
@@ -71,8 +87,13 @@ def main(argv=None) -> int:
     except errors.InvalidValue as exc:
         print(f"repro-study: {exc}", file=sys.stderr)
         return 2
-    if args.resume and not args.queue:
-        print("repro-study: --resume requires --queue PATH",
+    if args.out and args.target != "all":
+        print("repro-study: --out writes the 'all' target only",
+              file=sys.stderr)
+        return 2
+    queue = args.queue or (args.out and args.out / "queue.db")
+    if args.resume and not queue:
+        print("repro-study: --resume requires --queue PATH or --out DIR",
               file=sys.stderr)
         return 2
     if args.workers < 1:
@@ -83,10 +104,12 @@ def main(argv=None) -> int:
     if args.load:
         n = experiments.load_results(args.load)
         print(f"(loaded {n} cached cells from {args.load})", file=sys.stderr)
-    if args.queue and not args.resume:
+    if args.out:
+        args.out.mkdir(parents=True, exist_ok=True)
+    if queue and not args.resume:
         from repro.service.queue import discard
 
-        discard(args.queue)
+        discard(queue)
 
     if args.target == "explain":
         for g in graphs:
@@ -95,17 +118,21 @@ def main(argv=None) -> int:
                 print()
     else:
         try:
-            _prewarm_grid(args.target, graphs, apps, args.workers,
-                          args.queue)
+            _prewarm_grid(args.target, graphs, apps, args.workers, queue)
         except errors.InvalidValue as exc:  # e.g. --queue is not a queue
             print(f"repro-study: {exc}", file=sys.stderr)
             return 2
         targets = ([args.target] if args.target != "all" else
                    ["table1", "table2", "table3", "table4", "table5",
                     "figure2", "figure3", "validate"])
-        for target in targets:
-            print(_render(target, graphs, apps))
-            print()
+        if args.out:
+            results.write_all(args.out, graphs, apps)
+            print(f"(wrote {len(results.RESULTS)} artifacts and cells.json "
+                  f"to {args.out})", file=sys.stderr)
+        else:
+            for target in targets:
+                print(_render(target, graphs, apps))
+                print()
     if args.save:
         experiments.save_results(args.save)
         print(f"(saved cell results to {args.save})", file=sys.stderr)
@@ -122,35 +149,24 @@ def main(argv=None) -> int:
 
 def _prewarm_grid(target: str, graphs, apps, workers: int,
                   queue_path=None) -> None:
-    """Compute the target's grid cells through
-    :func:`repro.service.run_grid`: they drain through a job queue (at
-    ``queue_path``, or an ephemeral one), in this process when
+    """Compute the cells the target reads (:func:`repro.core.results.grid`)
+    through :func:`repro.service.run_grid`: they drain through a job queue
+    (at ``queue_path``, or an ephemeral one), in this process when
     ``workers`` is 1, else on a supervised worker pool.
 
     Fills the experiment memo so the renderers afterwards only hit
-    cache.  Targets that run no grid cells (table1, table5, figure3 —
-    the latter two use the separate problem-variant memo) compute
-    lazily in the renderers.
+    cache.  Targets that read no grid cells (table1, and table5/figure3,
+    which use the separate problem-variant memo) compute lazily in the
+    renderers.
     """
-    from repro.core.figures import FIGURE2_APPS
-    from repro.service import grid_tasks, run_grid
+    from repro.service import run_grid
 
-    fig2_graphs = ([g for g in graphs if g in GRAPH_ORDER[-4:]]
-                   or list(GRAPH_ORDER[-4:]))
-    if target in ("table2", "table3", "validate"):
-        tasks = grid_tasks(graphs, apps)
-    elif target == "table4":
-        tasks = grid_tasks(graphs, apps, systems=("GB", "LS"))
-    elif target == "figure2":
-        tasks = grid_tasks((), (), sweep_apps=FIGURE2_APPS,
-                           sweep_graphs=fig2_graphs)
-    elif target == "all":
-        tasks = grid_tasks(graphs, apps, sweep_apps=FIGURE2_APPS,
-                           sweep_graphs=fig2_graphs)
-    else:
-        return
-    _results, line = run_grid(tasks, workers, queue_path=queue_path)
-    print(f"({line})", file=sys.stderr)
+    names = {"all": list(results.RESULTS),
+             "validate": ["table2"]}.get(target, [target])
+    tasks = results.grid(names, graphs, apps)
+    if tasks:
+        _results, line = run_grid(tasks, workers, queue_path=queue_path)
+        print(f"({line})", file=sys.stderr)
 
 
 def _explain_cell(system: str, app: str, graph: str) -> str:
@@ -171,25 +187,7 @@ def _render(target: str, graphs, apps) -> str:
 
         return "\n\n".join(validate.render(validate.validate_graph(g, apps))
                             for g in graphs)
-    if target == "table1":
-        return str(tables.table1(graphs))
-    if target == "table2":
-        return str(tables.table2(graphs, apps))
-    if target == "table3":
-        return str(tables.table3(graphs, apps))
-    if target == "table4":
-        return str(tables.table4(graphs, apps))
-    if target == "table5":
-        return str(tables.table5(graphs))
-    if target == "figure2":
-        # Figure 2 covers the four largest graphs; an all-small subset
-        # falls back to the default panel rather than an empty figure.
-        return str(figures.figure2(graphs=[g for g in graphs
-                                           if g in GRAPH_ORDER[-4:]]
-                                   or GRAPH_ORDER[-4:]))
-    if target == "figure3":
-        return str(figures.figure3(graphs=graphs))
-    raise ValueError(target)
+    return str(results.RESULTS[target].render(graphs, apps))
 
 
 if __name__ == "__main__":

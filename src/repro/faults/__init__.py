@@ -19,8 +19,8 @@ Typical use::
     with faults.injected(plan):
         run_cell("GB", "bfs", "rmat22", use_cache=False)
 
-Environment knobs (read by the CLIs, ``scripts/run_full_study.py`` and
-every pool worker via :func:`install_from_env`):
+Environment knobs (read by the CLIs — ``repro-study``, ``repro-serve
+drain`` — and every pool worker via :func:`install_from_env`):
 
 * ``REPRO_FAULTS`` — semicolon-separated specs in one grammar,
   ``site:kind[@SYSTEM:app:graph][:transient][:nth=N][:times=N][:mb=N]``

@@ -1,6 +1,6 @@
 """The study grid as a durable job queue, drained in or out of process.
 
-Every study grid (``repro-study``, ``run_full_study.py``) runs through
+Every study grid (``repro-study``, ``all --out`` included) runs through
 :func:`run_grid`: its cells become jobs on a SQLite queue, drained in
 this process by default.  There a process death — a real SIGKILL/OOM-kill
 or an injected :class:`repro.faults.FatalFault` — aborts the grid, and
@@ -43,10 +43,10 @@ deaths by running cells *out of process* under supervision:
   front-end: a stdlib HTTP JSON API and the ``repro-serve`` CLI
   (``submit``/``status``/``result``/``drain``/``api``).
 
-Both study CLIs expose the pool via ``--workers N`` (default 1: drain
-in-process).  ``run_full_study.py`` keeps the grid's queue at
-``<out>/queue.db`` (``repro-study`` with ``--queue PATH``), so a killed
-run re-invoked with ``--resume`` recalls every cell the queue settled.
+``repro-study`` exposes the pool via ``--workers N`` (default 1: drain
+in-process).  ``repro-study all --out DIR`` keeps the grid's queue at
+``DIR/queue.db`` (any target: ``--queue PATH``), so a killed run
+re-invoked with ``--resume`` recalls every cell the queue settled.
 """
 
 from repro.service.breaker import CircuitBreaker

@@ -19,14 +19,14 @@ grid drains one, and a killed run resumes by draining it again.
   silently dropped.
 * **Crash-safe leases.**  A dispatched job carries a lease (owner +
   deadline).  The supervisor renews leases while its worker heartbeats;
-  a supervisor or worker killed mid-job simply stops renewing, the lease
-  expires, and :meth:`expire_leases` (or a restarted supervisor's
-  :meth:`requeue_orphans` takeover) requeues the job with exponential
-  backoff plus deterministic jitter.  The lease's ``attempts`` counter
-  doubles as a fencing token: a result from a worker whose lease was
-  already expired and re-issued is rejected by :meth:`complete`, so a
-  job's result commits **exactly once** no matter how many times its
-  workers or supervisors died.
+  a supervisor or worker killed mid-job simply stops renewing, and a
+  restarted supervisor's :meth:`requeue_orphans` takeover (or, on a queue
+  live supervisors share, the :meth:`expire_leases` deadline sweep)
+  requeues the job with exponential backoff plus deterministic jitter.
+  The lease's ``attempts`` counter doubles as a fencing token: a result
+  from a worker whose lease was already expired and re-issued is
+  rejected by :meth:`complete`, so a job's result commits **exactly
+  once** no matter how many times its workers or supervisors died.
 * **Tenant admission control.**  ``REPRO_TENANT_MAX_ACTIVE`` caps each
   tenant's open (queued + leased) jobs; an over-cap submission raises
   :class:`repro.errors.AdmissionDenied` (HTTP 429 in the front-end)
@@ -575,13 +575,17 @@ class JobQueue:
         like :meth:`complete`'s, so a job another connection settled
         between the read and the write stays settled.
         """
+        return self._fail(job_id, owner, token, error)[0]
+
+    def _fail(self, job_id, owner, token, error) -> Tuple[str, bool]:
+        """:meth:`fail`, plus whether its fenced write moved the job."""
         now = self.clock()
         job = self.get(job_id)
         if job is None:
             raise errors.InvalidValue(f"unknown job id {job_id}")
         if job.state != LEASED or job.lease_owner != owner \
                 or job.attempts != token:
-            return job.state
+            return job.state, False
         if job.attempts >= job.max_attempts:
             state, not_before, kind = DEAD, job.not_before, DEAD
             detail = {"error": error, "attempts": job.attempts}
@@ -600,9 +604,9 @@ class JobQueue:
                 (state, not_before, error, now, job_id, LEASED, owner,
                  token))
             if cursor.rowcount != 1:
-                return self.get(job_id).state
+                return self.get(job_id).state, False
             self._record(job_id, kind, detail)
-        return state
+        return state, True
 
     # ------------------------------------------------------------------
     # Crash recovery
@@ -610,19 +614,15 @@ class JobQueue:
     def expire_leases(self, now: Optional[float] = None) -> List[int]:
         """Requeue (or dead-letter) every job whose lease deadline passed.
 
-        The background safety net: a supervisor killed mid-run stops
-        renewing, and whoever next touches the queue reclaims its jobs.
+        No drain in this package calls it: the study CLIs and
+        ``repro-serve drain`` run one supervisor per queue, which
+        reclaims every lease at start-up (:meth:`requeue_orphans`).  It
+        is the sweep for a queue that live supervisors share, where a
+        killed one's leases must run out first; ``tests/test_jobqueue.py``
+        drives it.
         """
         now = self.clock() if now is None else now
-        expired = self._conn.execute(
-            "SELECT id, lease_owner, attempts FROM jobs "
-            "WHERE state=? AND lease_deadline<?", (LEASED, now)).fetchall()
-        reclaimed = []
-        for row in expired:
-            self.fail(row["id"], row["lease_owner"], row["attempts"],
-                      "lease expired")
-            reclaimed.append(row["id"])
-        return reclaimed
+        return self._reclaim("lease_deadline<?", (now,), "lease expired")
 
     def requeue_orphans(self) -> List[int]:
         """Immediately reclaim *every* leased job (supervisor takeover).
@@ -632,15 +632,18 @@ class JobQueue:
         lease deadline would be correct but slow.  Single-supervisor
         deployments (the CLI drain) call this on startup.
         """
+        return self._reclaim("1", (), "orphaned lease (supervisor takeover)")
+
+    def _reclaim(self, where: str, args: tuple, error: str) -> List[int]:
+        """:meth:`fail` every leased job matching ``where``; returns the
+        ids whose fenced write moved them (not one a holder settled in
+        the meantime)."""
         rows = self._conn.execute(
-            "SELECT id, lease_owner, attempts FROM jobs WHERE state=?",
-            (LEASED,)).fetchall()
-        reclaimed = []
-        for row in rows:
-            self.fail(row["id"], row["lease_owner"], row["attempts"],
-                      "orphaned lease (supervisor takeover)")
-            reclaimed.append(row["id"])
-        return reclaimed
+            "SELECT id, lease_owner, attempts FROM jobs "
+            f"WHERE state=? AND {where}", (LEASED, *args)).fetchall()
+        return [row["id"] for row in rows
+                if self._fail(row["id"], row["lease_owner"],
+                              row["attempts"], error)[1]]
 
     # ------------------------------------------------------------------
     # Shared metadata (supervisor -> status channel)

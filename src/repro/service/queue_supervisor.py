@@ -621,17 +621,20 @@ class QueueSupervisor:
         # START carries no state beyond proof of life.
 
     def _dispatch_idle(self):
-        for handle in list(self._workers.values()):
-            if self.queue.peek_ready() is None:
-                return
-            if handle.ready and handle.task_id is None:
-                if handle.warmup:
-                    self._dispatch_prebuild(handle)
-                else:
-                    payload = self._next_assignment()
-                    if payload is None:
-                        return
-                    self._send_run(handle, payload)
+        # Only ready, idle workers cost a queue read; the first one that
+        # finds nothing dispatchable ends the pass.
+        for handle in [h for h in self._workers.values()
+                       if h.ready and h.task_id is None]:
+            if handle.warmup:
+                # A warm-up goes out only while a job is dispatchable.
+                if self.queue.peek_ready() is None:
+                    return
+                self._dispatch_prebuild(handle)
+            else:
+                payload = self._next_assignment()
+                if payload is None:
+                    return
+                self._send_run(handle, payload)
 
     def _dispatch_prebuild(self, handle: WorkerHealth):
         graph = handle.warmup.popleft()

@@ -9,8 +9,6 @@ garbage, and replay stale and duplicate results.
 
 import json
 import os
-import pathlib
-import runpy
 import shutil
 
 import pytest
@@ -137,12 +135,9 @@ class TestCellJournal:
         assert serve_main(["status", "--queue", str(path)]) == 2
         assert runner_main(["table2", "--graphs", "rmat22", "--apps", "bfs",
                             "--queue", str(path), "--resume"]) == 2
-        script = pathlib.Path(__file__).resolve().parent.parent \
-            / "scripts" / "run_full_study.py"
-        study_main = runpy.run_path(str(script))["main"]
-        assert study_main(["--out", str(tmp_path), "--queue", str(path),
-                           "--resume", "--graphs", "rmat22",
-                           "--apps", "bfs"]) == 2
+        assert runner_main(["all", "--out", str(tmp_path), "--queue",
+                            str(path), "--resume", "--graphs", "rmat22",
+                            "--apps", "bfs"]) == 2
         err = capsys.readouterr().err.splitlines()
         assert len(err) == 3
         assert all("is not a job queue" in line for line in err)

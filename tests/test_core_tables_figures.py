@@ -1,14 +1,23 @@
 """Tables, figures, variants and the CLI runner on a reduced grid."""
 
+import json
+import pathlib
+
 import numpy as np
 import pytest
 
-from repro.core import figures, tables
+from repro.core import experiments, figures, tables
+from repro.core.results import RESULTS
 from repro.core.runner import main as runner_main
 from repro.core.variants import VARIANTS, run_problem_variants, run_variant
 
 GRAPHS = ["road-USA-W", "rmat22"]
 APPS = ["bfs", "cc"]
+
+RESULTS_DIR = pathlib.Path(__file__).resolve().parent.parent \
+    / "benchmarks" / "results"
+#: What ``repro-study all --out`` writes.
+EXPECTED_FILES = {f"{name}.txt" for name in RESULTS} | {"cells.json"}
 
 
 class TestTable1:
@@ -234,6 +243,39 @@ class TestRunner:
         queue = JobQueue(path)
         assert queue.counts()["done"] == 3
         queue.close()
+
+    def test_all_out_writes_every_artifact_and_resumes(self, tmp_path,
+                                                       capsys,
+                                                       isolated_grid):
+        # One command writes the registered files plus cells.json (the
+        # kept queue aside); a resume into the same directory recalls
+        # every cell and rewrites the same bytes.
+        argv = ["all", "--out", str(tmp_path), "--graphs", *GRAPHS,
+                "--apps", *APPS]
+
+        def written():
+            return {p.name: p.read_bytes() for p in tmp_path.iterdir()
+                    if not p.name.startswith("queue.db")}
+
+        assert runner_main(argv) == 0
+        first = written()
+        assert set(first) == EXPECTED_FILES
+        assert (tmp_path / "queue.db").exists()
+        assert capsys.readouterr().out == ""
+        cells = len(json.loads(first["cells.json"])["cells"])
+        experiments.clear_cache()
+        assert runner_main(argv + ["--resume"]) == 0
+        assert f"{cells} cells recalled" in capsys.readouterr().err
+        assert written() == first
+
+    def test_registry_covers_the_checked_in_results(self):
+        checked_in = {p.name for p in RESULTS_DIR.iterdir()
+                      if not p.name.startswith("queue.db")}
+        assert checked_in == EXPECTED_FILES
+
+    def test_out_needs_the_all_target(self, tmp_path, capsys):
+        assert runner_main(["table2", "--out", str(tmp_path)]) == 2
+        assert "'all'" in capsys.readouterr().err
 
 
 class TestSelectionValidation:

@@ -1,7 +1,5 @@
 """Fault injection (repro.faults) and graceful per-cell failure."""
 
-import pathlib
-import runpy
 import time
 
 import pytest
@@ -217,12 +215,12 @@ class TestMalformedKnobsAtStartup:
     @pytest.mark.parametrize("name,bad", BAD_KNOBS)
     def test_run_full_study_exits_2(self, monkeypatch, capsys, tmp_path,
                                     name, bad):
-        script = pathlib.Path(__file__).resolve().parent.parent \
-            / "scripts" / "run_full_study.py"
-        main = runpy.run_path(str(script))["main"]
+        # The full study (``all --out``) refuses before it touches DIR.
+        from repro.core.runner import main
+
         monkeypatch.setenv(name, bad)
-        assert main(["--out", str(tmp_path), "--graphs", "road-USA-W",
-                     "--apps", "bfs"]) == 2
+        assert main(["all", "--out", str(tmp_path), "--graphs",
+                     "road-USA-W", "--apps", "bfs"]) == 2
         assert capsys.readouterr().err.startswith(f"repro-study: {name}")
         assert not (tmp_path / "queue.db").exists()
 

@@ -254,6 +254,30 @@ class TestCrashRecovery:
         a.close()
         b.close()
 
+    @pytest.mark.parametrize("sweep", ["requeue_orphans", "expire_leases"])
+    def test_sweep_does_not_report_a_job_committed_meanwhile(
+            self, tmp_path, clock, monkeypatch, sweep):
+        # The same interleaving through either sweep: the fenced write
+        # moves nothing, so the job is not among the reclaimed ids.
+        a = JobQueue(tmp_path / "q.db", CONFIG, clock=clock)
+        b = JobQueue(tmp_path / "q.db", CONFIG, clock=clock)
+        job = a.submit("GB", "bfs", GRAPH)
+        leased = a.lease(job.id, "A")
+        read = b.get
+
+        def read_then_commit(job_id):
+            snapshot = read(job_id)
+            monkeypatch.setattr(b, "get", read)  # interleave once
+            assert a.complete(job_id, "A", leased.attempts, ok_row())
+            return snapshot
+
+        monkeypatch.setattr(b, "get", read_then_commit)
+        clock.now += 6  # past the lease deadline
+        assert getattr(b, sweep)() == []
+        assert a.get(job.id).state == DONE
+        a.close()
+        b.close()
+
     def test_state_survives_reopen(self, tmp_path, clock):
         path = tmp_path / "q.db"
         q = JobQueue(path, CONFIG, clock=clock)

@@ -473,6 +473,40 @@ class TestSupervisorLoop:
         assert queue.get_meta("supervisor")["owner"] == "test"
         queue.close()
 
+    def test_dispatch_reads_the_queue_for_idle_workers_only(
+            self, tmp_path, monkeypatch):
+        # A busy worker costs no queue read, an idle one the single peek
+        # of its assignment, and the first that finds nothing dispatchable
+        # ends the pass; a warm-up goes out only while a job is waiting.
+        supervisor = self._supervisor(tmp_path)
+        supervisor._breakers = BreakerBoard(("GB",), 0, 1.0)
+        queue = supervisor.queue
+        peeks = []
+        peek_ready = queue.peek_ready
+        monkeypatch.setattr(queue, "peek_ready",
+                            lambda: peeks.append(1) or peek_ready())
+        sent = []
+
+        class Conn:
+            def send(self, message):
+                sent.append(message)
+
+        for worker_id in (0, 1):
+            supervisor._workers[worker_id] = WorkerHealth(
+                worker_id, conn=Conn(), ready=True)
+        supervisor._workers[1].started(99)
+        supervisor._dispatch_idle()
+        assert [m[1]["system"] for m in sent] == ["GB"]
+        assert len(peeks) == 1
+        supervisor._dispatch_idle()  # both busy
+        assert len(peeks) == 1
+        for worker_id in (0, 1):
+            supervisor._workers[worker_id].finished()
+        supervisor._workers[1].warmup.append(GRAPH)
+        supervisor._dispatch_idle()  # two idle workers, nothing queued
+        assert len(peeks) == 2 and len(sent) == 1
+        queue.close()
+
 
 class TestRetryKnob:
     """``run_cell`` retries transients under one fixed budget (3 attempts
