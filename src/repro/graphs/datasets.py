@@ -24,6 +24,7 @@ modeled result is unchanged by where the bytes live.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from typing import Callable, Dict, Optional, Tuple
 
@@ -370,12 +371,16 @@ def register_file_dataset(
 
     Accepts the formats of :mod:`repro.graphs.io` (.el/.wel edge lists and
     .mtx MatrixMarket).  ``paper_e`` sets the machine model's scale factor
-    (how many paper-scale edges this graph stands for); omitted, the graph
-    is treated as full scale (scale ~1: no byte/time scaling).  The
-    returned dataset works everywhere the built-in nine do — ``run_cell``,
-    ``repro-study`` and the benchmarks.
+    (how many paper-scale edges this graph stands for) and must be positive
+    and finite; omitted, the graph is treated as full scale (scale ~1: no
+    byte/time scaling).  The returned dataset works everywhere the built-in
+    nine do — ``run_cell``, ``repro-study`` and the benchmarks.
     """
     from repro.graphs import io as graph_io
+
+    if paper_e is not None and not (0 < float(paper_e) < math.inf):
+        raise InvalidValue(
+            f"paper_e must be a positive finite edge count, got {paper_e!r}")
 
     def _build():
         if path.endswith(".mtx"):

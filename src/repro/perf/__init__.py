@@ -7,10 +7,11 @@ parallelism, so this package substitutes a deterministic performance model:
 * :class:`~repro.perf.counters.PerfCounters` — machine-wide event counters
   (instructions, per-level cache accesses, parallel loops, barriers) that both
   software stacks increment identically;
-* :class:`~repro.perf.memmodel.CacheHierarchy` — an analytic cache model that
-  converts declared access streams into per-level hit counts;
-* :class:`~repro.perf.costmodel.CostModel` — converts counters plus per-loop
-  scheduling information into simulated seconds at a given thread count;
+* :class:`~repro.perf.memmodel.CacheHierarchy` — an analytic cache model whose
+  ``hits`` converts declared access streams into per-level hit counts;
+* :class:`~repro.perf.costmodel.CostModel` — whose ``price`` turns one loop's
+  counts and scheduling information into its simulated time at a given
+  thread count (the only place a loop is priced);
 * :class:`~repro.perf.allocator.TrackingAllocator` — a tracking allocator
   whose high-water mark stands in for the paper's MRSS measurements;
 * :class:`~repro.perf.machine.Machine` — the bundle of all of the above that a

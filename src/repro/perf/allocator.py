@@ -49,8 +49,6 @@ class TrackingAllocator:
         self.capacity_bytes = capacity_bytes
         self.prealloc_bytes = prealloc_bytes
         self.slack_factor = slack_factor
-        #: Bytes drawn from the preallocated pool before touching new memory.
-        self._pool_used = 0
         self.live_bytes = 0
         self.peak_bytes = prealloc_bytes
         self.total_allocations = 0

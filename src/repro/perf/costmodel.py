@@ -3,7 +3,8 @@
 Every parallel loop a runtime executes is recorded as a :class:`LoopCost`.
 Simulated execution time at ``p`` threads is the sum over loops of
 
-``max(parallel_work(p) * imbalance(p), largest_indivisible_item) + barrier(p)``
+``max(parallel_work(p) * imbalance(p), largest_indivisible_item) * time_scale
++ fixed + barrier(p)``
 
 where ``parallel_work(p)`` divides compute by ``p`` and divides each memory
 level's service time by that level's effective parallel speedup (private L1/L2
@@ -11,7 +12,8 @@ scale linearly; shared L3 and DRAM saturate), ``imbalance(p)`` models the
 loop's scheduling policy (OpenMP static blocks vs dynamic chunks vs Galois
 work stealing), and the largest-item term captures skew that no scheduler can
 split — unless the loop used edge tiling, which is exactly the Lonestar
-optimization the paper's Figure 3(d) isolates.
+optimization the paper's Figure 3(d) isolates.  One loop's term is priced
+in exactly one place, :meth:`CostModel.price`.
 
 This Brent-style model is the substitute for the paper's real 56-core
 machine; see DESIGN.md §3 for the justification.
@@ -89,15 +91,6 @@ class LoopCost:
     #: on top of the scaled work time.
     fixed_ns: float = 0.0
 
-    def imbalance(self, threads: int) -> float:
-        """Scheduling imbalance factor at ``threads`` threads."""
-        if self.schedule is not Schedule.STATIC or threads <= 1:
-            return 1.0
-        if self.static_imbalance:
-            key = _nearest_thread_point(threads)
-            return self.static_imbalance.get(key, 1.0)
-        return 1.0
-
 
 def static_block_imbalance(weights: np.ndarray, thread_points=THREAD_POINTS) -> dict:
     """Imbalance of an OpenMP static block partition, per thread count.
@@ -121,12 +114,8 @@ def static_block_imbalance(weights: np.ndarray, thread_points=THREAD_POINTS) -> 
     return out
 
 
-def _nearest_thread_point(threads: int) -> int:
-    return min(THREAD_POINTS, key=lambda p: abs(p - threads))
-
-
 class CostModel:
-    """Turns a sequence of :class:`LoopCost` records into simulated seconds."""
+    """Prices :class:`LoopCost` records at a thread count."""
 
     def __init__(self, hierarchy: CacheHierarchy, params: CostParams = CostParams()):
         self.hierarchy = hierarchy
@@ -142,8 +131,7 @@ class CostModel:
         per-level service latency without / with huge pages, per-level
         effective parallel divisor, the barrier's fixed cost, and the
         :data:`THREAD_POINTS` key static imbalance is looked up under.
-        :meth:`Machine.charge_loop` evaluates :meth:`loop_time_ns` from
-        these without re-deriving them per loop.
+        :meth:`price` reads them instead of re-deriving them per loop.
         """
         terms = self._loop_terms.get(threads)
         if terms is None:
@@ -158,53 +146,41 @@ class CostModel:
                  for level, cap in self._caps.items()},
                 p.barrier_base_ns
                 + p.barrier_slope_ns * math.log2(max(threads, 2)),
-                _nearest_thread_point(threads))
+                min(THREAD_POINTS, key=lambda point: abs(point - threads)))
         return terms
 
-    def work_time_ns(self, loop: LoopCost, threads: int) -> float:
-        """Scaled-work duration of one loop (excludes fixed per-loop costs).
+    def price(self, loop: LoopCost, threads: int) -> tuple:
+        """``(work_ns, fixed_ns)`` of one loop at ``threads`` threads.
 
-        The harness multiplies this by the dataset's time scale.
+        ``work_ns`` is the loop's scaled work (the caller multiplies it by
+        the dataset's time scale): ``max(parallel_work * imbalance,
+        serial_work * max_item_frac)`` for a parallel loop, the serial work
+        for a serial one or at one thread.  ``fixed_ns`` is the loop's
+        scale-independent cost plus the barrier's if it ends in one.  This
+        is the model's only loop pricer: :meth:`Machine.charge_loop`,
+        :meth:`Machine.simulated_seconds` and :func:`repro.perf.trace.explain`
+        all sum these two terms, per loop, as ``work_ns * time_scale +
+        fixed_ns``.
         """
-        if threads < 1:
-            raise InvalidValue("threads must be >= 1")
-        p = self.params
-        compute_ns = loop.instructions * p.ns_per_instruction
+        latency, huge_latency, divisors, barrier_ns, point = (
+            self.loop_terms(threads))
+        if loop.huge_pages:
+            latency = huge_latency
+        compute_ns = loop.instructions * self.params.ns_per_instruction
         mem_serial = 0.0
         mem_parallel = 0.0
         for level, count in loop.hits.items():
-            lat = self._latency[level]
-            if level == "dram" and loop.huge_pages:
-                lat *= p.huge_page_dram_factor
-            t = count * lat
+            t = count * latency[level]
             mem_serial += t
-            mem_parallel += t / min(threads, self._caps[level])
-        serial_ns = compute_ns + mem_serial
-        if loop.schedule is Schedule.SERIAL or threads == 1:
-            return serial_ns
-        parallel_ns = compute_ns / threads + mem_parallel
-        return max(
-            parallel_ns * loop.imbalance(threads),
-            serial_ns * loop.max_item_frac,
-        )
-
-    def fixed_time_ns(self, loop: LoopCost, threads: int) -> float:
-        """Scale-independent duration of one loop (barriers, call overhead)."""
-        fixed = loop.fixed_ns
-        if loop.barrier and loop.schedule is not Schedule.SERIAL:
-            fixed += (self.params.barrier_base_ns
-                      + self.params.barrier_slope_ns
-                      * math.log2(max(threads, 2)))
-        return fixed
-
-    def loop_time_ns(self, loop: LoopCost, threads: int,
-                     time_scale: float = 1.0) -> float:
-        """Full simulated duration of one loop at ``threads`` threads."""
-        return (self.work_time_ns(loop, threads) * time_scale
-                + self.fixed_time_ns(loop, threads))
-
-    def total_seconds(self, loops, threads: int,
-                      time_scale: float = 1.0) -> float:
-        """Simulated duration of a whole run at ``threads`` threads."""
-        return sum(self.loop_time_ns(loop, threads, time_scale)
-                   for loop in loops) * 1e-9
+            mem_parallel += t / divisors[level]
+        work_ns = compute_ns + mem_serial
+        serial = loop.schedule is Schedule.SERIAL
+        if not serial and threads != 1:
+            parallel_ns = compute_ns / threads + mem_parallel
+            if loop.static_imbalance:  # only a STATIC schedule fills it
+                parallel_ns *= loop.static_imbalance.get(point, 1.0)
+            work_ns = max(parallel_ns, work_ns * loop.max_item_frac)
+        fixed_ns = loop.fixed_ns
+        if loop.barrier and not serial:
+            fixed_ns += barrier_ns
+        return work_ns, fixed_ns

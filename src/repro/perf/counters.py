@@ -83,32 +83,9 @@ class PerfCounters:
         for f in fields(self):
             setattr(self, f.name, 0)
 
-    def ratio_to(self, other: "PerfCounters") -> dict:
-        """Per-counter ratios self/other, as used in Tables IV and V.
-
-        Counters that are zero in ``other`` yield ``float('inf')`` when self
-        is nonzero and ``1.0`` when both are zero, so that a missing event on
-        both sides reads as parity.
-        """
-        out = {}
-        for f in fields(self):
-            a = getattr(self, f.name)
-            b = getattr(other, f.name)
-            if b == 0:
-                out[f.name] = 1.0 if a == 0 else float("inf")
-            else:
-                out[f.name] = a / b
-        out["memory_accesses"] = _safe_ratio(self.memory_accesses(), other.memory_accesses())
-        return out
-
     def as_dict(self) -> dict:
         """Counter values as a plain dict, plus the derived totals."""
         out = {f.name: getattr(self, f.name) for f in fields(self)}
         out["memory_accesses"] = self.memory_accesses()
         return out
 
-
-def _safe_ratio(a: float, b: float) -> float:
-    if b == 0:
-        return 1.0 if a == 0 else float("inf")
-    return a / b

@@ -24,13 +24,7 @@ from repro.perf.costmodel import (
     Schedule,
     static_block_imbalance,
 )
-from repro.perf.memmodel import (
-    LINE_BYTES,
-    XEON_GOLD_5120,
-    AccessPattern,
-    AccessStream,
-    CacheHierarchy,
-)
+from repro.perf.memmodel import XEON_GOLD_5120, AccessStream, CacheHierarchy
 
 #: The paper's experiments use 56 threads unless otherwise mentioned (§IV).
 DEFAULT_THREADS = 56
@@ -94,44 +88,17 @@ class Machine:
         largest item is a heavy-tail hub (whose size grows with the graph),
         its *fraction* of the loop shrinks proportionally and the block
         imbalance of a static schedule averages out.
+
+        The streams are classified by one :meth:`CacheHierarchy.hits` call
+        and the loop is priced by one :meth:`CostModel.price` call; the
+        timeout is checked after every loop.
         """
         faults.trip("kernel")
-        threads = self.threads
-        latency, huge_latency, divisors, barrier_ns, point = (
-            self.cost_model.loop_terms(threads))
         serial = schedule is Schedule.SERIAL
         instructions = int(instructions)
         n_items = int(n_items)
         barrier = barrier and not serial
-
-        # CacheHierarchy.classify per stream, merged into one dict whose
-        # keys keep the order of first appearance (the time sums below run
-        # in that order, and float addition is order-sensitive).
-        hits: dict = {}
-        if streams:
-            byte_scale = self.hierarchy.byte_scale
-            l1_cap, l2_cap, l3_cap = self.hierarchy.capacities
-            for stream in streams:
-                n = stream.n_accesses
-                if n == 0:
-                    continue
-                effective = stream.array_bytes * byte_scale
-                if effective <= l1_cap:
-                    hits["l1"] = hits.get("l1", 0) + n
-                    continue
-                level = ("l2" if effective <= l2_cap
-                         else "l3" if effective <= l3_cap else "dram")
-                pattern = stream.pattern
-                if pattern is AccessPattern.RANDOM:
-                    hits[level] = hits.get(level, 0) + n
-                    continue
-                if pattern is AccessPattern.STRIDED:
-                    far = (n + 1) // 2
-                else:  # SEQUENTIAL: one line fill per LINE_BYTES touched
-                    far = min(n, -(-n // max(
-                        1, LINE_BYTES // stream.elem_bytes)))
-                hits[level] = hits.get(level, 0) + far
-                hits["l1"] = hits.get("l1", 0) + (n - far)
+        hits = self.hierarchy.hits(streams) if streams else {}
 
         max_item_frac = 0.0
         static_imb: dict = {}
@@ -168,25 +135,8 @@ class Machine:
             counters.loops += 1
         self.context.on_loop(n_items, barrier, not serial)
 
-        # CostModel.loop_time_ns(loop, threads, time_scale), term by term.
-        compute_ns = instructions * self.cost_model.params.ns_per_instruction
-        mem_serial = 0.0
-        mem_parallel = 0.0
-        if huge_pages:
-            latency = huge_latency
-        for level, count in hits.items():
-            t = count * latency[level]
-            mem_serial += t
-            mem_parallel += t / divisors[level]
-        work_ns = compute_ns + mem_serial
-        if not serial and threads != 1:
-            parallel_ns = compute_ns / threads + mem_parallel
-            if static_imb:  # only a STATIC schedule fills it
-                parallel_ns *= static_imb.get(point, 1.0)
-            work_ns = max(parallel_ns, work_ns * max_item_frac)
-        self._elapsed_ns_default += (
-            work_ns * self.time_scale
-            + (fixed_ns + barrier_ns if barrier else fixed_ns))
+        work_ns, loop_fixed_ns = self.cost_model.price(loop, self.threads)
+        self._elapsed_ns_default += work_ns * self.time_scale + loop_fixed_ns
         self.check_timeout()
         return loop
 
@@ -202,12 +152,23 @@ class Machine:
         """Simulated execution time, at paper-scale magnitudes.
 
         Work time is multiplied by the dataset's time scale; per-loop fixed
-        costs (barriers, call overheads) are scale-independent.
+        costs (barriers, call overheads) are scale-independent.  At a
+        ``threads`` other than the machine's, every recorded loop is
+        re-priced through :meth:`CostModel.price` and summed in record
+        order; ``threads < 1`` raises :class:`~repro.errors.InvalidValue`.
         """
-        if threads is None or threads == self.threads:
+        if threads is None:
             return self._elapsed_ns_default * 1e-9
-        return self.cost_model.total_seconds(self._loops, threads,
-                                             self.time_scale)
+        self.cost_model.loop_terms(threads)  # checks threads >= 1
+        if threads == self.threads:
+            return self._elapsed_ns_default * 1e-9
+        price = self.cost_model.price
+        time_scale = self.time_scale
+        total_ns = 0.0
+        for loop in self._loops:
+            work_ns, fixed_ns = price(loop, threads)
+            total_ns += work_ns * time_scale + fixed_ns
+        return total_ns * 1e-9
 
     def check_timeout(self) -> None:
         """Raise ``errors.TimeoutError`` past the simulated budget (TO).

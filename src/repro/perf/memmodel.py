@@ -36,7 +36,6 @@ from collections import namedtuple
 from dataclasses import dataclass
 
 from repro.errors import InvalidValue
-from repro.perf.counters import LEVELS
 
 #: Cache line size in bytes (Skylake-SP).
 LINE_BYTES = 64
@@ -113,51 +112,44 @@ class CacheHierarchy:
     """Classifies access streams into per-level access counts."""
 
     def __init__(self, spec: HierarchySpec = XEON_GOLD_5120, byte_scale: float = 1.0):
+        if not byte_scale > 0:
+            raise InvalidValue("byte_scale must be positive")
         self.spec = spec
+        #: The dataset's linear scale factor (see module docstring).
         self.byte_scale = float(byte_scale)
         #: Capacity of L1, L2 and L3 in bytes, nearest first.
         self.capacities = (spec.l1_bytes, spec.l2_bytes, spec.l3_bytes)
 
-    def set_byte_scale(self, scale: float) -> None:
-        """Install the dataset's linear scale factor (see module docstring)."""
-        if scale <= 0:
-            raise InvalidValue("byte_scale must be positive")
-        self.byte_scale = float(scale)
+    def hits(self, streams) -> dict:
+        """Split the streams' accesses across hierarchy levels, merged.
 
-    def residency(self, array_bytes: int) -> str:
-        """The level a working set of ``array_bytes`` (scaled) lives in."""
-        effective = array_bytes * self.byte_scale
-        for level, cap in zip(LEVELS, self.capacities):
-            if effective <= cap:
-                return level
-        return "dram"
-
-    def classify(self, stream: AccessStream) -> dict:
-        """Split a stream's accesses across hierarchy levels.
-
-        Returns a dict with keys from :data:`~repro.perf.counters.LEVELS`;
-        values sum to ``stream.n_accesses``.
+        Returns a dict with keys from :data:`~repro.perf.counters.LEVELS`
+        in order of first appearance (the time sums over it run in that
+        order, and float addition is order-sensitive); its values sum to
+        the streams' ``n_accesses``.  This is the model's only stream
+        classifier, written as one loop because every charged loop runs it.
         """
-        n = stream.n_accesses
-        if n == 0:
-            return {}
-        level = self.residency(stream.array_bytes)
-        if level == "l1":
-            return {"l1": n}
-
-        if stream.pattern is AccessPattern.RANDOM:
-            return {level: n}
-
-        if stream.pattern is AccessPattern.STRIDED:
-            far = (n + 1) // 2
-            return {level: far, "l1": n - far}
-
-        # SEQUENTIAL: one line fill per LINE_BYTES of data touched.
-        elems_per_line = max(1, LINE_BYTES // stream.elem_bytes)
-        line_fills = min(n, -(-n // elems_per_line))  # ceil division
-        return {level: line_fills, "l1": n - line_fills}
-
-    def time_ns(self, hits: dict) -> float:
-        """Serial service time for a per-level hit dict, in nanoseconds."""
-        lat = dict(zip(LEVELS, self.spec.latency_ns))
-        return sum(count * lat[level] for level, count in hits.items())
+        hits: dict = {}
+        byte_scale = self.byte_scale
+        l1_cap, l2_cap, l3_cap = self.capacities
+        for stream in streams:
+            n = stream.n_accesses
+            if n == 0:
+                continue
+            effective = stream.array_bytes * byte_scale
+            if effective <= l1_cap:
+                hits["l1"] = hits.get("l1", 0) + n
+                continue
+            level = ("l2" if effective <= l2_cap
+                     else "l3" if effective <= l3_cap else "dram")
+            pattern = stream.pattern
+            if pattern is AccessPattern.RANDOM:
+                hits[level] = hits.get(level, 0) + n
+                continue
+            if pattern is AccessPattern.STRIDED:
+                far = (n + 1) // 2
+            else:  # SEQUENTIAL: one line fill per LINE_BYTES touched
+                far = min(n, -(-n // max(1, LINE_BYTES // stream.elem_bytes)))
+            hits[level] = hits.get(level, 0) + far
+            hits["l1"] = hits.get("l1", 0) + (n - far)
+        return hits

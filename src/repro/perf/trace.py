@@ -55,44 +55,52 @@ class TimeBreakdown:
 
 
 def explain(machine: Machine, threads: Optional[int] = None) -> TimeBreakdown:
-    """Decompose a machine's recorded loops into time categories."""
-    p = threads or machine.threads
+    """Decompose a machine's recorded loops into time categories.
+
+    Latencies and parallel divisors come from :meth:`CostModel.loop_terms`
+    and each loop's work and fixed time from :meth:`CostModel.price`, so
+    ``total_seconds`` equals ``machine.simulated_seconds(threads)``.
+    ``threads < 1`` raises :class:`~repro.errors.InvalidValue`.
+    """
+    p = machine.threads if threads is None else threads
     model = machine.cost_model
-    params = model.params
+    latency, huge_latency, divisors, _, _ = model.loop_terms(p)
+    ns_per_instruction = model.params.ns_per_instruction
     scale = machine.time_scale
-    latency = dict(zip(LEVELS, machine.hierarchy.spec.latency_ns))
-    caps = dict(zip(LEVELS, params.level_speedup_cap))
 
     compute = 0.0
     memory = {lvl: 0.0 for lvl in LEVELS}
     balanced = 0.0
     actual_body = 0.0
     fixed = 0.0
+    total = 0.0
     n_loops = 0
     n_serial = 0
     for loop in machine.loop_records:
-        if loop.schedule is Schedule.SERIAL:
+        serial = loop.schedule is Schedule.SERIAL
+        if serial:
             n_serial += 1
-            divisor = 1
         else:
             n_loops += 1
-            divisor = p
-        comp = loop.instructions * params.ns_per_instruction / divisor
+        comp = loop.instructions * ns_per_instruction
+        if not serial:
+            comp /= p
         compute += comp
+        lat = huge_latency if loop.huge_pages else latency
         mem_here = 0.0
         for level, count in loop.hits.items():
-            lat = latency[level]
-            if level == "dram" and loop.huge_pages:
-                lat *= params.huge_page_dram_factor
-            t = count * lat / (1 if divisor == 1 else min(p, caps[level]))
+            t = count * lat[level]
+            if not serial:
+                t /= divisors[level]
             memory[level] += t
             mem_here += t
         balanced += comp + mem_here
-        actual_body += model.work_time_ns(loop, p)
-        fixed += model.fixed_time_ns(loop, p)
+        work_ns, fixed_ns = model.price(loop, p)
+        actual_body += work_ns
+        fixed += fixed_ns
+        total += work_ns * scale + fixed_ns
 
     imbalance = max(actual_body - balanced, 0.0)
-    total = actual_body * scale + fixed
     return TimeBreakdown(
         threads=p,
         total_seconds=total * 1e-9,

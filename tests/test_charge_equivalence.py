@@ -1,23 +1,34 @@
-"""``Machine.charge_loop`` against the public model it inlines.
+"""``Machine.charge_loop`` and the re-pricing paths against a spelled-out
+specification of the model.
 
-``charge_loop`` classifies a loop's streams, updates the counters and adds
-the loop's simulated time in one frame.  :meth:`CacheHierarchy.classify`,
-:class:`LoopCost` and :meth:`CostModel.loop_time_ns` stay the readable
-specification of what it computes, and this test holds it to them with
-``==``: simulated seconds, counters, loop records and the op-event stream
-must be *bit*-identical, because the checked-in modeled rows are sums of
-these terms in exactly this order.
+``charge_loop`` classifies a loop's streams (:meth:`CacheHierarchy.hits`),
+updates the counters and prices the loop (:meth:`CostModel.price`) in one
+frame; :meth:`Machine.simulated_seconds` and :func:`explain` re-price the
+recorded loops through the same ``price``.  The readable specification
+lives here, as :func:`classify` and :func:`loop_time_ns`, and this test
+holds all three paths to it with ``==``: simulated seconds at every
+Figure 2 thread count, counters, loop records and the op-event stream must
+be *bit*-identical, because the checked-in modeled rows are sums of these
+terms in exactly this order.
 """
+
+import math
 
 import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.engine import ExecutionContext, OpEvent
-from repro.perf.costmodel import LoopCost, Schedule, static_block_imbalance
-from repro.perf.counters import PerfCounters
+from repro.perf.costmodel import (
+    THREAD_POINTS,
+    LoopCost,
+    Schedule,
+    static_block_imbalance,
+)
+from repro.perf.counters import LEVELS, PerfCounters
 from repro.perf.machine import Machine
-from repro.perf.memmodel import AccessPattern, AccessStream
+from repro.perf.memmodel import LINE_BYTES, AccessPattern, AccessStream
+from repro.perf.trace import explain
 
 #: Working sets resident in L1, L2, L3 and DRAM at ``byte_scale`` 1.
 RESIDENT_BYTES = [16 * 2**10, 512 * 2**10, 8 * 2**20, 64 * 2**20]
@@ -43,9 +54,69 @@ loops = st.fixed_dictionaries({
 })
 
 
+def residency(hierarchy, array_bytes):
+    """The level a working set of ``array_bytes`` (scaled) lives in."""
+    effective = array_bytes * hierarchy.byte_scale
+    for level, cap in zip(LEVELS, hierarchy.capacities):
+        if effective <= cap:
+            return level
+    return "dram"
+
+
+def classify(hierarchy, stream):
+    """One stream's accesses split across the hierarchy's levels."""
+    n = stream.n_accesses
+    if n == 0:
+        return {}
+    level = residency(hierarchy, stream.array_bytes)
+    if level == "l1":
+        return {"l1": n}
+    if stream.pattern is AccessPattern.RANDOM:
+        return {level: n}
+    if stream.pattern is AccessPattern.STRIDED:
+        far = (n + 1) // 2
+        return {level: far, "l1": n - far}
+    # SEQUENTIAL: one line fill per LINE_BYTES of data touched.
+    elems_per_line = max(1, LINE_BYTES // stream.elem_bytes)
+    line_fills = min(n, -(-n // elems_per_line))  # ceil division
+    return {level: line_fills, "l1": n - line_fills}
+
+
+def loop_time_ns(machine, loop, threads):
+    """Full simulated duration of one loop at ``threads`` threads."""
+    params = machine.cost_model.params
+    latency = dict(zip(LEVELS, machine.hierarchy.spec.latency_ns))
+    caps = dict(zip(LEVELS, params.level_speedup_cap))
+    compute_ns = loop.instructions * params.ns_per_instruction
+    mem_serial = 0.0
+    mem_parallel = 0.0
+    for level, count in loop.hits.items():
+        lat = latency[level]
+        if level == "dram" and loop.huge_pages:
+            lat *= params.huge_page_dram_factor
+        t = count * lat
+        mem_serial += t
+        mem_parallel += t / min(threads, caps[level])
+    serial_ns = compute_ns + mem_serial
+    if loop.schedule is Schedule.SERIAL or threads == 1:
+        work_ns = serial_ns
+    else:
+        imbalance = 1.0
+        if loop.schedule is Schedule.STATIC and loop.static_imbalance:
+            point = min(THREAD_POINTS, key=lambda p: abs(p - threads))
+            imbalance = loop.static_imbalance.get(point, 1.0)
+        work_ns = max((compute_ns / threads + mem_parallel) * imbalance,
+                      serial_ns * loop.max_item_frac)
+    fixed_ns = loop.fixed_ns
+    if loop.barrier and loop.schedule is not Schedule.SERIAL:
+        fixed_ns += (params.barrier_base_ns
+                     + params.barrier_slope_ns * math.log2(max(threads, 2)))
+    return work_ns * machine.time_scale + fixed_ns
+
+
 class Reference:
-    """The charge path spelled out through the public model, one loop at
-    a time, adding sequentially."""
+    """The charge path spelled out through the specification above, one
+    loop at a time, adding sequentially."""
 
     def __init__(self, machine):
         self.machine = machine
@@ -59,7 +130,7 @@ class Reference:
         machine = self.machine
         hits = {}
         for stream in streams:
-            for level, count in machine.hierarchy.classify(stream).items():
+            for level, count in classify(machine.hierarchy, stream).items():
                 hits[level] = hits.get(level, 0) + count
 
         max_item_frac = 0.0
@@ -95,8 +166,13 @@ class Reference:
         self.counters.loops += parallel
         self.context.on_loop(n_items=n_items, barrier=loop.barrier,
                              parallel=parallel)
-        self.elapsed_ns += machine.cost_model.loop_time_ns(
-            loop, machine.threads, machine.time_scale)
+        self.elapsed_ns += loop_time_ns(machine, loop, machine.threads)
+
+    def seconds(self, threads):
+        total_ns = 0.0
+        for loop in self.records:
+            total_ns += loop_time_ns(self.machine, loop, threads)
+        return total_ns * 1e-9
 
 
 @settings(max_examples=300, deadline=None)
@@ -124,5 +200,7 @@ def test_charge_loop_equals_the_public_model(loops, threads, time_scale,
     # and a float sum depends on the order of its terms.
     assert ([list(r.hits) for r in machine.loop_records]
             == [list(r.hits) for r in reference.records])
-    assert machine.simulated_seconds(threads=8) == (
-        machine.cost_model.total_seconds(reference.records, 8, time_scale))
+    for p in THREAD_POINTS:
+        expected = reference.seconds(p)
+        assert machine.simulated_seconds(p) == expected
+        assert explain(machine, p).total_seconds == expected

@@ -51,6 +51,11 @@ once and the join engine's position table replaced its merge search, by::
     with open("tests/data/triangle_event_digests.json", "w") as out:
         json.dump(digests, out, indent=1, sort_keys=True)
 
+Figure 2's strong-scaling sweeps re-price every recorded loop at each
+of :data:`~repro.perf.costmodel.THREAD_POINTS`; the 32 sweep cells
+({GB, LS} x {bfs, cc, pr, sssp} on the four largest graphs) are checked
+against ``cells.json``'s ``thread_sweep`` bit for bit.
+
 Regenerate any of these files only together with a deliberate change to
 the model (one that also regenerates ``cells.json``).
 """
@@ -73,6 +78,10 @@ LS_CELLS = [(GRAPH, app) for app in ("bfs", "cc", "pr", "sssp")] + \
     [("eukarya", app) for app in ("cc", "sssp")]
 TRIANGLE_CELLS = [(system, app, graph) for graph in ("rmat22", "friendster")
                   for system in ("SS", "GB") for app in ("ktruss", "tc")]
+SWEEP_CELLS = [(system, app, graph)
+               for graph in ("friendster", "rmat26", "twitter40", "uk07")
+               for system in ("GB", "LS")
+               for app in ("bfs", "cc", "pr", "sssp")]
 PINNED_FIELDS = ("status", "answer", "seconds", "mrss_gb", "counters")
 
 
@@ -171,6 +180,22 @@ def test_triangle_event_stream_matches_recorded_digest(system, app, graph):
     recorded = _load("tests/data/triangle_event_digests.json")
     cell = run_traced(system, app, graph)
     assert event_digest(cell.events) == recorded[f"{system}/{app}/{graph}"]
+
+
+@pytest.fixture(scope="module")
+def checked_in_sweeps():
+    rows = _load("benchmarks/results/cells.json")["cells"]
+    return {(r["system"], r["app"], r["graph"]): r["thread_sweep"]
+            for r in rows}
+
+
+@pytest.mark.parametrize("system,app,graph", SWEEP_CELLS)
+def test_thread_sweep_matches_cells_json(system, app, graph,
+                                         checked_in_sweeps):
+    cell = experiments.run_cell(system, app, graph, sweep_threads=True,
+                                use_cache=False)
+    pinned = checked_in_sweeps[(system, app, graph)]
+    assert {str(p): s for p, s in cell.thread_sweep.items()} == pinned
 
 
 def test_digest_input_equals_the_class_repr():

@@ -46,19 +46,20 @@ class TestLoopTime:
         m = model()
         loop = LoopCost(Schedule.SERIAL, instructions=100,
                         hits={"l1": 10}, barrier=False)
-        t = m.work_time_ns(loop, 56)
-        assert t == pytest.approx(100 * 0.4 + 10 * 1.0)
+        work, fixed = m.price(loop, 56)
+        assert work == pytest.approx(100 * 0.4 + 10 * 1.0)
+        assert fixed == 0.0
 
     def test_parallel_scales_down(self):
         m = model()
         loop = LoopCost(Schedule.STEAL, instructions=10000)
-        assert m.work_time_ns(loop, 56) < m.work_time_ns(loop, 1)
+        assert m.price(loop, 56)[0] < m.price(loop, 1)[0]
 
     def test_more_threads_never_slower(self):
         m = model()
         loop = LoopCost(Schedule.STEAL, instructions=5000,
                         hits={"dram": 100}, max_item_frac=0.01)
-        times = [m.loop_time_ns(loop, p) for p in THREAD_POINTS]
+        times = [sum(m.price(loop, p)) for p in THREAD_POINTS]
         for a, b in zip(times, times[1:]):
             assert b <= a * 1.05 + 10000  # barrier growth tolerance
 
@@ -66,42 +67,45 @@ class TestLoopTime:
         m = model()
         loop = LoopCost(Schedule.STEAL, instructions=10000,
                         max_item_frac=0.5, barrier=False)
-        serial = m.work_time_ns(loop, 1)
-        assert m.work_time_ns(loop, 56) >= serial * 0.5
+        serial = m.price(loop, 1)[0]
+        assert m.price(loop, 56)[0] >= serial * 0.5
 
     def test_dram_speedup_capped(self):
         p = CostParams()
         m = CostModel(CacheHierarchy(), p)
         loop = LoopCost(Schedule.STEAL, hits={"dram": 10000}, barrier=False)
         cap = p.level_speedup_cap[3]
-        t_inf = m.work_time_ns(loop, 10_000)
+        t_inf = m.price(loop, 10_000)[0]
         assert t_inf == pytest.approx(10000 * 80.0 / cap)
 
     def test_huge_pages_discount(self):
         m = model()
         a = LoopCost(Schedule.STEAL, hits={"dram": 1000}, huge_pages=True)
         b = LoopCost(Schedule.STEAL, hits={"dram": 1000}, huge_pages=False)
-        assert m.work_time_ns(a, 56) < m.work_time_ns(b, 56)
+        assert m.price(a, 56)[0] < m.price(b, 56)[0]
 
     def test_fixed_costs_not_scaled(self):
-        m = model()
-        loop = LoopCost(Schedule.STEAL, instructions=1000, fixed_ns=5000.0)
-        t1 = m.loop_time_ns(loop, 56, time_scale=1.0)
-        t2 = m.loop_time_ns(loop, 56, time_scale=100.0)
-        work = m.work_time_ns(loop, 56)
-        fixed = m.fixed_time_ns(loop, 56)
-        assert t1 == pytest.approx(work + fixed)
-        assert t2 == pytest.approx(work * 100 + fixed)
+        m1 = Machine(time_scale=1.0)
+        m100 = Machine(time_scale=100.0)
+        for m in (m1, m100):
+            m.charge_loop(Schedule.STEAL, instructions=1000, fixed_ns=5000.0)
+        work, fixed = m1.cost_model.price(m1.loop_records[0], 56)
+        assert fixed > 5000.0  # the call overhead plus the barrier
+        assert m1.simulated_seconds() == pytest.approx((work + fixed) * 1e-9)
+        assert m100.simulated_seconds() == pytest.approx(
+            (work * 100 + fixed) * 1e-9)
 
     def test_barrier_only_on_barrier_loops(self):
         m = model()
         with_b = LoopCost(Schedule.STEAL, barrier=True)
         without = LoopCost(Schedule.STEAL, barrier=False)
-        assert m.fixed_time_ns(with_b, 8) > m.fixed_time_ns(without, 8)
+        assert m.price(with_b, 8)[1] > m.price(without, 8)[1]
+        serial = LoopCost(Schedule.SERIAL, barrier=True)
+        assert m.price(serial, 8)[1] == 0.0
 
     def test_invalid_threads(self):
         with pytest.raises(InvalidValue):
-            model().work_time_ns(LoopCost(Schedule.STEAL), 0)
+            model().price(LoopCost(Schedule.STEAL), 0)
 
 
 class TestMachine:
@@ -136,6 +140,20 @@ class TestMachine:
         recomputed = m.simulated_seconds(56)
         assert default == pytest.approx(recomputed)
         assert m.simulated_seconds(1) > default
+
+    @pytest.mark.parametrize("threads", [0, -3])
+    @pytest.mark.parametrize("n_loops", [0, 1])
+    def test_repricing_rejects_thread_counts_below_one(self, threads,
+                                                       n_loops):
+        from repro.perf.trace import explain
+
+        m = Machine()
+        for _ in range(n_loops):
+            m.charge_loop(Schedule.STEAL, instructions=100)
+        with pytest.raises(InvalidValue):
+            m.simulated_seconds(threads)
+        with pytest.raises(InvalidValue):
+            explain(m, threads)
 
     def test_timeout_raises(self):
         m = Machine(timeout_seconds=1e-6)

@@ -237,8 +237,8 @@ class TestCostModelProperties:
                          hits={"dram": dram})
         big = LoopCost(Schedule.STEAL, instructions=instr * 2,
                        hits={"dram": dram * 2})
-        assert m.work_time_ns(small, p) >= 0
-        assert m.work_time_ns(big, p) >= m.work_time_ns(small, p)
+        assert m.price(small, p)[0] >= 0
+        assert m.price(big, p)[0] >= m.price(small, p)[0]
 
     @SETTINGS
     @given(st.integers(1, 10**7), st.sampled_from(
@@ -248,5 +248,5 @@ class TestCostModelProperties:
     def test_classification_conserves_accesses(self, array_bytes, pattern,
                                                n_accesses):
         h = CacheHierarchy()
-        hits = h.classify(AccessStream(array_bytes, n_accesses, pattern))
+        hits = h.hits([AccessStream(array_bytes, n_accesses, pattern)])
         assert sum(hits.values()) == n_accesses

@@ -50,6 +50,15 @@ class TestRegisterFileDataset:
                                    paper_e=1000 * csr.nvals)
         assert ds.scale == pytest.approx(1000.0)
 
+    @pytest.mark.parametrize("paper_e", [0, -100, float("nan"),
+                                         float("inf")])
+    def test_paper_e_must_be_positive_and_finite(self, graph_file, paper_e):
+        path, _ = graph_file
+        with pytest.raises(InvalidValue):
+            register_file_dataset("user-graph", path, paper_e=paper_e)
+        with pytest.raises(InvalidValue):
+            get_dataset("user-graph")  # nothing was registered
+
     def test_mtx_input(self, tmp_path, graph_file):
         _, csr = graph_file
         path = str(tmp_path / "user.mtx")
